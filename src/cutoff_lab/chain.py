@@ -16,14 +16,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, DimensionMismatch, InvalidTolerance,
-                     NotIrreducible, SpecParseError)
+                     NotIrreducible, SpecParseError, TimeOutOfRange)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -196,11 +196,10 @@ def metric_data(P: StochasticMatrix) -> MetricData:
     d = shortest_path(csr_matrix(adj), method="D", unweighted=True, directed=False)
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
-    dist = d.astype(np.int64)
+    dist = _readonly(d, np.int64)
     off = P.entries[adj]
     delta = float(np.max(1.0 / off)) if off.size else 1.0
-    return MetricData(dist=_readonly(d).astype(np.int64),
-                      diameter=int(dist.max()), delta=delta)
+    return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def poisson_weights(t: float, tol: float, min_terms: int = 0) -> np.ndarray:
     if t == 0.0:
         return np.array([1.0])
     if t > 700.0:
-        raise OverflowError("heat kernel times above 700 are out of scale")
+        raise TimeOutOfRange("heat kernel times above 700 are out of scale")
     floor_k = max(math.ceil(t + 8.0 * math.sqrt(t) + 8.0), int(min_terms))
     target = 1.0 - min(tol, _MASS_TOL)
     q = [math.exp(-t)]
@@ -276,6 +275,14 @@ def heat_kernel(P: StochasticMatrix, t: float, tol: float = 1e-9) -> np.ndarray:
         V = V @ P.entries
         acc += q[k] * V
     return acc
+
+
+def kernel_rows(P: StochasticMatrix, t: float, tol: float,
+                starts: Optional[Sequence[int]]) -> np.ndarray:
+    """Heat-kernel rows P_t(o, .) for o in ``starts``; all rows when None."""
+    if starts is None:
+        return heat_kernel(P, t, tol)
+    return np.vstack([heat_kernel_row(P, o, t, tol).probs for o in starts])
 
 
 def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray, t: float,

@@ -20,14 +20,12 @@ from . import entropy as ent
 from . import families as fam
 from . import svg
 from .cache import HeatKernelCache
-from .chain import (Distribution, StochasticMatrix, heat_kernel,
-                    heat_kernel_row, load_chain_file, metric_data,
-                    save_chain_file, stationary, validate)
+from .chain import (Distribution, StochasticMatrix, kernel_rows,
+                    load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
-from .errors import (CurvatureHypothesisFailed, CutoffLabError, SpecParseError,
-                     StateCapExceeded)
-from .spectral import relaxation_time
+from .errors import (CutoffLabError, SpecParseError, StateCapExceeded,
+                     TimeOutOfRange)
 
 CSV_VERSION = "cutoff-lab-csv-v1"
 EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
@@ -129,10 +127,7 @@ class Options:
 
 def _cached_rows(cache, P, t, tol, starts):
     def compute():
-        if starts is None:
-            return heat_kernel(P, t, tol)
-        return np.vstack([heat_kernel_row(P, o, t, tol).probs
-                          for o in starts])
+        return kernel_rows(P, t, tol, starts)
     if cache is None:
         return compute()
     return cache.get_or_compute(P, t, tol, starts, compute)
@@ -167,12 +162,8 @@ def cmd_analyze(opts: Options) -> int:
     _check_valid(P)
     out = opts.outdir()
     cache = opts.kernel_cache()
-    metric = metric_data(P)
-    pi = stationary(P)
-    srel = relaxation_time(P)
-    starts = inst.starts
-    tmix = {e: ent.mixing_time(P, e, tol=opts.tol, starts=starts)
-            for e in opts.eps}
+    metric, pi, starts = inst.metric, inst.pi, inst.starts
+    tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
     olli = ollivier_curvature(P, metric)
     be = bakry_emery_curvature(P, samples=0)
     eps0 = 0.25 if 0.25 in opts.eps else opts.eps[0]
@@ -182,7 +173,7 @@ def cmd_analyze(opts: Options) -> int:
                "kappa_bakry_emery"]
               + [f"tmix_{_fmt(e)}" for e in opts.eps]
               + ["d_star", "v_star"])
-    row = ([P.n, metric.delta, metric.diameter, srel.t_rel,
+    row = ([P.n, metric.delta, metric.diameter, inst.t_rel,
             olli.ollivier_min, be.bakry_emery_min]
            + [tmix[e] for e in opts.eps] + [d0, v0])
     write_csv(os.path.join(out, "analysis.csv"), header, [row])
@@ -202,7 +193,7 @@ def cmd_analyze(opts: Options) -> int:
         title=f"mixing profile ({inst.family}, n={P.n})",
         xlabel="t", ylabel="distance",
         vlines=[(f"tmix({_fmt(e)})", tmix[e]) for e in opts.eps])
-    print(f"analyze: n={P.n} t_rel={srel.t_rel:.6g} "
+    print(f"analyze: n={P.n} t_rel={inst.t_rel:.6g} "
           f"kappa_olli={olli.ollivier_min:.6g} "
           f"kappa_be={be.bakry_emery_min:.6g}")
     for e in opts.eps:
@@ -218,50 +209,34 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, tol=1e-9,
     (contraction, sub-commutativity) use a reduced observable count.
     """
     P = inst.matrix
-    metric = metric_data(P)
-    pi = stationary(P)
-    srel = relaxation_time(P)
-    starts = inst.starts
-    olli = ollivier_curvature(P, metric)
+    pi = inst.pi
+    olli = ollivier_curvature(P, inst.metric)
     be = bakry_emery_curvature(P, samples=0)
     kappa_cert = max(olli.ollivier_min, be.bakry_emery_min)
     verdicts = []
-    tmix = {}
-
-    def tm(e):
-        if e not in tmix:
-            tmix[e] = ent.mixing_time(P, e, tol=1e-9, starts=starts)
-        return tmix[e]
-
-    t_half = tm(0.5)
+    t_half = inst.t_mix(0.5)
     for e in eps_list:
-        verdicts.append(ent.entropic_upper_bound(
-            P, t_half, e, tol=tol, starts=starts, t_rel=srel.t_rel))
+        verdicts.append(ent.entropic_upper_bound(inst, t_half, e, tol=tol))
         # Entropic lower bound on the entropy-worst kernel row at tmix(1-e).
-        rows = (heat_kernel(P, tm(1.0 - e), 1e-12) if starts is None else
-                np.vstack([heat_kernel_row(P, o, tm(1.0 - e), 1e-12).probs
-                           for o in starts]))
+        rows = kernel_rows(P, inst.t_mix(1.0 - e), 1e-12, inst.starts)
         worst = max(rows, key=lambda r: ent.kl_divergence(r, pi))
         verdicts.append(ent.entropic_lower_bound_check(
             Distribution(worst), pi, e, tol=tol))
         if e < 0.5:
-            verdicts.append(ent.cutoff_window_bound(
-                P, e, tol=tol, starts=starts, t_rel=srel.t_rel))
-        verdicts.append(ent.diameter_bound_check(
-            P, e, tol=tol, starts=starts, metric=metric, t_rel=srel.t_rel))
-    t_log = max(metric.diameter / 4.0, tm(0.25))
-    verdicts.append(ent.log_gradient_bound_check(P, t_log, tol=tol,
-                                                 starts=starts, metric=metric))
+            verdicts.append(ent.cutoff_window_bound(inst, e, tol=tol))
+        verdicts.append(ent.diameter_bound_check(inst, e, tol=tol))
+    t_log = max(inst.metric.diameter / 4.0, inst.t_mix(0.25))
+    verdicts.append(ent.log_gradient_bound_check(inst, t_log, tol=tol))
     kappa_cc = max(0.0, kappa_cert)
     if kappa_cert >= -1e-8:
         verdicts.append(ent.local_concentration_sweep(
-            P, [1.0, tm(0.25)], kappa_cc, n_f=n_f, seed=seed, tol=tol))
+            P, [1.0, inst.t_mix(0.25)], kappa_cc, n_f=n_f, seed=seed,
+            tol=tol))
         for e in eps_list:
             verdicts.extend(ent.varentropy_bound_check(
-                P, e, kappa=kappa_cert, tol=tol, starts=starts,
-                metric=metric))
+                inst, e, kappa=kappa_cert, tol=tol))
     if semigroup_checks:
-        t_grid = [0.5, tm(0.25)]
+        t_grid = [0.5, inst.t_mix(0.25)]
         verdicts.append(contraction_check(
             P, olli.ollivier_min, t_grid, seed=seed, n_f=min(n_f, 20),
             tol=tol, check_w1=P.n <= 128))
@@ -300,31 +275,26 @@ def scan_rows(opts: Options):
     def one(item):
         value, inst = item
         P = inst.matrix
-        metric = metric_data(P)
-        pi = stationary(P)
-        srel = relaxation_time(P)
-        starts = inst.starts
-        tmix = {e: ent.mixing_time(P, e, tol=opts.tol, starts=starts)
-                for e in opts.eps}
+        metric, pi, starts = inst.metric, inst.pi, inst.starts
+        t_rel = inst.t_rel
+        tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
         olli = ollivier_curvature(P, metric)
         be = bakry_emery_curvature(P, samples=0)
         d0 = ent.d_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts, pi=pi)
         v0 = ent.v_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts, pi=pi)
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
-        conc = (1.0 + math.sqrt(v0)) * srel.t_rel / tmix[eps_lo]
+        conc = (1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
         log_delta = math.log(metric.delta)
-        sparse = (tmix[eps_lo] / (srel.t_rel * log_delta) ** 2
+        sparse = (tmix[eps_lo] / (t_rel * log_delta) ** 2
                   if log_delta > 0 else math.inf)
         th1_window = math.sqrt(tmix[0.25] if 0.25 in tmix else tmix[eps_lo]) \
-            * srel.t_rel * max(log_delta, 1e-12)
+            * t_rel * max(log_delta, 1e-12)
         if eps_lo < 0.5:
-            wb = ent.cutoff_window_bound(P, eps_lo, starts=starts,
-                                         t_rel=srel.t_rel)
-            th2_bound = wb.rhs
+            th2_bound = ent.cutoff_window_bound(inst, eps_lo).rhs
         else:
             th2_bound = math.nan
-        return ([value, P.n, metric.delta, metric.diameter, srel.t_rel,
+        return ([value, P.n, metric.delta, metric.diameter, t_rel,
                  olli.ollivier_min, be.bakry_emery_min]
                 + [tmix[e] for e in opts.eps]
                 + [window, ratio, d0, v0, conc, sparse, th1_window,
@@ -367,8 +337,7 @@ def cmd_curvature(opts: Options) -> int:
     inst = opts.instance()
     P = inst.matrix
     _check_valid(P)
-    metric = metric_data(P)
-    olli = ollivier_curvature(P, metric)
+    olli = ollivier_curvature(P, inst.metric)
     be = bakry_emery_curvature(P, samples=0)
     rows = [["edge", x, y, k] for (x, y), k in sorted(olli.ollivier_edges.items())]
     rows += [["vertex", x, "", k]
@@ -430,7 +399,7 @@ def main(argv=None) -> int:
     try:
         opts = Options(args)
         return COMMANDS[args.command](opts)
-    except StateCapExceeded as exc:
+    except (StateCapExceeded, TimeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (SpecParseError, FileNotFoundError) as exc:

@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from . import curvature as _curv
-from .chain import (Distribution, MetricData, StochasticMatrix, heat_kernel,
-                    heat_kernel_apply, heat_kernel_row, metric_data,
-                    stationary)
+from .chain import (Distribution, StochasticMatrix, heat_kernel_apply,
+                    heat_kernel_row, kernel_rows, stationary)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      HypothesisViolation, NoCrossing, NotIrreducible,
                      UnderflowRisk, UnsupportedState)
-from .spectral import relaxation_time
 from .verdicts import InequalityVerdict, make_verdict
+
+if TYPE_CHECKING:
+    from .families import ChainInstance
 
 EPS_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 _LOG_FLOOR = 1e-300
@@ -85,19 +85,12 @@ def varentropy(mu, pi) -> float:
 # Worst-case profiles and mixing times
 # ---------------------------------------------------------------------------
 
-def _kernel_rows(P: StochasticMatrix, t: float, tol: float,
-                 starts: Optional[Sequence[int]]) -> np.ndarray:
-    if starts is None:
-        return heat_kernel(P, t, tol)
-    return np.vstack([heat_kernel_row(P, o, t, tol).probs for o in starts])
-
-
 def worst_tv(P: StochasticMatrix, t: float, pi: Distribution | None = None,
              tol: float = 1e-9, starts: Optional[Sequence[int]] = None) -> float:
     """max over starting states of ||P_t(x,.) - pi||_TV."""
     if pi is None:
         pi = stationary(P)
-    rows = _kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, tol, starts)
     return float(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1).max())
 
 
@@ -108,7 +101,7 @@ def mixing_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
     times = np.asarray(sorted(t_grid), dtype=float)
     table = []
     for t in times:
-        rows = _kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, tol, starts)
         table.append(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1))
     table = np.array(table).T
     return MixingProfile(times=times, worst_tv=table.max(axis=0),
@@ -154,7 +147,7 @@ def entropy_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
     times = np.asarray(sorted(t_grid), dtype=float)
     d_star, v_star = [], []
     for t in times:
-        rows = _kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, tol, starts)
         d_star.append(max(kl_divergence(row, pi) for row in rows))
         v_star.append(max(varentropy(row, pi) for row in rows))
     return EntropyProfile(times=times, d_star=np.array(d_star),
@@ -164,14 +157,14 @@ def entropy_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
 def d_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
     if pi is None:
         pi = stationary(P)
-    rows = _kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, tol, starts)
     return max(kl_divergence(row, pi) for row in rows)
 
 
 def v_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
     if pi is None:
         pi = stationary(P)
-    rows = _kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, tol, starts)
     return max(varentropy(row, pi) for row in rows)
 
 
@@ -179,16 +172,14 @@ def v_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
 # Inequality verdicts
 # ---------------------------------------------------------------------------
 
-def entropic_upper_bound(P: StochasticMatrix, t: float, eps: float,
-                         tol: float = 1e-9, starts=None,
-                         t_rel: float | None = None) -> InequalityVerdict:
+def entropic_upper_bound(inst: ChainInstance, t: float, eps: float,
+                         tol: float = 1e-9) -> InequalityVerdict:
     """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t))."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    if t_rel is None:
-        t_rel = relaxation_time(P).t_rel
-    lhs = mixing_time(P, eps, tol=tol, starts=starts)
-    rhs = t + (t_rel / eps) * (1.0 + d_star_at(P, t, tol=tol, starts=starts))
+    lhs = inst.t_mix(eps, tol)
+    d = d_star_at(inst.matrix, t, tol=tol, starts=inst.starts, pi=inst.pi)
+    rhs = t + (inst.t_rel / eps) * (1.0 + d)
     return make_verdict("entropic-upper-bound", lhs, rhs, tol, eps=eps, t=t)
 
 
@@ -208,35 +199,29 @@ def entropic_lower_bound_check(mu, pi, eps: float,
                         vacuous=False)
 
 
-def cutoff_window_bound(P: StochasticMatrix, eps: float, tol: float = 1e-9,
-                        starts=None,
-                        t_rel: float | None = None) -> InequalityVerdict:
+def cutoff_window_bound(inst: ChainInstance, eps: float,
+                        tol: float = 1e-9) -> InequalityVerdict:
     """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps))))."""
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    if t_rel is None:
-        t_rel = relaxation_time(P).t_rel
-    t_hi = mixing_time(P, eps, tol=tol, starts=starts)
-    t_lo = mixing_time(P, 1.0 - eps, tol=tol, starts=starts)
-    v = v_star_at(P, t_lo, tol=tol, starts=starts)
+    t_hi = inst.t_mix(eps, tol)
+    t_lo = inst.t_mix(1.0 - eps, tol)
+    v = v_star_at(inst.matrix, t_lo, tol=tol, starts=inst.starts, pi=inst.pi)
     lhs = t_hi - t_lo
-    rhs = (2.0 * t_rel / eps ** 2) * (1.0 + math.sqrt(v))
+    rhs = (2.0 * inst.t_rel / eps ** 2) * (1.0 + math.sqrt(v))
     return make_verdict("cutoff-window-bound", lhs, rhs, tol, eps=eps,
                         t_mix_eps=t_hi, t_mix_1meps=t_lo, v_star=v)
 
 
-def entropic_concentration_ratio(P: StochasticMatrix, eps: float,
-                                 tol: float = 1e-9, starts=None,
-                                 t_rel: float | None = None) -> float:
+def entropic_concentration_ratio(inst: ChainInstance, eps: float,
+                                 tol: float = 1e-9) -> float:
     """[1 + sqrt(V*(t_mix(eps)))] * t_rel / t_mix(eps); small values certify
     the cutoff criterion."""
-    if t_rel is None:
-        t_rel = relaxation_time(P).t_rel
-    t_mix = mixing_time(P, eps, tol=tol, starts=starts)
+    t_mix = inst.t_mix(eps, tol)
     if t_mix <= 0.0:
         raise ValueError("degenerate chain: t_mix(eps) = 0")
-    v = v_star_at(P, t_mix, tol=tol, starts=starts)
-    return (1.0 + math.sqrt(v)) * t_rel / t_mix
+    v = v_star_at(inst.matrix, t_mix, tol=tol, starts=inst.starts, pi=inst.pi)
+    return (1.0 + math.sqrt(v)) * inst.t_rel / t_mix
 
 
 def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
@@ -252,7 +237,7 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
     pi = stationary(P)
 
     def g(t):
-        rows = _kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, tol, starts)
         d = max(kl_divergence(row, pi) for row in rows)
         v = max(varentropy(row, pi) for row in rows)
         return d - c * (1.0 + math.sqrt(v))
@@ -279,45 +264,36 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
 # Log-gradient, local concentration, varentropy and diameter bounds
 # ---------------------------------------------------------------------------
 
-def log_density_lip_norm(P: StochasticMatrix, o: int, t: float,
-                         tol: float = 1e-12,
-                         metric: MetricData | None = None,
-                         pi: Distribution | None = None) -> float:
+def log_density_lip_norm(inst: ChainInstance, o: int, t: float,
+                         tol: float = 1e-12) -> float:
     """Lipschitz norm of log(P_t(o,.)/pi) over support edges."""
+    P = inst.matrix
     if not P.symmetric_support:
         raise HypothesisViolation("log-gradient requires symmetric support")
-    if pi is None:
-        pi = stationary(P)
-    if metric is None:
-        metric = metric_data(P)
     # The truncated series must reach every state: entries at graph distance
     # k first appear at order k of the Poisson mixture.
-    row = heat_kernel_row(P, o, t, tol, min_terms=metric.diameter + 16).probs
+    row = heat_kernel_row(P, o, t, tol,
+                          min_terms=inst.metric.diameter + 16).probs
     if np.any(row < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
-    logr = np.log(row) - np.log(pi.probs)
+    logr = np.log(row) - np.log(inst.pi.probs)
     adj = P.support.copy()
     np.fill_diagonal(adj, False)
     xs, ys = np.nonzero(adj)
     return float(np.max(np.abs(logr[xs] - logr[ys])))
 
 
-def log_gradient_bound_check(P: StochasticMatrix, t: float,
-                             tol: float = 1e-9, kernel_tol: float = 1e-12,
-                             starts=None,
-                             metric: MetricData | None = None) -> InequalityVerdict:
+def log_gradient_bound_check(inst: ChainInstance, t: float,
+                             tol: float = 1e-9,
+                             kernel_tol: float = 1e-12) -> InequalityVerdict:
     """max_o ||log(P_t(o,.)/pi)||_Lip <= 3 (1 + log Delta) for t >= diam/4."""
-    if metric is None:
-        metric = metric_data(P)
+    metric = inst.metric
     if t < metric.diameter / 4.0:
         raise HypothesisViolation(
             f"t={t} below diam/4 = {metric.diameter / 4.0}")
-    pi = stationary(P)
-    olist = range(P.n) if starts is None else starts
-    lhs = max(log_density_lip_norm(P, o, t, tol=kernel_tol, pi=pi,
-                                   metric=metric)
-              for o in olist)
+    olist = range(inst.matrix.n) if inst.starts is None else inst.starts
+    lhs = max(log_density_lip_norm(inst, o, t, tol=kernel_tol) for o in olist)
     rhs = 3.0 * (1.0 + math.log(metric.delta))
     return make_verdict("log-gradient-bound", lhs, rhs, tol, t=t,
                         delta=metric.delta)
@@ -331,14 +307,11 @@ def _lip_rhs(t: float, kappa: float) -> float:
 
 def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
                               kappa: float, tol: float = 1e-9,
-                              kernel_tol: float = 1e-9,
-                              metric: MetricData | None = None) -> InequalityVerdict:
+                              kernel_tol: float = 1e-9) -> InequalityVerdict:
     """Pointwise P_t(f^2) - (P_t f)^2 <= ((1-e^{-2 t kappa})/kappa) ||f||_Lip^2,
     with the kappa = 0 limit 2t ||f||_Lip^2."""
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
-    if metric is None:
-        metric = metric_data(P)
     f = np.asarray(f, dtype=np.float64)
     adj = P.support.copy()
     np.fill_diagonal(adj, False)
@@ -356,75 +329,58 @@ def local_concentration_sweep(P: StochasticMatrix, t_list, kappa: float,
                               n_f: int = 100, seed: int = 0,
                               tol: float = 1e-9) -> InequalityVerdict:
     """Worst verdict over random Lipschitz observables and times."""
-    metric = metric_data(P)
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_list:
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
-            v = local_concentration_check(P, f, t, kappa, tol=tol,
-                                          metric=metric)
+            v = local_concentration_check(P, f, t, kappa, tol=tol)
             if worst is None or v.slack < worst.slack:
                 worst = v
     return worst
 
 
-def varentropy_bound_check(P: StochasticMatrix, eps: float,
-                           kappa: float | None = None, tol: float = 1e-9,
-                           kernel_tol: float = 1e-12, starts=None,
-                           metric: MetricData | None = None):
+def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float,
+                           tol: float = 1e-9, kernel_tol: float = 1e-12):
     """Both forms of the varentropy estimate at t = t_mix(eps):
 
     1. V*_KL <= 18 t (1 + log Delta)^2;
     2. V*_KL <= 2 t (max_o ||log(P_t(o,.)/pi)||_Lip)^2.
 
-    Returns a list of two verdicts.  Requires a non-negatively curved chain;
-    pass the certified kappa (max of the two curvature minima) to skip the
-    curvature computation.
+    Returns a list of two verdicts.  Requires a non-negatively curved chain:
+    ``kappa`` is the certified curvature (max of the two curvature minima).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    if metric is None:
-        metric = metric_data(P)
-    if kappa is None:
-        olli = _curv.ollivier_curvature(P, metric).ollivier_min
-        be = _curv.bakry_emery_curvature(P, samples=0).bakry_emery_min
-        kappa = max(olli, be)
     if kappa < -1e-8:
         raise CurvatureHypothesisFailed(
             f"chain not certified non-negatively curved (kappa={kappa})")
-    t = mixing_time(P, eps, tol=1e-9, starts=starts)
-    pi = stationary(P)
+    t = inst.t_mix(eps)
     if t == 0.0:
         # Point masses have zero varentropy; both bounds hold as 0 <= 0.
         v, lip = 0.0, 0.0
     else:
-        v = v_star_at(P, t, tol=kernel_tol, starts=starts, pi=pi)
-        olist = range(P.n) if starts is None else starts
-        lip = max(log_density_lip_norm(P, o, t, tol=kernel_tol, pi=pi,
-                                       metric=metric)
+        v = v_star_at(inst.matrix, t, tol=kernel_tol, starts=inst.starts,
+                      pi=inst.pi)
+        olist = range(inst.matrix.n) if inst.starts is None else inst.starts
+        lip = max(log_density_lip_norm(inst, o, t, tol=kernel_tol)
                   for o in olist)
     v18 = make_verdict("varentropy-bound-18", v,
-                       18.0 * t * (1.0 + math.log(metric.delta)) ** 2, tol,
-                       eps=eps, t_mix=t)
+                       18.0 * t * (1.0 + math.log(inst.metric.delta)) ** 2,
+                       tol, eps=eps, t_mix=t)
     vcomp = make_verdict("varentropy-bound-composition", v,
                          2.0 * t * lip ** 2, tol, eps=eps, t_mix=t,
                          log_lip=lip)
     return [v18, vcomp]
 
 
-def diameter_bound_check(P: StochasticMatrix, eps: float, tol: float = 1e-9,
-                         starts=None, metric: MetricData | None = None,
-                         t_rel: float | None = None) -> InequalityVerdict:
+def diameter_bound_check(inst: ChainInstance, eps: float,
+                         tol: float = 1e-9) -> InequalityVerdict:
     """diam <= 2 t_mix(eps) + sqrt(8 t_mix(eps)/(1-eps)) + sqrt(8 t_rel/(1-eps))."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    if metric is None:
-        metric = metric_data(P)
-    if t_rel is None:
-        t_rel = relaxation_time(P).t_rel
-    t = mixing_time(P, eps, tol=1e-9, starts=starts)
+    t = inst.t_mix(eps)
     rhs = 2.0 * t + math.sqrt(8.0 * t / (1.0 - eps)) \
-        + math.sqrt(8.0 * t_rel / (1.0 - eps))
-    return make_verdict("diameter-bound", float(metric.diameter), rhs, tol,
-                        eps=eps, t_mix=t)
+        + math.sqrt(8.0 * inst.t_rel / (1.0 - eps))
+    return make_verdict("diameter-bound", float(inst.metric.diameter), rhs,
+                        tol, eps=eps, t_mix=t)

@@ -57,9 +57,10 @@ class StateCapExceeded(CutoffLabError):
     """Requested chain exceeds the configured state-space cap."""
 
 
+class TimeOutOfRange(CutoffLabError, OverflowError):
+    """Heat-kernel time beyond the range the Poisson weights support."""
+
+
 class SpecParseError(CutoffLabError):
     """Malformed family spec or chain file."""
 
-
-class CacheCorrupt(CutoffLabError):
-    """A cache entry could not be read back."""

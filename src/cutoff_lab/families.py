@@ -10,12 +10,16 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import StochasticMatrix, stationary
+from .chain import (Distribution, MetricData, StochasticMatrix, metric_data,
+                    stationary)
+from .entropy import mixing_time
 from .errors import (GenerationFailed, NotGenerating, NotSymmetricSet,
                      SpecParseError, StateCapExceeded)
+from .spectral import relaxation_time
 
 STATE_CAP = 5000
 
@@ -90,18 +94,44 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class ChainInstance:
-    """A constructed chain plus provenance and symmetry metadata."""
+    """A constructed chain plus provenance and symmetry metadata.
+
+    Also the per-chain context of the verdict layer: the invariants pi,
+    metric, t_rel and t_mix(eps) are computed on first use and kept.
+    """
 
     matrix: StochasticMatrix
     family: str
     params: dict = field(default_factory=dict)
     transitive: bool = False
     curvature_claim: str = CLAIM_UNKNOWN
+    _t_mix: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def starts(self):
         """Start set sufficient for worst-case maximizations."""
         return [0] if self.transitive else None
+
+    @cached_property
+    def pi(self) -> Distribution:
+        return stationary(self.matrix)
+
+    @cached_property
+    def metric(self) -> MetricData:
+        return metric_data(self.matrix)
+
+    @cached_property
+    def t_rel(self) -> float:
+        return relaxation_time(self.matrix).t_rel
+
+    def t_mix(self, eps: float, tol: float = 1e-9) -> float:
+        """Worst-case mixing time over ``starts``, memoized by (eps, tol)."""
+        key = (eps, tol)
+        if key not in self._t_mix:
+            self._t_mix[key] = mixing_time(self.matrix, eps, tol=tol,
+                                           starts=self.starts)
+        return self._t_mix[key]
 
 
 def _check_cap(n: int, cap: int):

@@ -24,7 +24,7 @@ from cutoff_lab.families import (CLAIM_ABELIAN, GroupSpec, birth_death,
                                  complete_graph, cycle, hypercube,
                                  perturb_toward_uniform,
                                  random_abelian_cayley)
-from cutoff_lab.spectral import gamma_form, relaxation_time
+from cutoff_lab.spectral import gamma_form
 
 FLIP = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -253,7 +253,6 @@ def test_criterion_6_hypercube_cutoff_trend():
         inst = hypercube(d)
         P = inst.matrix
         starts = inst.starts
-        t_rel = relaxation_time(P).t_rel
         got, want = {}, {}
         for eps in (0.25, 0.75):
             got[eps] = mixing_time(P, eps, starts=starts)
@@ -263,7 +262,7 @@ def test_criterion_6_hypercube_cutoff_trend():
                             abs(got[eps] - want[eps]) / (1e-4 * max(1.0, hi)))
         ratios.append(got[0.25] / got[0.75])
         exact_ratios.append(want[0.25] / want[0.75])
-        wb = cutoff_window_bound(P, 0.25, starts=starts, t_rel=t_rel)
+        wb = cutoff_window_bound(inst, 0.25)
         windows_ok = windows_ok and wb.passed
     # The trend reaches 1.35 only near d = 10^4, far beyond the state cap,
     # so that figure is checked on the closed form.
@@ -329,9 +328,7 @@ def test_criterion_8_cycle_negative_control():
         inst = cycle(n)
         P = inst.matrix
         starts = inst.starts
-        t_rel = relaxation_time(P).t_rel
-        concs.append(entropic_concentration_ratio(P, 0.25, starts=starts,
-                                                  t_rel=t_rel))
+        concs.append(entropic_concentration_ratio(inst, 0.25))
         ratios.append(mixing_time(P, 0.25, starts=starts)
                       / mixing_time(P, 0.75, starts=starts))
     elapsed = time.monotonic() - start

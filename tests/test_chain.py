@@ -182,6 +182,11 @@ class TestMetricData:
             [0.0, 0.4, 0.6]]))
         assert metric_data(P).delta == pytest.approx(10.0)
 
+    def test_dist_read_only(self):
+        dist = metric_data(cycle_matrix(6)).dist
+        assert dist.dtype == np.int64
+        assert not dist.flags.writeable
+
 
 # ---------------------------------------------------------------------------
 # Heat kernel

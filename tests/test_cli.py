@@ -1,12 +1,15 @@
 """Command-line interface: commands, exit codes, CSV format, option
 precedence, caching and reproducibility."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cutoff_lab import families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
-                            load_config, main)
+                            load_config, main, verdict_suite)
 
 
 def read_csv(path):
@@ -59,6 +62,19 @@ class TestVerify:
                 "log-gradient-bound", "local-concentration",
                 "varentropy-bound-18",
                 "varentropy-bound-composition"} <= names
+
+    def test_suite_computes_each_mixing_time_once(self, monkeypatch):
+        calls = Counter()
+        real = families.mixing_time
+
+        def counting(P, eps, **kwargs):
+            calls[(eps, kwargs["tol"])] += 1
+            return real(P, eps, **kwargs)
+        monkeypatch.setattr(families, "mixing_time", counting)
+        inst = families.hypercube(3)
+        verdict_suite(inst, [0.1, 0.25, 0.75], n_f=5, semigroup_checks=False)
+        assert len(calls) > 1 and set(calls.values()) == {1}
+        assert inst.pi is inst.pi
 
 
 class TestScan:
@@ -120,6 +136,12 @@ class TestExitCodes:
     def test_state_cap(self, tmp_path):
         assert main(["analyze", "--spec", "hypercube:d=13",
                      "--out", str(tmp_path / "o")]) == EXIT_CAP
+
+    def test_time_out_of_range(self, tmp_path):
+        # A slowly mixing chain whose mixing-time search passes t = 700.
+        rates = ",".join(["0.3"] * 39)
+        assert main(["analyze", "--spec", f"bd:p={rates};q={rates}",
+                     "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_CAP
 
     def test_bad_eps(self, tmp_path):
         assert main(["analyze", "--spec", "cycle:n=8", "--eps", "1.5",

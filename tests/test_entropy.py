@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cutoff_lab.chain import Distribution, StochasticMatrix, metric_data, stationary
+from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
 from cutoff_lab.entropy import (EPS_GRID, cutoff_time_equation,
                                 cutoff_window_bound, d_star_at,
                                 diameter_bound_check,
@@ -133,9 +133,9 @@ class TestMixing:
 
 class TestInequalityChecks:
     def test_entropic_upper_bound_passes(self):
-        P = hypercube(4).matrix
+        inst = hypercube(4)
         for eps in (0.1, 0.5):
-            v = entropic_upper_bound(P, 1.0, eps, starts=[0])
+            v = entropic_upper_bound(inst, 1.0, eps)
             assert v.passed
 
     def test_entropic_lower_bound_vacuous_gate(self):
@@ -156,18 +156,18 @@ class TestInequalityChecks:
         assert v.passed
 
     def test_cutoff_window_bound(self):
-        P = hypercube(5).matrix
-        v = cutoff_window_bound(P, 0.25, starts=[0])
+        inst = hypercube(5)
+        P = inst.matrix
+        v = cutoff_window_bound(inst, 0.25)
         assert v.passed
         assert v.lhs == pytest.approx(
             mixing_time(P, 0.25, starts=[0])
             - mixing_time(P, 0.75, starts=[0]), abs=1e-3)
         with pytest.raises(ValueError):
-            cutoff_window_bound(P, 0.75)
+            cutoff_window_bound(inst, 0.75)
 
     def test_concentration_ratio_positive(self):
-        P = cycle(16).matrix
-        assert entropic_concentration_ratio(P, 0.25, starts=[0]) > 0.0
+        assert entropic_concentration_ratio(cycle(16), 0.25) > 0.0
 
     def test_cutoff_time_equation_brackets(self):
         P = hypercube(6).matrix
@@ -186,22 +186,19 @@ class TestInequalityChecks:
             cutoff_time_equation(P, c=1.0)
 
     def test_log_gradient_bound(self):
-        P = hypercube(4).matrix
-        metric = metric_data(P)
-        v = log_gradient_bound_check(P, 2.0, starts=[0], metric=metric)
+        v = log_gradient_bound_check(hypercube(4), 2.0)
         assert v.passed
         assert v.rhs == pytest.approx(3.0 * (1.0 + math.log(4.0)), abs=1e-12)
 
     def test_log_gradient_hypothesis_gate(self):
-        P = cycle(16).matrix    # diameter 8, so t < 2 violates t >= diam/4
+        inst = cycle(16)    # diameter 8, so t < 2 violates t >= diam/4
         with pytest.raises(HypothesisViolation):
-            log_gradient_bound_check(P, 1.0, starts=[0])
+            log_gradient_bound_check(inst, 1.0)
 
     def test_log_density_small_time_resolved(self):
         # Entries at distance up to the diameter must be resolved even when
         # the plain Poisson truncation would cut the series short.
-        P = cycle(32).matrix
-        lip = log_density_lip_norm(P, 0, 0.17)
+        lip = log_density_lip_norm(cycle(32), 0, 0.17)
         assert np.isfinite(lip) and lip > 0
 
     def test_local_concentration_zero_curvature_limit(self):
@@ -224,24 +221,20 @@ class TestInequalityChecks:
         assert v.passed
 
     def test_varentropy_bounds(self):
-        P = hypercube(4).matrix
-        for v in varentropy_bound_check(P, 0.25, kappa=0.0, starts=[0]):
+        for v in varentropy_bound_check(hypercube(4), 0.25, kappa=0.0):
             assert v.passed
         # t_mix(0.95) = 0 for a small cycle: trivially satisfied 0 <= 0.
-        for v in varentropy_bound_check(cycle(8).matrix, 0.95, kappa=0.0,
-                                        starts=[0]):
+        for v in varentropy_bound_check(cycle(8), 0.95, kappa=0.0):
             assert v.passed and v.lhs == 0.0
 
     def test_varentropy_curvature_gate(self):
-        P = hypercube(3).matrix
         with pytest.raises(CurvatureHypothesisFailed):
-            varentropy_bound_check(P, 0.25, kappa=-0.5, starts=[0])
+            varentropy_bound_check(hypercube(3), 0.25, kappa=-0.5)
 
     def test_diameter_bound(self):
         for inst in (cycle(12), hypercube(4), complete_graph(10)):
             for eps in (0.25, 0.5):
-                v = diameter_bound_check(inst.matrix, eps,
-                                         starts=inst.starts)
+                v = diameter_bound_check(inst, eps)
                 assert v.passed
 
     def test_eps_grid_frozen(self):
