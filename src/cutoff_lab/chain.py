@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,8 +35,9 @@ class StochasticMatrix:
 
     Immutable after construction.  ``irreducible`` and ``symmetric_support``
     are computed once from the positive-entry pattern (exact zero threshold:
-    entries are exact inputs).  Construction does not reject broken rows;
-    use :func:`validate` to obtain a diagnostics record.
+    entries are exact inputs).  ``pi`` and ``metric`` are solved on first
+    use and kept.  Construction does not reject broken rows; use
+    :func:`validate` to obtain a diagnostics record.
     """
 
     entries: np.ndarray
@@ -70,6 +72,16 @@ class StochasticMatrix:
     @property
     def support(self) -> np.ndarray:
         return self._support
+
+    @cached_property
+    def pi(self) -> Distribution:
+        """Stationary law, see :func:`stationary`."""
+        return stationary(self)
+
+    @cached_property
+    def metric(self) -> MetricData:
+        """Support-graph metric, see :func:`metric_data`."""
+        return metric_data(self)
 
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
@@ -244,6 +256,15 @@ def poisson_weights(t: float, tol: float, min_terms: int = 0) -> np.ndarray:
     return np.array(q)
 
 
+def _poisson_series(q: np.ndarray, v: np.ndarray, step) -> np.ndarray:
+    """sum_k q[k] step^k(v), accumulated in order k = 0, 1, ..."""
+    acc = q[0] * v
+    for k in range(1, len(q)):
+        v = step(v)
+        acc += q[k] * v
+    return acc
+
+
 def heat_kernel_row(P: StochasticMatrix, o: int, t: float,
                     tol: float = 1e-9, min_terms: int = 0) -> Distribution:
     """Heat-kernel row P_t(o, .) = sum_k e^{-t} t^k/k! P^k(o, .).
@@ -258,23 +279,14 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float,
     q = poisson_weights(t, tol, min_terms=min_terms)
     v = np.zeros(P.n)
     v[o] = 1.0
-    acc = q[0] * v
-    for k in range(1, len(q)):
-        v = v @ P.entries
-        acc += q[k] * v
-    return Distribution(acc)
+    return Distribution(_poisson_series(q, v, lambda x: x @ P.entries))
 
 
 def heat_kernel(P: StochasticMatrix, t: float, tol: float = 1e-9) -> np.ndarray:
     """Full heat-kernel matrix; row x is the law P_t(x, .)."""
     _check_tol(tol)
     q = poisson_weights(t, tol)
-    V = np.eye(P.n)
-    acc = q[0] * V
-    for k in range(1, len(q)):
-        V = V @ P.entries
-        acc += q[k] * V
-    return acc
+    return _poisson_series(q, np.eye(P.n), lambda x: x @ P.entries)
 
 
 def kernel_rows(P: StochasticMatrix, t: float, tol: float,
@@ -293,12 +305,7 @@ def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray, t: float,
     if f.shape[0] != P.n:
         raise DimensionMismatch("observable length does not match state count")
     q = poisson_weights(t, tol)
-    v = f.copy()
-    acc = q[0] * v
-    for k in range(1, len(q)):
-        v = P.entries @ v
-        acc += q[k] * v
-    return acc
+    return _poisson_series(q, f, lambda x: P.entries @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,10 @@ def load_chain_file(path) -> StochasticMatrix:
                 raise SpecParseError(f"bad matrix row: {line!r}") from exc
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
         raise SpecParseError("chain file does not contain an n x n matrix")
-    return StochasticMatrix(np.array(rows), labels=labels)
+    entries = np.array(rows)
+    if not np.all(np.isfinite(entries)):
+        raise SpecParseError("chain file has non-finite entries")
+    return StochasticMatrix(entries, labels=labels)
 
 
 def save_chain_file(P: StochasticMatrix, path):

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,7 +35,6 @@ DEFAULTS = {
     "tol": "1e-8",
     "seed": "0",
     "out": "out",
-    "threads": "1",
     "cache": "1",
 }
 
@@ -53,13 +51,6 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _pmap(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +71,13 @@ def load_config(path) -> dict:
     return out
 
 
+def _number(kind, flag: str, text: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise SpecParseError(f"bad {flag} value {text!r}") from exc
+
+
 class Options:
     """Merged options: CLI flags > config file > defaults."""
 
@@ -95,14 +93,14 @@ class Options:
 
         self.spec = pick("spec", args.spec)
         self.chain_file = pick("chain-file", args.chain_file)
-        self.eps = [float(v) for v in pick("eps", args.eps).split(",")]
+        self.eps = [_number(float, "--eps", v)
+                    for v in pick("eps", args.eps).split(",")]
         if any(not (0.0 < e < 1.0) for e in self.eps):
             raise SpecParseError("eps values must lie in (0,1)")
         self.tgrid = pick("tgrid", args.tgrid)
-        self.tol = min(float(pick("tol", args.tol)), 1e-6)
-        self.seed = int(pick("seed", args.seed))
+        self.tol = min(_number(float, "--tol", pick("tol", args.tol)), 1e-6)
+        self.seed = _number(int, "--seed", pick("seed", args.seed))
         self.out = pick("out", args.out)
-        self.threads = int(pick("threads", args.threads))
         no_cache = getattr(args, "no_cache", False)
         self.cache_enabled = (not no_cache) and pick("cache", None) != "0"
 
@@ -162,13 +160,13 @@ def cmd_analyze(opts: Options) -> int:
     _check_valid(P)
     out = opts.outdir()
     cache = opts.kernel_cache()
-    metric, pi, starts = inst.metric, inst.pi, inst.starts
+    metric, pi, starts = P.metric, P.pi, inst.starts
     tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
-    olli = ollivier_curvature(P, metric)
+    olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=0)
     eps0 = 0.25 if 0.25 in opts.eps else opts.eps[0]
-    d0 = ent.d_star_at(P, tmix[eps0], tol=opts.tol, starts=starts, pi=pi)
-    v0 = ent.v_star_at(P, tmix[eps0], tol=opts.tol, starts=starts, pi=pi)
+    d0 = ent.d_star_at(P, tmix[eps0], tol=opts.tol, starts=starts)
+    v0 = ent.v_star_at(P, tmix[eps0], tol=opts.tol, starts=starts)
     header = (["n", "delta", "diam", "t_rel", "kappa_ollivier",
                "kappa_bakry_emery"]
               + [f"tmix_{_fmt(e)}" for e in opts.eps]
@@ -185,7 +183,7 @@ def cmd_analyze(opts: Options) -> int:
         tv = float(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1).max())
         d = max(ent.kl_divergence(r, pi) for r in rows)
         return tv, d
-    points = _pmap(profile_point, grid, opts.threads)
+    points = [profile_point(t) for t in grid]
     svg.line_plot(
         os.path.join(out, "profile.svg"),
         [("worst-case TV", grid, [p[0] for p in points]),
@@ -209,8 +207,8 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, tol=1e-9,
     (contraction, sub-commutativity) use a reduced observable count.
     """
     P = inst.matrix
-    pi = inst.pi
-    olli = ollivier_curvature(P, inst.metric)
+    pi = P.pi
+    olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=0)
     kappa_cert = max(olli.ollivier_min, be.bakry_emery_min)
     verdicts = []
@@ -225,7 +223,7 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, tol=1e-9,
         if e < 0.5:
             verdicts.append(ent.cutoff_window_bound(inst, e, tol=tol))
         verdicts.append(ent.diameter_bound_check(inst, e, tol=tol))
-    t_log = max(inst.metric.diameter / 4.0, inst.t_mix(0.25))
+    t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
     verdicts.append(ent.log_gradient_bound_check(inst, t_log, tol=tol))
     kappa_cc = max(0.0, kappa_cert)
     if kappa_cert >= -1e-8:
@@ -268,20 +266,21 @@ def cmd_verify(opts: Options) -> int:
 
 
 def scan_rows(opts: Options):
+    if not opts.spec:
+        raise SpecParseError("scan needs --spec with a lo..hi range")
     members = fam.parse_family_range(opts.spec)
     eps_lo = min(opts.eps)
     eps_hi = max(opts.eps)
 
-    def one(item):
-        value, inst = item
+    def one(value, inst):
         P = inst.matrix
-        metric, pi, starts = inst.metric, inst.pi, inst.starts
+        metric, starts = P.metric, inst.starts
         t_rel = inst.t_rel
         tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
-        olli = ollivier_curvature(P, metric)
+        olli = ollivier_curvature(P)
         be = bakry_emery_curvature(P, samples=0)
-        d0 = ent.d_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts, pi=pi)
-        v0 = ent.v_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts, pi=pi)
+        d0 = ent.d_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts)
+        v0 = ent.v_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts)
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
         conc = (1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
@@ -300,7 +299,7 @@ def scan_rows(opts: Options):
                 + [window, ratio, d0, v0, conc, sparse, th1_window,
                    th2_bound])
 
-    rows = _pmap(one, members, opts.threads)
+    rows = [one(value, inst) for value, inst in members]
     header = (["param", "n", "delta", "diam", "t_rel", "kappa_ollivier",
                "kappa_bakry_emery"]
               + [f"tmix_{_fmt(e)}" for e in opts.eps]
@@ -337,7 +336,7 @@ def cmd_curvature(opts: Options) -> int:
     inst = opts.instance()
     P = inst.matrix
     _check_valid(P)
-    olli = ollivier_curvature(P, inst.metric)
+    olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=0)
     rows = [["edge", x, y, k] for (x, y), k in sorted(olli.ollivier_edges.items())]
     rows += [["vertex", x, "", k]
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", default=None)
         p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", default=None)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--config", default=None)
     return parser
@@ -402,7 +400,7 @@ def main(argv=None) -> int:
     except (StateCapExceeded, TimeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SpecParseError, FileNotFoundError) as exc:
+    except (SpecParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except CutoffLabError as exc:

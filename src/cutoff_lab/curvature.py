@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .chain import (Distribution, MetricData, StochasticMatrix, heat_kernel,
-                    metric_data, stationary)
+from .chain import Distribution, MetricData, StochasticMatrix, heat_kernel
 from .errors import AsymmetricSupport, DimensionMismatch, NotIrreducible
 from .spectral import gamma_form
 from .verdicts import InequalityVerdict, make_verdict
@@ -103,21 +102,18 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     return TransportPlan(plan=plan, value=value, dual_potential=potential)
 
 
-def ollivier_curvature(P: StochasticMatrix,
-                       metric: MetricData | None = None) -> CurvatureReport:
+def ollivier_curvature(P: StochasticMatrix) -> CurvatureReport:
     """One-step Ollivier curvature kappa(x,y) = 1 - W1(P(x,.), P(y,.)) on
     every support edge; global value is the edge minimum."""
     if not P.symmetric_support:
         raise AsymmetricSupport("Ollivier curvature requires symmetric support")
     if not P.irreducible:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
-    if metric is None:
-        metric = metric_data(P)
-    edges = P.edges()
+    dist = P.metric.dist
     kappas = {}
-    for (x, y) in edges:
+    for (x, y) in P.edges():
         value, _, _, _, _, _ = _w1_restricted(P.entries[x], P.entries[y],
-                                              metric.dist)
+                                              dist)
         kappas[(x, y)] = 1.0 - value
     return CurvatureReport(ollivier_edges=kappas,
                            ollivier_min=min(kappas.values()))
@@ -277,11 +273,10 @@ def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
                            bakry_emery_min=min(kappas.values()))
 
 
-def full_curvature_report(P: StochasticMatrix,
-                          metric: MetricData | None = None,
-                          samples: int = 1000, seed: int = 0) -> CurvatureReport:
+def full_curvature_report(P: StochasticMatrix, samples: int = 1000,
+                          seed: int = 0) -> CurvatureReport:
     """Both curvature notions in one report."""
-    olli = ollivier_curvature(P, metric)
+    olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=samples, seed=seed)
     return CurvatureReport(ollivier_edges=olli.ollivier_edges,
                            ollivier_min=olli.ollivier_min,
@@ -305,7 +300,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
                       check_w1: bool = True) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip on
     random Lipschitz-normalized f, plus the W1 form on adjacent pairs."""
-    metric = metric_data(P)
+    dist = P.metric.dist
     edges = P.edges()
     rng = np.random.default_rng(seed)
     worst = None
@@ -325,7 +320,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
                 worst = cand
         if check_w1:
             for (x, y) in edges:
-                value, _, _, _, _, _ = _w1_restricted(K[x], K[y], metric.dist)
+                value, _, _, _, _, _ = _w1_restricted(K[x], K[y], dist)
                 cand = make_verdict("w1-contraction", value, decay, tol,
                                     t=t, kappa=kappa, edge=(x, y))
                 if worst is None or cand.slack < worst.slack:

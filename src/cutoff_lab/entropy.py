@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .chain import (Distribution, StochasticMatrix, heat_kernel_apply,
-                    heat_kernel_row, kernel_rows, stationary)
+                    heat_kernel_row, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      HypothesisViolation, NoCrossing, NotIrreducible,
                      UnderflowRisk, UnsupportedState)
@@ -85,19 +85,17 @@ def varentropy(mu, pi) -> float:
 # Worst-case profiles and mixing times
 # ---------------------------------------------------------------------------
 
-def worst_tv(P: StochasticMatrix, t: float, pi: Distribution | None = None,
-             tol: float = 1e-9, starts: Optional[Sequence[int]] = None) -> float:
+def worst_tv(P: StochasticMatrix, t: float, tol: float = 1e-9,
+             starts: Optional[Sequence[int]] = None) -> float:
     """max over starting states of ||P_t(x,.) - pi||_TV."""
-    if pi is None:
-        pi = stationary(P)
     rows = kernel_rows(P, t, tol, starts)
-    return float(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1).max())
+    return float(0.5 * np.abs(rows - P.pi.probs[None, :]).sum(axis=1).max())
 
 
 def mixing_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
                    starts: Optional[Sequence[int]] = None,
                    keep_per_start: bool = False) -> MixingProfile:
-    pi = stationary(P)
+    pi = P.pi
     times = np.asarray(sorted(t_grid), dtype=float)
     table = []
     for t in times:
@@ -119,12 +117,11 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
         raise ValueError("eps must lie in (0,1)")
     if not P.irreducible:
         raise NotIrreducible("mixing time requires an irreducible chain")
-    pi = stationary(P)
-    if worst_tv(P, 0.0, pi, tol, starts) <= eps:
+    if worst_tv(P, 0.0, tol, starts) <= eps:
         return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(64):
-        if worst_tv(P, hi, pi, tol, starts) <= eps:
+        if worst_tv(P, hi, tol, starts) <= eps:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -133,7 +130,7 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
         tol_t = 1e-4 * max(1.0, hi)
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        if worst_tv(P, mid, pi, tol, starts) <= eps:
+        if worst_tv(P, mid, tol, starts) <= eps:
             hi = mid
         else:
             lo = mid
@@ -143,7 +140,7 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
 def entropy_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
                     starts: Optional[Sequence[int]] = None) -> EntropyProfile:
     """d*_KL and V*_KL over a time grid (max over the given start set)."""
-    pi = stationary(P)
+    pi = P.pi
     times = np.asarray(sorted(t_grid), dtype=float)
     d_star, v_star = [], []
     for t in times:
@@ -156,14 +153,14 @@ def entropy_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
 
 def d_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
     if pi is None:
-        pi = stationary(P)
+        pi = P.pi
     rows = kernel_rows(P, t, tol, starts)
     return max(kl_divergence(row, pi) for row in rows)
 
 
 def v_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
     if pi is None:
-        pi = stationary(P)
+        pi = P.pi
     rows = kernel_rows(P, t, tol, starts)
     return max(varentropy(row, pi) for row in rows)
 
@@ -178,7 +175,7 @@ def entropic_upper_bound(inst: ChainInstance, t: float, eps: float,
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     lhs = inst.t_mix(eps, tol)
-    d = d_star_at(inst.matrix, t, tol=tol, starts=inst.starts, pi=inst.pi)
+    d = d_star_at(inst.matrix, t, tol=tol, starts=inst.starts)
     rhs = t + (inst.t_rel / eps) * (1.0 + d)
     return make_verdict("entropic-upper-bound", lhs, rhs, tol, eps=eps, t=t)
 
@@ -206,7 +203,7 @@ def cutoff_window_bound(inst: ChainInstance, eps: float,
         raise ValueError("eps must lie in (0, 1/2)")
     t_hi = inst.t_mix(eps, tol)
     t_lo = inst.t_mix(1.0 - eps, tol)
-    v = v_star_at(inst.matrix, t_lo, tol=tol, starts=inst.starts, pi=inst.pi)
+    v = v_star_at(inst.matrix, t_lo, tol=tol, starts=inst.starts)
     lhs = t_hi - t_lo
     rhs = (2.0 * inst.t_rel / eps ** 2) * (1.0 + math.sqrt(v))
     return make_verdict("cutoff-window-bound", lhs, rhs, tol, eps=eps,
@@ -220,7 +217,7 @@ def entropic_concentration_ratio(inst: ChainInstance, eps: float,
     t_mix = inst.t_mix(eps, tol)
     if t_mix <= 0.0:
         raise ValueError("degenerate chain: t_mix(eps) = 0")
-    v = v_star_at(inst.matrix, t_mix, tol=tol, starts=inst.starts, pi=inst.pi)
+    v = v_star_at(inst.matrix, t_mix, tol=tol, starts=inst.starts)
     return (1.0 + math.sqrt(v)) * inst.t_rel / t_mix
 
 
@@ -234,7 +231,7 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
     """
     if c <= 0.0:
         raise ValueError("prefactor c must be positive")
-    pi = stationary(P)
+    pi = P.pi
 
     def g(t):
         rows = kernel_rows(P, t, tol, starts)
@@ -273,11 +270,11 @@ def log_density_lip_norm(inst: ChainInstance, o: int, t: float,
     # The truncated series must reach every state: entries at graph distance
     # k first appear at order k of the Poisson mixture.
     row = heat_kernel_row(P, o, t, tol,
-                          min_terms=inst.metric.diameter + 16).probs
+                          min_terms=P.metric.diameter + 16).probs
     if np.any(row < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
-    logr = np.log(row) - np.log(inst.pi.probs)
+    logr = np.log(row) - np.log(P.pi.probs)
     adj = P.support.copy()
     np.fill_diagonal(adj, False)
     xs, ys = np.nonzero(adj)
@@ -288,7 +285,7 @@ def log_gradient_bound_check(inst: ChainInstance, t: float,
                              tol: float = 1e-9,
                              kernel_tol: float = 1e-12) -> InequalityVerdict:
     """max_o ||log(P_t(o,.)/pi)||_Lip <= 3 (1 + log Delta) for t >= diam/4."""
-    metric = inst.metric
+    metric = inst.matrix.metric
     if t < metric.diameter / 4.0:
         raise HypothesisViolation(
             f"t={t} below diam/4 = {metric.diameter / 4.0}")
@@ -355,18 +352,18 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float,
     if kappa < -1e-8:
         raise CurvatureHypothesisFailed(
             f"chain not certified non-negatively curved (kappa={kappa})")
+    P = inst.matrix
     t = inst.t_mix(eps)
     if t == 0.0:
         # Point masses have zero varentropy; both bounds hold as 0 <= 0.
         v, lip = 0.0, 0.0
     else:
-        v = v_star_at(inst.matrix, t, tol=kernel_tol, starts=inst.starts,
-                      pi=inst.pi)
-        olist = range(inst.matrix.n) if inst.starts is None else inst.starts
+        v = v_star_at(P, t, tol=kernel_tol, starts=inst.starts)
+        olist = range(P.n) if inst.starts is None else inst.starts
         lip = max(log_density_lip_norm(inst, o, t, tol=kernel_tol)
                   for o in olist)
     v18 = make_verdict("varentropy-bound-18", v,
-                       18.0 * t * (1.0 + math.log(inst.metric.delta)) ** 2,
+                       18.0 * t * (1.0 + math.log(P.metric.delta)) ** 2,
                        tol, eps=eps, t_mix=t)
     vcomp = make_verdict("varentropy-bound-composition", v,
                          2.0 * t * lip ** 2, tol, eps=eps, t_mix=t,
@@ -382,5 +379,5 @@ def diameter_bound_check(inst: ChainInstance, eps: float,
     t = inst.t_mix(eps)
     rhs = 2.0 * t + math.sqrt(8.0 * t / (1.0 - eps)) \
         + math.sqrt(8.0 * inst.t_rel / (1.0 - eps))
-    return make_verdict("diameter-bound", float(inst.metric.diameter), rhs,
-                        tol, eps=eps, t_mix=t)
+    return make_verdict("diameter-bound", float(inst.matrix.metric.diameter),
+                        rhs, tol, eps=eps, t_mix=t)

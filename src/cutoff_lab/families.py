@@ -14,8 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import (Distribution, MetricData, StochasticMatrix, metric_data,
-                    stationary)
+from .chain import StochasticMatrix
 from .entropy import mixing_time
 from .errors import (GenerationFailed, NotGenerating, NotSymmetricSet,
                      SpecParseError, StateCapExceeded)
@@ -96,8 +95,9 @@ class GroupSpec:
 class ChainInstance:
     """A constructed chain plus provenance and symmetry metadata.
 
-    Also the per-chain context of the verdict layer: the invariants pi,
-    metric, t_rel and t_mix(eps) are computed on first use and kept.
+    Also the per-chain context of the verdict layer: t_rel and t_mix(eps)
+    (which depends on ``starts``) are computed on first use and kept; pi and
+    the metric are kept on the matrix.
     """
 
     matrix: StochasticMatrix
@@ -112,14 +112,6 @@ class ChainInstance:
     def starts(self):
         """Start set sufficient for worst-case maximizations."""
         return [0] if self.transitive else None
-
-    @cached_property
-    def pi(self) -> Distribution:
-        return stationary(self.matrix)
-
-    @cached_property
-    def metric(self) -> MetricData:
-        return metric_data(self.matrix)
 
     @cached_property
     def t_rel(self) -> float:
@@ -293,7 +285,7 @@ def perturb_toward_uniform(inner, theta: float,
         P, meta = inner.matrix, inner
     else:
         P, meta = inner, None
-    pi = stationary(P).probs
+    pi = P.pi.probs
     mixed = (1.0 - theta) * P.entries + theta * pi[None, :]
     uniform_pi = np.allclose(pi, 1.0 / P.n, atol=1e-12)
     transitive = bool(meta.transitive and uniform_pi) if meta else False
@@ -444,12 +436,11 @@ def parse_family_range(text: str, state_cap: int = STATE_CAP):
         raise SpecParseError(f"no range of the form key=lo..hi in {text!r}")
     key, value = _kv(marker)
     pieces = value.split("..")
-    if len(pieces) == 2:
-        lo, hi, step = int(pieces[0]), int(pieces[1]), 1
-    elif len(pieces) == 3:
-        lo, hi, step = int(pieces[0]), int(pieces[1]), int(pieces[2])
-    else:
-        raise SpecParseError(f"bad range {value!r}")
+    try:
+        # lo..hi or lo..hi..step: any other shape fails to unpack.
+        lo, hi, step = [int(v) for v in pieces] + [1] * (3 - len(pieces))
+    except ValueError as exc:
+        raise SpecParseError(f"bad range {value!r}") from exc
     if step < 1 or hi < lo:
         raise SpecParseError(f"bad range {value!r}")
     out = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, stationary
+from .chain import Distribution, StochasticMatrix
 from .errors import DimensionMismatch, NotIrreducible
 
 POINCARE_SLACK = 1e-9
@@ -29,9 +29,9 @@ class SpectralReport:
 
 
 def adjoint(P: StochasticMatrix, pi: Distribution | None = None) -> StochasticMatrix:
-    """Adjoint kernel P*(x,y) = pi(y) P(y,x) / pi(x)."""
+    """Adjoint kernel P*(x,y) = pi(y) P(y,x) / pi(x); pi defaults to P.pi."""
     if pi is None:
-        pi = stationary(P)
+        pi = P.pi
     p = pi.probs
     if p.shape[0] != P.n:
         raise DimensionMismatch("pi length does not match chain")
@@ -45,7 +45,7 @@ def reversibilization(P: StochasticMatrix,
                       pi: Distribution | None = None) -> StochasticMatrix:
     """Additive reversibilization K = (P + P*)/2; reversible w.r.t. pi."""
     if pi is None:
-        pi = stationary(P)
+        pi = P.pi
     K = 0.5 * (P.entries + adjoint(P, pi).entries)
     return StochasticMatrix(K, labels=P.labels)
 
@@ -74,7 +74,7 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
     """
     if not P.irreducible:
         raise NotIrreducible("relaxation time requires an irreducible chain")
-    pi = stationary(P)
+    pi = P.pi
     K = reversibilization(P, pi)
     s = np.sqrt(pi.probs)
     S = (s[:, None] * K.entries) / s[None, :]

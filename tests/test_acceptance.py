@@ -348,12 +348,12 @@ def test_criterion_9_reproducibility(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / f"verify_{run}"
         assert main(["verify", "--spec", "hypercube:d=4",
-                     "--eps", "0.25,0.75", "--seed", "11", "--threads", "1",
+                     "--eps", "0.25,0.75", "--seed", "11",
                      "--out", str(out)]) == 0
         outputs["verify"].append((out / "verdicts.csv").read_bytes())
         out = tmp_path / f"scan_{run}"
         assert main(["scan", "--spec", "cycle:n=8..16..4",
-                     "--eps", "0.25,0.75", "--seed", "11", "--threads", "1",
+                     "--eps", "0.25,0.75", "--seed", "11",
                      "--out", str(out)]) == 0
         outputs["scan"].append((out / "scan.csv").read_bytes())
     ok = outputs["verify"][0] == outputs["verify"][1] \

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cutoff_lab import chain
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               heat_kernel_apply, heat_kernel_row,
                               load_chain_file, metric_data, poisson_weights,
@@ -17,6 +18,8 @@ from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
 from cutoff_lab.errors import (AsymmetricSupport, DimensionMismatch,
                                InvalidTolerance, NotIrreducible,
                                SpecParseError)
+from cutoff_lab.entropy import d_star_at, mixing_time
+from cutoff_lab.spectral import relaxation_time
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -186,6 +189,33 @@ class TestMetricData:
         dist = metric_data(cycle_matrix(6)).dist
         assert dist.dtype == np.int64
         assert not dist.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Invariants kept on the matrix
+# ---------------------------------------------------------------------------
+
+class TestCachedInvariants:
+    def test_pi_and_metric_are_kept(self):
+        P = cycle_matrix(6)
+        assert P.pi is P.pi and P.metric is P.metric
+        assert np.array_equal(P.pi.probs, stationary(P).probs)
+        assert np.array_equal(P.metric.dist, metric_data(P).dist)
+
+    def test_pi_solved_once_across_primitives(self, monkeypatch):
+        calls = []
+        real = chain.stationary
+
+        def counting(P):
+            calls.append(P)
+            return real(P)
+        monkeypatch.setattr(chain, "stationary", counting)
+        P = random_chain(np.random.default_rng(3), 6)
+        t = mixing_time(P, 0.25)
+        mixing_time(P, 0.75)
+        relaxation_time(P)
+        d_star_at(P, t)
+        assert calls == [P]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cutoff_lab import families
+from cutoff_lab import chain, families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
                             load_config, main, verdict_suite)
@@ -71,10 +71,18 @@ class TestVerify:
             calls[(eps, kwargs["tol"])] += 1
             return real(P, eps, **kwargs)
         monkeypatch.setattr(families, "mixing_time", counting)
+        solves = Counter()
+        for name in ("stationary", "metric_data"):
+            def counted(P, _real=getattr(chain, name), _name=name):
+                solves[_name] += 1
+                return _real(P)
+            monkeypatch.setattr(chain, name, counted)
         inst = families.hypercube(3)
         verdict_suite(inst, [0.1, 0.25, 0.75], n_f=5, semigroup_checks=False)
         assert len(calls) > 1 and set(calls.values()) == {1}
-        assert inst.pi is inst.pi
+        assert solves == {"stationary": 1, "metric_data": 1}
+        P = inst.matrix
+        assert P.pi is P.pi
 
 
 class TestScan:
@@ -147,6 +155,22 @@ class TestExitCodes:
         assert main(["analyze", "--spec", "cycle:n=8", "--eps", "1.5",
                      "--out", str(tmp_path / "o")]) == EXIT_SPEC
 
+    @pytest.mark.parametrize("argv", [
+        ["scan"],
+        ["scan", "--spec", "cycle:n=a..12"],
+        ["analyze", "--spec", "cycle:n=8", "--eps", "quarter"],
+        ["analyze", "--spec", "cycle:n=8", "--tol", "fine"],
+        ["analyze", "--spec", "cycle:n=8", "--seed", "1.5"],
+        ["analyze", "--chain-file", "{dir}"],
+        ["analyze", "--chain-file", "{nan}"],
+    ], ids=["scan-no-spec", "scan-bad-range", "eps-word", "tol-word",
+            "seed-float", "chain-file-dir", "chain-file-nan"])
+    def test_bad_input_exits_spec(self, tmp_path, argv):
+        nan_file = tmp_path / "nan.txt"
+        nan_file.write_text("2\nnan 1\n1 0\n")
+        argv = [a.format(dir=tmp_path, nan=nan_file) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_SPEC
+
 
 class TestOptions:
     def test_config_file(self, tmp_path):
@@ -215,7 +239,7 @@ class TestReproducibility:
             out = tmp_path / name
             code = main(["verify", "--spec", "hypercube:d=3",
                          "--eps", "0.25,0.75", "--seed", "7",
-                         "--threads", "1", "--out", str(out)])
+                         "--out", str(out)])
             assert code == EXIT_OK
             outs.append((out / "verdicts.csv").read_bytes())
         assert outs[0] == outs[1]
@@ -226,16 +250,7 @@ class TestReproducibility:
             out = tmp_path / name
             code = main(["scan", "--spec", "cycle:n=8..10..2",
                          "--eps", "0.25,0.75", "--seed", "7",
-                         "--threads", "1", "--out", str(out)])
+                         "--out", str(out)])
             assert code == EXIT_OK
-            outs.append((out / "scan.csv").read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_threads_agree_with_serial(self, tmp_path):
-        outs = []
-        for name, threads in (("a", "1"), ("b", "3")):
-            out = tmp_path / name
-            main(["scan", "--spec", "cycle:n=8..10..2", "--eps", "0.25,0.75",
-                  "--threads", threads, "--out", str(out)])
             outs.append((out / "scan.csv").read_bytes())
         assert outs[0] == outs[1]
