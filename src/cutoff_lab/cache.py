@@ -1,8 +1,9 @@
 """Content-addressed cache for heat-kernel rows.
 
-Keys are a cryptographic digest of the canonical matrix serialization
-(17 significant digits), the time and the tolerance; hits return
-bit-identical arrays.
+Keys are a cryptographic digest of the matrix shape and raw float64
+bytes, the time, the tolerance and the start set; hits return
+bit-identical arrays.  Entries cached under the older key (the entries
+printed to 17 significant digits) simply miss and are recomputed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ log = logging.getLogger(__name__)
 
 
 def matrix_digest(P: StochasticMatrix) -> str:
-    text = ";".join(f"{v:.17g}" for v in P.entries.ravel())
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    # The entries are read-only float64, so their bytes identify them.
+    h = hashlib.sha256(repr(P.entries.shape).encode("ascii"))
+    h.update(P.entries.tobytes())
+    return h.hexdigest()
 
 
 class HeatKernelCache:

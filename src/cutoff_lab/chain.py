@@ -321,24 +321,28 @@ def load_chain_file(path) -> StochasticMatrix:
     labels = None
     rows = []
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("labels:"):
-                labels = line[len("labels:"):].split()
-                continue
-            if n is None:
-                try:
-                    n = int(line)
-                except ValueError as exc:
-                    raise SpecParseError(f"bad state count line: {line!r}") from exc
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"chain file is not UTF-8: {exc}") from exc
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("labels:"):
+            labels = line[len("labels:"):].split()
+            continue
+        if n is None:
             try:
-                rows.append([float(v) for v in line.split()])
+                n = int(line)
             except ValueError as exc:
-                raise SpecParseError(f"bad matrix row: {line!r}") from exc
+                raise SpecParseError(f"bad state count line: {line!r}") from exc
+            continue
+        try:
+            rows.append([float(v) for v in line.split()])
+        except ValueError as exc:
+            raise SpecParseError(f"bad matrix row: {line!r}") from exc
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
         raise SpecParseError("chain file does not contain an n x n matrix")
     entries = np.array(rows)

@@ -136,9 +136,12 @@ def _t_grid(opts, t_scale):
         return list(np.linspace(0.0, 1.5 * max(t_scale, 1e-6), 25))
     try:
         a, b, steps = opts.tgrid.split(":")
-        return list(np.linspace(float(a), float(b), int(steps)))
+        a, b, steps = float(a), float(b), int(steps)
     except ValueError as exc:
         raise SpecParseError(f"bad tgrid {opts.tgrid!r}") from exc
+    if steps < 1:
+        raise SpecParseError(f"tgrid needs at least one step: {opts.tgrid!r}")
+    return list(np.linspace(a, b, steps))
 
 
 def _check_valid(P: StochasticMatrix):

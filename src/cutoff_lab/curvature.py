@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from .chain import Distribution, MetricData, StochasticMatrix, heat_kernel
 from .errors import AsymmetricSupport, DimensionMismatch, NotIrreducible
@@ -22,6 +23,9 @@ from .spectral import gamma_form
 from .verdicts import InequalityVerdict, make_verdict
 
 DUALITY_TOL = 1e-8
+# Transport variables per shared LP in ollivier_curvature: large enough to
+# amortize the solver set-up, small enough that a batch stays cheap.
+_LP_VARS = 1024
 NEG_INF = float("-inf")
 
 
@@ -52,38 +56,59 @@ class CurvatureReport:
 # Wasserstein-1
 # ---------------------------------------------------------------------------
 
-def _w1_restricted(mu: np.ndarray, nu: np.ndarray, dist: np.ndarray):
-    """Solve the transportation LP on the restricted supports.
+def _w1_restricted(pairs, dist: np.ndarray):
+    """Solve the transportation LPs of several (mu, nu) pairs together, as
+    one block-diagonal LP on their restricted supports.
 
-    Returns (value, plan_triples, dual_u, dual_v, sup_mu, sup_nu) where the
-    duals satisfy u_i + v_j <= dist(i,j) and mu.u + nu.v = value.
+    Block b has the rows of its mu marginals, then of its nu marginals, and
+    the columns i*k + j (mass from sup_mu[i] to sup_nu[j]).  Returns one
+    (value, plan, dual_u, dual_v, sup_mu, sup_nu) per pair, where ``plan``
+    is the m x k optimal transport matrix, ``value`` the sequential sum of
+    cost times plan, and the duals satisfy u_i + v_j <= dist(i,j) and
+    mu.u + nu.v = value within DUALITY_TOL.
     """
-    sup_mu = np.nonzero(mu > 0)[0]
-    sup_nu = np.nonzero(nu > 0)[0]
-    m, k = len(sup_mu), len(sup_nu)
-    cost = dist[np.ix_(sup_mu, sup_nu)].astype(np.float64)
-    c = cost.ravel()
-    # Equality constraints: row marginals then column marginals.
-    A_rows = np.zeros((m + k, m * k))
-    for i in range(m):
-        A_rows[i, i * k:(i + 1) * k] = 1.0
-    for j in range(k):
-        A_rows[m + j, j::k] = 1.0
-    b = np.concatenate([mu[sup_mu], nu[sup_nu]])
-    res = linprog(c, A_eq=A_rows, b_eq=b, bounds=(0, None), method="highs")
+    blocks, costs, rows, cols, marginals = [], [], [], [], []
+    n_rows = n_vars = 0
+    for mu, nu in pairs:
+        sup_mu = np.nonzero(mu > 0)[0]
+        sup_nu = np.nonzero(nu > 0)[0]
+        m, k = len(sup_mu), len(sup_nu)
+        var = n_vars + np.arange(m * k)
+        costs.append(dist[np.ix_(sup_mu, sup_nu)].astype(np.float64).ravel())
+        rows += [n_rows + np.repeat(np.arange(m), k),
+                 n_rows + m + np.tile(np.arange(k), m)]
+        cols += [var, var]
+        marginals += [mu[sup_mu], nu[sup_nu]]
+        blocks.append((n_vars, n_rows, sup_mu, sup_nu))
+        n_rows += m + k
+        n_vars += m * k
+    c = np.concatenate(costs)
+    b = np.concatenate(marginals)
+    A = csr_matrix((np.ones(2 * n_vars), (np.concatenate(rows),
+                                          np.concatenate(cols))),
+                   shape=(n_rows, n_vars))
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if not res.success:
+        # HiGHS can declare a feasible transport LP infeasible at its default
+        # 1e-7 primal feasibility tolerance (full-support heat-kernel rows).
+        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-9})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     duals = np.asarray(res.eqlin.marginals)
-    if abs(b @ duals - res.fun) > abs(b @ (-duals) - res.fun):
-        duals = -duals
-    u, v = duals[:m], duals[m:]
-    plan = []
-    x = res.x.reshape(m, k)
-    for i in range(m):
-        for j in range(k):
-            if x[i, j] > 1e-14:
-                plan.append((int(sup_mu[i]), int(sup_nu[j]), float(x[i, j])))
-    return float(res.fun), plan, u, v, sup_mu, sup_nu
+    out = []
+    for v0, r0, sup_mu, sup_nu in blocks:
+        m, k = len(sup_mu), len(sup_nu)
+        x = res.x[v0:v0 + m * k]
+        value = float(np.cumsum(c[v0:v0 + m * k] * x)[-1])
+        b_b, y = b[r0:r0 + m + k], duals[r0:r0 + m + k]
+        if abs(b_b @ y - value) > abs(b_b @ (-y) - value):
+            y = -y
+        gap = abs(b_b @ y - value)
+        if gap > DUALITY_TOL:
+            raise RuntimeError(f"transport LP failed: duality gap {gap:.3g}")
+        out.append((value, x.reshape(m, k), y[:m], y[m:], sup_mu, sup_nu))
+    return out
 
 
 def wasserstein1(mu: Distribution, nu: Distribution,
@@ -96,25 +121,41 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     """
     if mu.n != nu.n or mu.n != metric.dist.shape[0]:
         raise DimensionMismatch("mu, nu and metric must share the state set")
-    value, plan, _, v, _, sup_nu = _w1_restricted(mu.probs, nu.probs,
-                                                  metric.dist)
+    [(value, x, _, v, sup_mu, sup_nu)] = _w1_restricted(
+        [(mu.probs, nu.probs)], metric.dist)
+    plan = [(int(sup_mu[i]), int(sup_nu[j]), float(x[i, j]))
+            for i, j in zip(*np.nonzero(x > 1e-14))]
     potential = np.min(metric.dist[:, sup_nu] - v[None, :], axis=1)
     return TransportPlan(plan=plan, value=value, dual_potential=potential)
 
 
 def ollivier_curvature(P: StochasticMatrix) -> CurvatureReport:
     """One-step Ollivier curvature kappa(x,y) = 1 - W1(P(x,.), P(y,.)) on
-    every support edge; global value is the edge minimum."""
+    every support edge; global value is the edge minimum.
+
+    The edge LPs are solved in shared LPs of at most ``_LP_VARS`` transport
+    variables each (a larger single edge gets an LP of its own).
+    """
     if not P.symmetric_support:
         raise AsymmetricSupport("Ollivier curvature requires symmetric support")
     if not P.irreducible:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
     dist = P.metric.dist
-    kappas = {}
+    E = P.entries
+    sizes = np.count_nonzero(P.support, axis=1)
+    batches, n_vars = [[]], 0
     for (x, y) in P.edges():
-        value, _, _, _, _, _ = _w1_restricted(P.entries[x], P.entries[y],
-                                              dist)
-        kappas[(x, y)] = 1.0 - value
+        size = int(sizes[x] * sizes[y])
+        if batches[-1] and n_vars + size > _LP_VARS:
+            batches.append([])
+            n_vars = 0
+        batches[-1].append((x, y))
+        n_vars += size
+    kappas = {}
+    for batch in batches:
+        blocks = _w1_restricted([(E[x], E[y]) for x, y in batch], dist)
+        for edge, (value, *_) in zip(batch, blocks):
+            kappas[edge] = 1.0 - value
     return CurvatureReport(ollivier_edges=kappas,
                            ollivier_min=min(kappas.values()))
 
@@ -319,8 +360,11 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
             if worst is None or cand.slack < worst.slack:
                 worst = cand
         if check_w1:
+            # One LP per edge: in a shared LP, HiGHS's 1e-7 primal
+            # feasibility tolerance moves W1 between these full-support
+            # rows by up to 3e-7, so the per-edge values would drift.
             for (x, y) in edges:
-                value, _, _, _, _, _ = _w1_restricted(K[x], K[y], dist)
+                [(value, *_)] = _w1_restricted([(K[x], K[y])], dist)
                 cand = make_verdict("w1-contraction", value, decay, tol,
                                     t=t, kappa=kappa, edge=(x, y))
                 if worst is None or cand.slack < worst.slack:

@@ -299,7 +299,8 @@ def log_gradient_bound_check(inst: ChainInstance, t: float,
 def _lip_rhs(t: float, kappa: float) -> float:
     if kappa == 0.0:
         return 2.0 * t
-    return (1.0 - math.exp(-2.0 * t * kappa)) / kappa
+    # expm1 keeps 2t to full precision where 2 t kappa is tiny.
+    return -math.expm1(-2.0 * t * kappa) / kappa
 
 
 def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,

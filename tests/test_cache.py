@@ -4,7 +4,7 @@ fallback."""
 import numpy as np
 
 from cutoff_lab.cache import HeatKernelCache, matrix_digest
-from cutoff_lab.chain import heat_kernel
+from cutoff_lab.chain import StochasticMatrix, heat_kernel
 from cutoff_lab.families import cycle, hypercube
 
 
@@ -14,6 +14,14 @@ def test_digest_distinguishes_matrices():
     c = matrix_digest(hypercube(3).matrix)
     assert len({a, b, c}) == 3
     assert a == matrix_digest(cycle(8).matrix)
+
+
+def test_digest_sees_one_ulp():
+    entries = np.array(cycle(8).matrix.entries)
+    bumped = entries.copy()
+    bumped[3, 4] = np.nextafter(bumped[3, 4], 1.0)
+    assert matrix_digest(StochasticMatrix(entries)) != \
+        matrix_digest(StochasticMatrix(bumped))
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -163,12 +163,18 @@ class TestExitCodes:
         ["analyze", "--spec", "cycle:n=8", "--seed", "1.5"],
         ["analyze", "--chain-file", "{dir}"],
         ["analyze", "--chain-file", "{nan}"],
+        ["analyze", "--chain-file", "{binary}"],
+        ["analyze", "--spec", "cycle:n=8", "--tgrid", "0:4:0"],
     ], ids=["scan-no-spec", "scan-bad-range", "eps-word", "tol-word",
-            "seed-float", "chain-file-dir", "chain-file-nan"])
+            "seed-float", "chain-file-dir", "chain-file-nan",
+            "chain-file-not-utf8", "tgrid-zero-steps"])
     def test_bad_input_exits_spec(self, tmp_path, argv):
         nan_file = tmp_path / "nan.txt"
         nan_file.write_text("2\nnan 1\n1 0\n")
-        argv = [a.format(dir=tmp_path, nan=nan_file) for a in argv]
+        binary_file = tmp_path / "binary.txt"
+        binary_file.write_bytes(b"\xff\xfe2\n0 1\n1 0\n")
+        argv = [a.format(dir=tmp_path, nan=nan_file, binary=binary_file)
+                for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_SPEC
 
 

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from cutoff_lab.chain import (Distribution, StochasticMatrix, metric_data,
-                              stationary)
+from cutoff_lab import curvature
+from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
+                              metric_data, stationary)
 from cutoff_lab.curvature import (bakry_emery_curvature, bakry_emery_vertex,
                                   contraction_check, full_curvature_report,
                                   gamma2_form, generator_apply,
@@ -149,6 +150,16 @@ class TestWasserstein1:
             oracle = w1_exhaustive(mu.probs, nu.probs, metric.dist)
             assert plan.value == pytest.approx(oracle, abs=1e-9)
 
+    def test_feasible_full_support_rows_solve(self):
+        # HiGHS calls this equal-mass transport LP infeasible at its default
+        # primal feasibility tolerance; the tightened re-solve finds W1.
+        P = birth_death([0.35] * 39, [0.15] * 39).matrix
+        K = heat_kernel(P, 48.78)
+        mu, nu = K[0], K[1]
+        plan = wasserstein1(Distribution(mu), Distribution(nu), P.metric)
+        assert plan.value == pytest.approx(
+            float(np.abs(np.cumsum(mu - nu)).sum()), abs=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # Ollivier curvature
@@ -188,6 +199,38 @@ class TestOllivier:
         P = cycle(5).matrix
         rep = ollivier_curvature(P)
         assert set(rep.ollivier_edges) == set(P.edges())
+
+    @pytest.mark.parametrize("lp_vars", [curvature._LP_VARS, 50])
+    def test_shared_lps_match_per_edge_w1(self, monkeypatch, lp_vars):
+        # At 50 variables an LP holds three hypercube(4) blocks (16
+        # variables each) or two lazy ones (25), and each complete(20)
+        # block (361) goes over the budget alone.
+        monkeypatch.setattr(curvature, "_LP_VARS", lp_vars)
+        rng = np.random.default_rng(7)
+        chains = [hypercube(4).matrix, hypercube(4, 0.5).matrix,
+                  cycle(10).matrix, complete_graph(20).matrix,
+                  birth_death([0.35] * 11, [0.15] * 11).matrix]
+        chains += [random_connected_chain(rng, int(n)) for n in (5, 12, 30)]
+        for P in chains:
+            rep = ollivier_curvature(P)
+            assert set(rep.ollivier_edges) == set(P.edges())
+            for (x, y), kappa in rep.ollivier_edges.items():
+                w1 = wasserstein1(Distribution(P.entries[x]),
+                                  Distribution(P.entries[y]), P.metric).value
+                assert abs(kappa - (1.0 - w1)) <= 1e-12
+
+    def test_edges_share_lps(self, monkeypatch):
+        calls = []
+        linprog = curvature.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+        monkeypatch.setattr(curvature, "linprog", counted)
+        P = hypercube(6).matrix
+        rep = ollivier_curvature(P)
+        assert len(rep.ollivier_edges) == 192
+        assert len(calls) <= 8
 
     def test_gates(self):
         asym = StochasticMatrix(np.array([[0.0, 1.0, 0.0],

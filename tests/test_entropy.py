@@ -210,6 +210,15 @@ class TestInequalityChecks:
         assert v0.rhs == pytest.approx(vk.rhs, rel=1e-6)
         assert v0.passed
 
+    def test_local_concentration_tiny_kappa(self):
+        # (1 - e^{-2 t kappa})/kappa loses 2t to cancellation at kappa = 1e-16.
+        P = cycle(8).matrix
+        f = np.arange(8.0)
+        t = 206.55
+        v = local_concentration_check(P, f, t, 1e-16)
+        lip2 = 7.0 ** 2
+        assert v.rhs == pytest.approx(2.0 * t * lip2, rel=1e-12)
+
     def test_local_concentration_negative_kappa_gate(self):
         P = cycle(8).matrix
         with pytest.raises(CurvatureHypothesisFailed):
