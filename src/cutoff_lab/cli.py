@@ -23,8 +23,8 @@ from .chain import (Distribution, StochasticMatrix, kernel_rows,
                     load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
-from .errors import (CutoffLabError, SpecParseError, StateCapExceeded,
-                     TimeOutOfRange)
+from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
+                     StateCapExceeded, TimeOutOfRange)
 
 CSV_VERSION = "cutoff-lab-csv-v1"
 EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
@@ -403,10 +403,10 @@ def main(argv=None) -> int:
     except (StateCapExceeded, TimeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SpecParseError, OSError) as exc:
+    except CertificateFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except CutoffLabError as exc:
+        return EXIT_VERDICT
+    except (CutoffLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

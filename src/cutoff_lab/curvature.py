@@ -18,7 +18,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from .chain import Distribution, MetricData, StochasticMatrix, heat_kernel
-from .errors import AsymmetricSupport, DimensionMismatch, NotIrreducible
+from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
+                     NotIrreducible)
 from .spectral import gamma_form
 from .verdicts import InequalityVerdict, make_verdict
 
@@ -94,7 +95,7 @@ def _w1_restricted(pairs, dist: np.ndarray):
         res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                       options={"primal_feasibility_tolerance": 1e-9})
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise CertificateFailed(f"transport LP failed: {res.message}")
     duals = np.asarray(res.eqlin.marginals)
     out = []
     for v0, r0, sup_mu, sup_nu in blocks:
@@ -106,7 +107,7 @@ def _w1_restricted(pairs, dist: np.ndarray):
             y = -y
         gap = abs(b_b @ y - value)
         if gap > DUALITY_TOL:
-            raise RuntimeError(f"transport LP failed: duality gap {gap:.3g}")
+            raise CertificateFailed(f"transport LP duality gap {gap:.3g}")
         out.append((value, x.reshape(m, k), y[:m], y[m:], sup_mu, sup_nu))
     return out
 
@@ -308,7 +309,7 @@ def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
             den = np.einsum("im,ij,jm->m", F, B, F)
             ok = den > 1e-12
             if np.any(num[ok] / den[ok] < kappa - 1e-8):
-                raise AssertionError(
+                raise CertificateFailed(
                     f"sampled Rayleigh quotient below kappa({x})={kappa}")
     return CurvatureReport(bakry_emery_vertices=kappas,
                            bakry_emery_min=min(kappas.values()))

@@ -37,6 +37,10 @@ class HypothesisViolation(CutoffLabError):
     """An inequality was invoked outside its stated hypothesis."""
 
 
+class CertificateFailed(CutoffLabError):
+    """A transport LP, Poincare or Bakry-Emery sampling certificate failed."""
+
+
 class CurvatureHypothesisFailed(CutoffLabError):
     """The chain is not certified non-negatively curved."""
 

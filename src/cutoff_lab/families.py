@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .chain import StochasticMatrix
 from .entropy import mixing_time
@@ -21,6 +23,7 @@ from .errors import (GenerationFailed, NotGenerating, NotSymmetricSet,
 from .spectral import relaxation_time
 
 STATE_CAP = 5000
+MAX_REDRAWS = 100
 
 CLAIM_ABELIAN = "nonneg-abelian"
 CLAIM_OTHER = "nonneg-other"
@@ -76,18 +79,12 @@ class GroupSpec:
             part = part.strip()
             if not part.startswith("Z"):
                 raise SpecParseError(f"bad group factor {part!r}")
-            body = part[1:]
-            if "^" in body:
-                base, power = body.split("^", 1)
-                try:
-                    factors.extend([int(base)] * int(power))
-                except ValueError as exc:
-                    raise SpecParseError(f"bad group factor {part!r}") from exc
-            else:
-                try:
-                    factors.append(int(body))
-                except ValueError as exc:
-                    raise SpecParseError(f"bad group factor {part!r}") from exc
+            base, sep, power = part[1:].partition("^")
+            try:
+                base, power = int(base), int(power) if sep else 1
+            except ValueError as exc:
+                raise SpecParseError(f"bad group factor {part!r}") from exc
+            factors.extend(_power(base, power))
         return GroupSpec(tuple(factors))
 
 
@@ -118,124 +115,120 @@ class ChainInstance:
         return relaxation_time(self.matrix).t_rel
 
     def t_mix(self, eps: float, tol: float = 1e-9) -> float:
-        """Worst-case mixing time over ``starts``, memoized by (eps, tol)."""
-        key = (eps, tol)
+        """Worst-case mixing time over ``starts``, memoized by (eps, tol);
+        eps is rounded to 12 digits (the CSV precision), so that ``1 - 0.9``
+        and ``0.1`` share one search."""
+        key = (round(eps, 12), tol)
         if key not in self._t_mix:
-            self._t_mix[key] = mixing_time(self.matrix, eps, tol=tol,
+            self._t_mix[key] = mixing_time(self.matrix, key[0], tol=tol,
                                            starts=self.starts)
         return self._t_mix[key]
 
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
-        raise StateCapExceeded(f"{n} states exceeds cap {cap}")
+def _check_cap(n: int):
+    if n > STATE_CAP:
+        raise StateCapExceeded(f"{n} states exceeds cap {STATE_CAP}")
+
+
+def _power(base: int, power: int) -> tuple:
+    """The factors of Z_base^power, refused before they are expanded when
+    the group must exceed the cap (every factor is at least 2)."""
+    if base >= 2 and power > math.log2(STATE_CAP):
+        raise StateCapExceeded(f"Z{base}^{power} exceeds cap {STATE_CAP}")
+    return (base,) * power
 
 
 def _generating(spec: GroupSpec, gens) -> bool:
-    reached = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = int(spec.add(x, g))
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(reached) == spec.N
+    """S generates G exactly when the Cayley graph Cay(G, S) is connected
+    (weakly or strongly: on a finite group the two coincide)."""
+    N = spec.N
+    xs = np.arange(N)
+    ys = np.array([spec.add(xs, g) for g in gens], dtype=np.int64).ravel()
+    graph = csr_matrix((np.ones(len(ys)), (np.tile(xs, len(gens)), ys)),
+                       shape=(N, N))
+    n_comp, _ = connected_components(graph, directed=True, connection="weak")
+    return n_comp == 1
 
 
-def abelian_cayley(spec: GroupSpec, S, state_cap: int = STATE_CAP) -> ChainInstance:
+def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
+                 laziness: float = 0.0) -> ChainInstance:
+    """P(x,y) = (1/|S|) #{g in S : y = x + g}, alpha-lazy if laziness > 0;
+    ``elems`` is a symmetric generating multiset of element indices."""
+    N = spec.N
+    _check_cap(N)
+    P = np.zeros((N, N))
+    xs = np.arange(N)
+    for g in elems:
+        P[xs, spec.add(xs, g)] += 1.0 / len(elems)
+    if laziness > 0.0:
+        P = laziness * np.eye(N) + (1.0 - laziness) * P
+    return ChainInstance(StochasticMatrix(P), family=family, params=params,
+                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+
+
+def abelian_cayley(spec: GroupSpec, S) -> ChainInstance:
     """Random walk P(x,y) = (1/|S|) #{z in S : y = x + z} on the group.
 
     ``S`` is a multiset of element indices (negative g means the inverse of
     element -g); it must be closed under negation and generating.
     """
-    _check_cap(spec.N, state_cap)
+    _check_cap(spec.N)
     S = [int(g) for g in S]
     elems = [int(spec.neg(-g)) if g < 0 else g % spec.N for g in S]
     if Counter(elems) != Counter(int(spec.neg(g)) for g in elems):
         raise NotSymmetricSet("generator multiset not closed under negation")
     if not _generating(spec, elems):
         raise NotGenerating("generators do not generate the group")
-    N = spec.N
-    P = np.zeros((N, N))
-    xs = np.arange(N)
-    for g in elems:
-        ys = spec.add(xs, g)
-        P[xs, ys] += 1.0 / len(elems)
-    return ChainInstance(StochasticMatrix(P), family="cayley",
-                         params={"factors": spec.factors, "gens": tuple(S)},
-                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+    return _cayley_walk(spec, elems, "cayley",
+                        {"factors": spec.factors, "gens": tuple(S)})
 
 
-def random_abelian_cayley(spec: GroupSpec, d: int, seed: int,
-                          state_cap: int = STATE_CAP,
-                          max_redraws: int = 100) -> ChainInstance:
+def random_abelian_cayley(spec: GroupSpec, d: int, seed: int) -> ChainInstance:
     """d i.i.d. uniform draws, symmetrized as S = draws + their inverses.
 
-    Redraws (up to ``max_redraws``) until the set generates; deterministic
+    Redraws (up to ``MAX_REDRAWS``) until the set generates; deterministic
     given the seed.  The identity may be drawn (adds laziness).
     """
     if d < 1:
         raise SpecParseError("need at least one generator draw")
-    _check_cap(spec.N, state_cap)
+    _check_cap(spec.N)
     rng = np.random.default_rng(seed)
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         draws = rng.integers(0, spec.N, size=d)
-        elems = list(draws) + [int(spec.neg(g)) for g in draws]
+        elems = np.concatenate([draws, spec.neg(draws)])
         if _generating(spec, elems):
-            inst = abelian_cayley(spec, elems, state_cap=state_cap)
-            return ChainInstance(inst.matrix, family="cayley-random",
-                                 params={"factors": spec.factors, "d": d,
-                                         "seed": seed,
-                                         "draws": tuple(int(g) for g in draws)},
-                                 transitive=True,
-                                 curvature_claim=CLAIM_ABELIAN)
-    raise GenerationFailed(f"no generating draw in {max_redraws} attempts")
+            return _cayley_walk(spec, elems, "cayley-random",
+                                {"factors": spec.factors, "d": d, "seed": seed,
+                                 "draws": tuple(int(g) for g in draws)})
+    raise GenerationFailed(f"no generating draw in {MAX_REDRAWS} attempts")
 
 
-def hypercube(d: int, laziness: float = 0.0,
-              state_cap: int = STATE_CAP) -> ChainInstance:
+def hypercube(d: int, laziness: float = 0.0) -> ChainInstance:
     """Simple random walk on {0,1}^d, optionally alpha-lazy."""
     if d < 1:
         raise SpecParseError("hypercube needs d >= 1")
     if not (0.0 <= laziness < 1.0):
         raise SpecParseError("laziness must lie in [0,1)")
-    spec = GroupSpec((2,) * d)
-    _check_cap(spec.N, state_cap)
-    basis = [int(spec.encode(np.eye(d, dtype=np.int64)[i])) for i in range(d)]
-    inst = abelian_cayley(spec, basis, state_cap=state_cap)
-    P = inst.matrix.entries
-    if laziness > 0.0:
-        P = laziness * np.eye(spec.N) + (1.0 - laziness) * P
-    return ChainInstance(StochasticMatrix(P), family="hypercube",
-                         params={"d": d, "lazy": laziness},
-                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+    # The unit vectors of Z_2^d are the powers of two.
+    return _cayley_walk(GroupSpec(_power(2, d)), 2 ** np.arange(d),
+                        "hypercube", {"d": d, "lazy": laziness}, laziness)
 
 
-def cycle(n: int, state_cap: int = STATE_CAP) -> ChainInstance:
+def cycle(n: int) -> ChainInstance:
     """Simple random walk on the n-cycle."""
     if n < 2:
         raise SpecParseError("cycle needs n >= 2")
-    inst = abelian_cayley(GroupSpec((n,)), [1, -1], state_cap=state_cap)
-    return ChainInstance(inst.matrix, family="cycle", params={"n": n},
-                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+    return _cayley_walk(GroupSpec((n,)), [1, n - 1], "cycle", {"n": n})
 
 
-def complete_graph(n: int, state_cap: int = STATE_CAP) -> ChainInstance:
+def complete_graph(n: int) -> ChainInstance:
     """Simple random walk on K_n (a Cayley graph of Z_n)."""
     if n < 2:
         raise SpecParseError("complete graph needs n >= 2")
-    inst = abelian_cayley(GroupSpec((n,)), list(range(1, n)),
-                          state_cap=state_cap)
-    return ChainInstance(inst.matrix, family="complete", params={"n": n},
-                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+    return _cayley_walk(GroupSpec((n,)), range(1, n), "complete", {"n": n})
 
 
-def birth_death(p, q, state_cap: int = STATE_CAP) -> ChainInstance:
+def birth_death(p, q) -> ChainInstance:
     """Tridiagonal chain with reflecting boundaries.
 
     ``p[i]`` is the up-rate from state i, ``q[i]`` the down-rate from state
@@ -249,7 +242,7 @@ def birth_death(p, q, state_cap: int = STATE_CAP) -> ChainInstance:
     if np.any(p <= 0) or np.any(q <= 0):
         raise SpecParseError("birth-death rates must be positive")
     n = len(p) + 1
-    _check_cap(n, state_cap)
+    _check_cap(n)
     P = np.zeros((n, n))
     for i in range(n - 1):
         P[i, i + 1] = p[i]
@@ -268,8 +261,7 @@ def birth_death(p, q, state_cap: int = STATE_CAP) -> ChainInstance:
                          else CLAIM_UNKNOWN)
 
 
-def perturb_toward_uniform(inner, theta: float,
-                           state_cap: int = STATE_CAP) -> ChainInstance:
+def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
     """Replace P with (1-theta) P + theta Pi, Pi having every row pi.
 
     Preserves pi exactly. For theta > 0 every off-diagonal entry is at
@@ -315,8 +307,7 @@ def _cycle_type(perm) -> tuple:
     return tuple(sorted(lengths))
 
 
-def conjugacy_walk(k: int, cls="transpositions",
-                   state_cap: int = STATE_CAP) -> ChainInstance:
+def conjugacy_walk(k: int, cls="transpositions") -> ChainInstance:
     """Random walk on S_k with uniform step in a conjugacy class."""
     if k < 2 or k > 6:
         raise StateCapExceeded("conjugacy walk supports 2 <= k <= 6")
@@ -330,7 +321,6 @@ def conjugacy_walk(k: int, cls="transpositions",
         if any(v < 2 for v in target) or sum(target) > k:
             raise SpecParseError(f"cycle type {target} does not fit in S_{k}")
     perms = list(itertools.permutations(range(k)))
-    _check_cap(len(perms), state_cap)
     index = {p: i for i, p in enumerate(perms)}
     steps = [p for p in perms if _cycle_type(p) == target]
     if not steps:
@@ -358,7 +348,7 @@ def _kv(segment: str):
     return key.strip(), value.strip()
 
 
-def parse_family_spec(text: str, state_cap: int = STATE_CAP) -> ChainInstance:
+def parse_family_spec(text: str) -> ChainInstance:
     """Build a ChainInstance from a spec string.
 
     Grammar: ``cayley:Z12xZ2:gens=1,-1,5,-5``,
@@ -377,23 +367,21 @@ def parse_family_spec(text: str, state_cap: int = STATE_CAP) -> ChainInstance:
             if key != "gens":
                 raise SpecParseError("cayley expects gens=...")
             gens = [int(v) for v in value.split(",")]
-            return abelian_cayley(spec, gens, state_cap=state_cap)
+            return abelian_cayley(spec, gens)
         if head == "cayley-random":
             spec = GroupSpec.parse(parts[1])
             kv = dict(_kv(p) for p in parts[2:])
             return random_abelian_cayley(spec, int(kv["d"]),
-                                         int(kv.get("seed", 0)),
-                                         state_cap=state_cap)
+                                         int(kv.get("seed", 0)))
         if head == "hypercube":
             kv = dict(_kv(p) for p in parts[1:])
-            return hypercube(int(kv["d"]), float(kv.get("lazy", 0.0)),
-                             state_cap=state_cap)
+            return hypercube(int(kv["d"]), float(kv.get("lazy", 0.0)))
         if head == "cycle":
             kv = dict(_kv(p) for p in parts[1:])
-            return cycle(int(kv["n"]), state_cap=state_cap)
+            return cycle(int(kv["n"]))
         if head == "complete":
             kv = dict(_kv(p) for p in parts[1:])
-            return complete_graph(int(kv["n"]), state_cap=state_cap)
+            return complete_graph(int(kv["n"]))
         if head == "bd":
             if len(parts) != 2 or ";" not in parts[1]:
                 raise SpecParseError("bd expects p=...;q=...")
@@ -404,25 +392,23 @@ def parse_family_spec(text: str, state_cap: int = STATE_CAP) -> ChainInstance:
                 raise SpecParseError("bd expects p=...;q=...")
             p = [float(v) for v in pv.split(",")]
             q = [float(v) for v in qv.split(",")]
-            return birth_death(p, q, state_cap=state_cap)
+            return birth_death(p, q)
         if head == "perturb":
             key, value = _kv(parts[1])
             if key not in ("theta", "θ"):
                 raise SpecParseError("perturb expects theta=...")
-            inner = parse_family_spec(":".join(parts[2:]), state_cap=state_cap)
-            return perturb_toward_uniform(inner, float(value),
-                                          state_cap=state_cap)
+            inner = parse_family_spec(":".join(parts[2:]))
+            return perturb_toward_uniform(inner, float(value))
         if head == "sym":
             kv = dict(_kv(p) for p in parts[1:])
             return conjugacy_walk(int(kv["k"]),
-                                  kv.get("class", "transpositions"),
-                                  state_cap=state_cap)
+                                  kv.get("class", "transpositions"))
     except (KeyError, ValueError, IndexError) as exc:
         raise SpecParseError(f"malformed spec {text!r}: {exc}") from exc
     raise SpecParseError(f"unknown family {head!r}")
 
 
-def parse_family_range(text: str, state_cap: int = STATE_CAP):
+def parse_family_range(text: str):
     """Expand a spec containing one ``lo..hi`` (or ``lo..hi..step``) range.
 
     Yields (value, ChainInstance) pairs in increasing order.
@@ -446,5 +432,5 @@ def parse_family_range(text: str, state_cap: int = STATE_CAP):
     out = []
     for v in range(lo, hi + 1, step):
         spec = text.replace(marker, f"{key}={v}", 1)
-        out.append((v, parse_family_spec(spec, state_cap=state_cap)))
+        out.append((v, parse_family_spec(spec)))
     return out

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix
-from .errors import DimensionMismatch, NotIrreducible
+from .errors import CertificateFailed, DimensionMismatch, NotIrreducible
 
 POINCARE_SLACK = 1e-9
 
@@ -93,7 +93,7 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
         var = p @ (f - mean) ** 2
         energy = dirichlet_energy(P, pi, f)
         if var > t_rel * energy + POINCARE_SLACK:
-            raise AssertionError(
+            raise CertificateFailed(
                 f"Poincare certificate failed: Var={var} > "
                 f"t_rel*E[Gamma]={t_rel * energy}")
     return SpectralReport(t_rel=t_rel, gap=gap, lambda2=lambda2,

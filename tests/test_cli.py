@@ -6,10 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cutoff_lab import chain, families
+from cutoff_lab import chain, curvature, families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
-                            load_config, main, verdict_suite)
+                            EXIT_VERDICT, load_config, main, verdict_suite)
+from cutoff_lab.entropy import EPS_GRID
 
 
 def read_csv(path):
@@ -78,8 +79,9 @@ class TestVerify:
                 return _real(P)
             monkeypatch.setattr(chain, name, counted)
         inst = families.hypercube(3)
-        verdict_suite(inst, [0.1, 0.25, 0.75], n_f=5, semigroup_checks=False)
-        assert len(calls) > 1 and set(calls.values()) == {1}
+        verdict_suite(inst, EPS_GRID, n_f=5, semigroup_checks=False)
+        # t_mix(1 - 0.9) and t_mix(0.1) are one search: 7 distinct eps.
+        assert len(calls) == 7 and set(calls.values()) == {1}
         assert solves == {"stationary": 1, "metric_data": 1}
         P = inst.matrix
         assert P.pi is P.pi
@@ -144,6 +146,18 @@ class TestExitCodes:
     def test_state_cap(self, tmp_path):
         assert main(["analyze", "--spec", "hypercube:d=13",
                      "--out", str(tmp_path / "o")]) == EXIT_CAP
+
+    @pytest.mark.parametrize("spec", [
+        "cayley:Z2^1000000000000:gens=1,-1", "hypercube:d=1000000000000",
+        "complete:n=1000000000000"])
+    def test_huge_group_refused_before_expansion(self, tmp_path, spec):
+        assert main(["analyze", "--spec", spec,
+                     "--out", str(tmp_path / "o")]) == EXIT_CAP
+
+    def test_certificate_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)
+        assert main(["curvature", "--spec", "cycle:n=6",
+                     "--out", str(tmp_path / "o")]) == EXIT_VERDICT
 
     def test_time_out_of_range(self, tmp_path):
         # A slowly mixing chain whose mixing-time search passes t = 700.

@@ -9,6 +9,7 @@ one pin f(0) = 0 with |f| <= diameter.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from cutoff_lab.curvature import (bakry_emery_curvature, bakry_emery_vertex,
                                   gamma2_form, generator_apply,
                                   ollivier_curvature, subcommutativity_check,
                                   wasserstein1)
-from cutoff_lab.errors import AsymmetricSupport, NotIrreducible
+from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
+                               NotIrreducible)
 from cutoff_lab.families import (birth_death, complete_graph, cycle,
                                  hypercube)
 from cutoff_lab.spectral import gamma_form
@@ -232,6 +234,17 @@ class TestOllivier:
         assert len(rep.ollivier_edges) == 192
         assert len(calls) <= 8
 
+    def test_failed_lp_is_a_certificate_failure(self, monkeypatch):
+        monkeypatch.setattr(curvature, "linprog", lambda *a, **k:
+                            SimpleNamespace(success=False, message="stub"))
+        with pytest.raises(CertificateFailed, match="stub"):
+            ollivier_curvature(cycle(6).matrix)
+
+    def test_duality_gap_is_a_certificate_failure(self, monkeypatch):
+        monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)
+        with pytest.raises(CertificateFailed, match="duality gap"):
+            ollivier_curvature(cycle(6).matrix)
+
     def test_gates(self):
         asym = StochasticMatrix(np.array([[0.0, 1.0, 0.0],
                                           [0.0, 0.0, 1.0],
@@ -315,6 +328,16 @@ class TestBakryEmery:
         # bakry_emery_curvature raises internally if any sampled quotient
         # undercuts the computed infimum.
         bakry_emery_curvature(cycle(10).matrix, samples=500, seed=42)
+
+    def test_sampled_quotient_below_kappa_fails(self, monkeypatch):
+        real = curvature.bakry_emery_vertex
+
+        def inflated(P, x):
+            kappa, f = real(P, x)
+            return kappa + 1.0, f
+        monkeypatch.setattr(curvature, "bakry_emery_vertex", inflated)
+        with pytest.raises(CertificateFailed, match="Rayleigh"):
+            bakry_emery_curvature(cycle(6).matrix, samples=50)
 
     def test_full_report_combines_both(self):
         rep = full_curvature_report(cycle(6).matrix, samples=20)

@@ -1,15 +1,21 @@
 """Chain families: group arithmetic, constructors, metadata and the family
 spec grammar."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutoff_lab.chain import metric_data, stationary
+from cutoff_lab import families
+from cutoff_lab.chain import StochasticMatrix, metric_data, stationary
 from cutoff_lab.errors import (GenerationFailed, NotGenerating,
                                NotSymmetricSet, SpecParseError,
                                StateCapExceeded)
 from cutoff_lab.families import (CLAIM_ABELIAN, CLAIM_OTHER, CLAIM_UNKNOWN,
-                                 ChainInstance, GroupSpec, abelian_cayley,
+                                 ChainInstance, GroupSpec, _generating,
+                                 abelian_cayley,
                                  birth_death, complete_graph, conjugacy_walk,
                                  cycle, hypercube, parse_family_range,
                                  parse_family_spec, perturb_toward_uniform,
@@ -106,13 +112,54 @@ class TestRandomCayley:
         assert inst.matrix.irreducible
         assert inst.transitive
 
-    def test_redraw_exhaustion(self):
+    def test_redraw_exhaustion(self, monkeypatch):
         # A single draw in Z2 x Z2 generates with probability < 1; with one
         # attempt allowed a non-generating seed must fail loudly.
+        monkeypatch.setattr(families, "MAX_REDRAWS", 1)
         with pytest.raises(GenerationFailed):
             for seed in range(50):
-                random_abelian_cayley(GroupSpec((2, 2)), 1, seed=seed,
-                                      max_redraws=1)
+                random_abelian_cayley(GroupSpec((2, 2)), 1, seed=seed)
+
+    def test_one_generation_test_per_draw(self, monkeypatch):
+        # Z2^4 with 4 draws needs two redraws at seed 1; only the accepted
+        # draw generates, and each draw is tested once.
+        results = []
+
+        def recorded(spec, gens):
+            results.append(_generating(spec, gens))
+            return results[-1]
+        monkeypatch.setattr(families, "_generating", recorded)
+        random_abelian_cayley(GroupSpec((2,) * 4), 4, seed=1)
+        assert results == [False, False, True]
+
+
+def _gf2_rank(vectors) -> int:
+    pivots = {}                     # leading bit -> reduced vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+class TestGenerating:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, 2 ** k - 1), max_size=12))))
+    def test_hypercube_group_is_gf2_rank(self, case):
+        # Z2^k is GF(2)^k with index bits as coordinates.
+        k, S = case
+        assert _generating(GroupSpec((2,) * k), S) == (_gf2_rank(S) == k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 600).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=6))))
+    def test_cyclic_group_is_gcd(self, case):
+        n, S = case
+        assert _generating(GroupSpec((n,)), S) == (math.gcd(n, *S) == 1)
 
 
 class TestNamedFamilies:
@@ -181,6 +228,21 @@ class TestNamedFamilies:
             conjugacy_walk(7)
         with pytest.raises(SpecParseError):
             conjugacy_walk(3, cls="4")
+
+    @pytest.mark.parametrize("build", [
+        lambda: hypercube(4), lambda: hypercube(4, laziness=0.3),
+        lambda: cycle(8), lambda: complete_graph(6),
+        lambda: abelian_cayley(GroupSpec((4, 3)), [1, -1, 3, -3])],
+        ids=["hypercube", "lazy-hypercube", "cycle", "complete", "cayley"])
+    def test_one_matrix_per_walk(self, monkeypatch, build):
+        built = []
+
+        def counted(P):
+            built.append(P)
+            return StochasticMatrix(P)
+        monkeypatch.setattr(families, "StochasticMatrix", counted)
+        build()
+        assert len(built) == 1
 
 
 class TestPerturbation:

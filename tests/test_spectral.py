@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from cutoff_lab import spectral
 from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
-from cutoff_lab.errors import NotIrreducible
+from cutoff_lab.errors import CertificateFailed, NotIrreducible
 from cutoff_lab.families import complete_graph, cycle, hypercube
 from cutoff_lab.spectral import (adjoint, dirichlet_energy, gamma_form,
                                  relaxation_time, reversibilization)
@@ -99,6 +100,14 @@ class TestRelaxationTime:
     def test_rejects_reducible(self):
         with pytest.raises(NotIrreducible):
             relaxation_time(StochasticMatrix(np.eye(3)))
+
+    def test_failed_poincare_certificate(self, monkeypatch):
+        # With zero Dirichlet energy every non-constant f violates
+        # Var(f) <= t_rel E(f).
+        monkeypatch.setattr(spectral, "dirichlet_energy",
+                            lambda P, pi, f: 0.0)
+        with pytest.raises(CertificateFailed, match="Poincare"):
+            relaxation_time(cycle(6).matrix)
 
 
 class TestGammaForm:
