@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, DimensionMismatch, InvalidTolerance,
@@ -33,11 +33,12 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 class StochasticMatrix:
     """Row-stochastic kernel P with its support-graph structure.
 
-    Immutable after construction.  ``irreducible`` and ``symmetric_support``
-    are computed once from the positive-entry pattern (exact zero threshold:
-    entries are exact inputs).  ``pi`` and ``metric`` are solved on first
-    use and kept.  Construction does not reject broken rows; use
-    :func:`validate` to obtain a diagnostics record.
+    Immutable after construction.  ``adjacency`` is the off-diagonal
+    support graph, held once as a read-only CSR matrix (int32 indices, data
+    P(x, y)); ``irreducible`` and ``symmetric_support`` are read from it at
+    construction (exact zero threshold: entries are exact inputs).  ``pi``
+    and ``metric`` are solved on first use and kept.  Construction does not
+    reject broken rows; use :func:`validate` to obtain a diagnostics record.
     """
 
     entries: np.ndarray
@@ -57,13 +58,19 @@ class StochasticMatrix:
             if len(labels) != entries.shape[0]:
                 raise DimensionMismatch("label count does not match state count")
             object.__setattr__(self, "labels", labels)
-        support = entries > 0
-        object.__setattr__(self, "_support", support)
-        n_comp, _ = connected_components(csr_matrix(support), directed=True,
+        xs, ys = np.nonzero(entries > 0)
+        off = xs != ys
+        xs, ys = xs[off], ys[off]
+        adj = csr_matrix((entries[xs, ys], (xs, ys)), shape=entries.shape)
+        for a in (adj.data, adj.indices, adj.indptr):
+            a.setflags(write=False)
+        object.__setattr__(self, "adjacency", adj)
+        n_comp, _ = connected_components(adj, directed=True,
                                          connection="strong")
         object.__setattr__(self, "irreducible", bool(n_comp == 1))
+        pattern = adj.astype(bool)
         object.__setattr__(self, "symmetric_support",
-                           bool(np.array_equal(support, support.T)))
+                           (pattern != pattern.T).nnz == 0)
 
     @property
     def n(self) -> int:
@@ -71,7 +78,8 @@ class StochasticMatrix:
 
     @property
     def support(self) -> np.ndarray:
-        return self._support
+        """Positive-entry pattern, diagonal included (a fresh n x n array)."""
+        return self.entries > 0
 
     @cached_property
     def pi(self) -> Distribution:
@@ -90,8 +98,17 @@ class StochasticMatrix:
         """
         if not self.symmetric_support:
             raise AsymmetricSupport("edge list needs symmetric support")
-        xs, ys = np.nonzero(np.triu(self._support, k=1))
-        return list(zip(xs.tolist(), ys.tolist()))
+        upper = triu(self.adjacency, k=1, format="coo")
+        return list(zip(upper.row.tolist(), upper.col.tolist()))
+
+    def lip_norm(self, f: np.ndarray) -> float:
+        """Edge-Lipschitz seminorm max |f(x) - f(y)| over the off-diagonal
+        support pairs x -> y; 0 when there are none."""
+        adj = self.adjacency
+        if adj.nnz == 0:
+            return 0.0
+        return float(np.max(np.abs(
+            f[adj.indices] - np.repeat(f, np.diff(adj.indptr)))))
 
 
 @dataclass(frozen=True)
@@ -203,14 +220,12 @@ def metric_data(P: StochasticMatrix) -> MetricData:
     """All-pairs BFS distance on the support graph, diameter and sparsity."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
-    adj = P.support.copy()
-    np.fill_diagonal(adj, False)
-    d = shortest_path(csr_matrix(adj), method="D", unweighted=True, directed=False)
+    adj = P.adjacency
+    d = shortest_path(adj, method="D", unweighted=True, directed=False)
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
     dist = _readonly(d, np.int64)
-    off = P.entries[adj]
-    delta = float(np.max(1.0 / off)) if off.size else 1.0
+    delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
     return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)
 
 

@@ -100,6 +100,8 @@ class Options:
         self.tgrid = pick("tgrid", args.tgrid)
         self.tol = min(_number(float, "--tol", pick("tol", args.tol)), 1e-6)
         self.seed = _number(int, "--seed", pick("seed", args.seed))
+        if self.seed < 0:
+            raise SpecParseError(f"--seed must be non-negative: {self.seed}")
         self.out = pick("out", args.out)
         no_cache = getattr(args, "no_cache", False)
         self.cache_enabled = (not no_cache) and pick("cache", None) != "0"
@@ -141,6 +143,9 @@ def _t_grid(opts, t_scale):
         raise SpecParseError(f"bad tgrid {opts.tgrid!r}") from exc
     if steps < 1:
         raise SpecParseError(f"tgrid needs at least one step: {opts.tgrid!r}")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise SpecParseError(f"tgrid bounds must be finite and >= 0: "
+                             f"{opts.tgrid!r}")
     return list(np.linspace(a, b, steps))
 
 
@@ -168,8 +173,8 @@ def cmd_analyze(opts: Options) -> int:
     olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=0)
     eps0 = 0.25 if 0.25 in opts.eps else opts.eps[0]
-    d0 = ent.d_star_at(P, tmix[eps0], tol=opts.tol, starts=starts)
-    v0 = ent.v_star_at(P, tmix[eps0], tol=opts.tol, starts=starts)
+    prof = ent.entropy_profile(P, [tmix[eps0]], opts.tol, starts)
+    d0, v0 = prof.d_star[0], prof.v_star[0]
     header = (["n", "delta", "diam", "t_rel", "kappa_ollivier",
                "kappa_bakry_emery"]
               + [f"tmix_{_fmt(e)}" for e in opts.eps]
@@ -282,11 +287,12 @@ def scan_rows(opts: Options):
         tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
         olli = ollivier_curvature(P)
         be = bakry_emery_curvature(P, samples=0)
-        d0 = ent.d_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts)
-        v0 = ent.v_star_at(P, tmix[eps_lo], tol=opts.tol, starts=starts)
+        prof = ent.entropy_profile(P, [tmix[eps_lo]], opts.tol, starts)
+        d0, v0 = prof.d_star[0], prof.v_star[0]
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
-        conc = (1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
+        conc = ((1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
+                if tmix[eps_lo] > 0 else math.inf)
         log_delta = math.log(metric.delta)
         sparse = (tmix[eps_lo] / (t_rel * log_delta) ** 2
                   if log_delta > 0 else math.inf)

@@ -143,7 +143,7 @@ def ollivier_curvature(P: StochasticMatrix) -> CurvatureReport:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
     dist = P.metric.dist
     E = P.entries
-    sizes = np.count_nonzero(P.support, axis=1)
+    sizes = np.diff(P.adjacency.indptr) + (np.diagonal(E) > 0)
     batches, n_vars = [[]], 0
     for (x, y) in P.edges():
         size = int(sizes[x] * sizes[y])
@@ -179,63 +179,38 @@ def gamma2_form(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
     return 0.5 * generator_apply(P, g) - gamma_form(P, f, generator_apply(P, f))
 
 
-def _two_ball(P: StochasticMatrix, x: int) -> np.ndarray:
-    support = P.support
-    n1 = np.nonzero(support[x])[0]
-    seen = {x}
-    seen.update(int(y) for y in n1 if y != x)
-    for y in n1:
-        if y == x:
-            continue
-        seen.update(int(z) for z in np.nonzero(support[y])[0] if z != y)
-    return np.array(sorted(seen), dtype=np.int64)
-
-
 def _local_quadratic_forms(P: StochasticMatrix, x: int):
     """Matrices (A, B, ball) of the local forms Gamma2(.,.)(x) and
-    Gamma(.,.)(x) for observables restricted to the 2-ball of x."""
-    ball = _two_ball(P, x)
-    m = len(ball)
-    loc = {int(s): i for i, s in enumerate(ball)}
-    E = P.entries
-    ix = loc[x]
+    Gamma(.,.)(x) for observables restricted to the 2-ball of x.
 
-    def gamma_matrix(y: int) -> np.ndarray:
-        # Quadratic form of Gamma(.,.)(y); neighbors of y lie in the ball.
-        M = np.zeros((m, m))
-        iy = loc[y]
-        for z in np.nonzero(P.support[y])[0]:
-            if z == y:
-                continue
-            d = np.zeros(m)
-            d[loc[int(z)]] = 1.0
-            d[iy] -= 1.0
-            M += 0.5 * E[y, z] * np.outer(d, d)
-        return M
+    On the ball, with p_y the off-diagonal row of P at y (complete for y in
+    the 1-ball), Gamma(.,.)(y) has the matrix
+    G_y = 1/2 (diag p_y - p_y e_y^T - e_y p_y^T + |p_y| e_y e_y^T), and
+    Gamma(., L.)(x) the matrix C = 1/2 sum_y P(x,y)(e_y - e_x)(L_y - L_x)^T
+    with L_y the generator row at y.  B = G_x and
+    A = 1/2 sum_{y != x} P(x,y) G_y - 1/2 G_x - 1/2 (C + C^T).  The holding
+    term 1/2 P(x,x) G_x of 1/2 L Gamma(x) is not in A, so on a lazy chain
+    kappa(x) is the exact infimum minus P(x,x)/2, a lower bound.
+    """
+    adj = P.adjacency
+    n1 = adj.indices[adj.indptr[x]:adj.indptr[x + 1]]
+    ball = np.unique(np.concatenate(([x], n1, adj[n1].indices)))
+    ix = int(np.searchsorted(ball, x))
+    S = P.entries[np.ix_(ball, ball)]
+    W = S - np.diag(np.diag(S))
+    dL = S - np.eye(len(ball))
+    dL -= dL[ix]                         # rows L_y - L_x
 
-    B = gamma_matrix(x)
-    # A = 1/2 [sum_y P(x,y) Gamma_y - Gamma_x] - sym(Gamma(., L.)(x))
-    A = -0.5 * B.copy()
-    C = np.zeros((m, m))
-    lrow_x = np.zeros(m)
-    for z in np.nonzero(P.support[x])[0]:
-        lrow_x[loc[int(z)]] += E[x, z]
-    lrow_x[ix] -= 1.0
-    for y in np.nonzero(P.support[x])[0]:
-        if y == x:
-            continue
-        w = E[x, y]
-        A += 0.5 * w * gamma_matrix(int(y))
-        lrow_y = np.zeros(m)
-        for z in np.nonzero(P.support[y])[0]:
-            lrow_y[loc[int(z)]] += E[y, z]
-        lrow_y[loc[int(y)]] -= 1.0
-        d = np.zeros(m)
-        d[loc[int(y)]] = 1.0
-        d[ix] -= 1.0
-        C += 0.5 * w * np.outer(d, lrow_y - lrow_x)
-    A -= 0.5 * (C + C.T)
-    A = 0.5 * (A + A.T)
+    def gamma_sum(c):
+        # Matrix of sum_y c_y Gamma(.,.)(y).
+        D = c[:, None] * W
+        return 0.5 * (np.diag(c @ W + D.sum(axis=1)) - (D + D.T))
+
+    w = W[ix]
+    B = gamma_sum(np.eye(len(ball))[ix])
+    C = w[:, None] * dL
+    C[ix] -= w @ dL
+    A = 0.5 * gamma_sum(w) - 0.5 * B - 0.25 * (C + C.T)
     return A, B, ball
 
 
@@ -266,8 +241,13 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int):
         ann_evals = np.linalg.eigvalsh(Ann)
         if ann_evals[0] < -1e-10 * scale:
             return NEG_INF, None
-        pinv = np.linalg.pinv(Ann, rcond=1e-10)
-        X = pinv @ Anr
+        # pinv's cutoff is relative to the largest eigenvalue: a block that
+        # is zero up to rounding (the constants, when the 2-ball is the
+        # 1-ball) would be inverted, not zeroed.
+        if ann_evals[-1] <= 1e-10 * scale:
+            X = np.zeros_like(Anr)
+        else:
+            X = np.linalg.pinv(Ann, rcond=1e-10) @ Anr
         if np.linalg.norm(Ann @ X - Anr) > 1e-8 * scale:
             return NEG_INF, None
         M = Arr - Anr.T @ X
@@ -330,12 +310,6 @@ def full_curvature_report(P: StochasticMatrix, samples: int = 1000,
 # Semigroup-level checks
 # ---------------------------------------------------------------------------
 
-def _lip_norm(f: np.ndarray, edges) -> float:
-    if not edges:
-        return 0.0
-    return max(abs(f[x] - f[y]) for (x, y) in edges)
-
-
 def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
                       seed: int = 0, n_f: int = 100, tol: float = 1e-9,
                       kernel_tol: float = 1e-9,
@@ -351,11 +325,11 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
         decay = float(np.exp(-kappa * t))
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
-            lip = _lip_norm(f, edges)
+            lip = P.lip_norm(f)
             if lip == 0.0:
                 continue
             f = f / lip
-            lhs = _lip_norm(K @ f, edges)
+            lhs = P.lip_norm(K @ f)
             cand = make_verdict("lipschitz-contraction", lhs, decay, tol,
                                 t=t, kappa=kappa)
             if worst is None or cand.slack < worst.slack:

@@ -32,7 +32,6 @@ class MixingProfile:
 
     times: np.ndarray
     worst_tv: np.ndarray
-    per_start_tv: Optional[np.ndarray] = None   # (starts, times)
 
 
 @dataclass(frozen=True)
@@ -93,17 +92,14 @@ def worst_tv(P: StochasticMatrix, t: float, tol: float = 1e-9,
 
 
 def mixing_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
-                   starts: Optional[Sequence[int]] = None,
-                   keep_per_start: bool = False) -> MixingProfile:
+                   starts: Optional[Sequence[int]] = None) -> MixingProfile:
     pi = P.pi
     times = np.asarray(sorted(t_grid), dtype=float)
     table = []
     for t in times:
         rows = kernel_rows(P, t, tol, starts)
         table.append(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1))
-    table = np.array(table).T
-    return MixingProfile(times=times, worst_tv=table.max(axis=0),
-                         per_start_tv=table if keep_per_start else None)
+    return MixingProfile(times=times, worst_tv=np.array(table).max(axis=1))
 
 
 def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
@@ -274,11 +270,7 @@ def log_density_lip_norm(inst: ChainInstance, o: int, t: float,
     if np.any(row < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
-    logr = np.log(row) - np.log(P.pi.probs)
-    adj = P.support.copy()
-    np.fill_diagonal(adj, False)
-    xs, ys = np.nonzero(adj)
-    return float(np.max(np.abs(logr[xs] - logr[ys])))
+    return P.lip_norm(np.log(row) - np.log(P.pi.probs))
 
 
 def log_gradient_bound_check(inst: ChainInstance, t: float,
@@ -311,10 +303,7 @@ def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
     f = np.asarray(f, dtype=np.float64)
-    adj = P.support.copy()
-    np.fill_diagonal(adj, False)
-    xs, ys = np.nonzero(adj)
-    lip2 = float(np.max(np.abs(f[xs] - f[ys]))) ** 2 if len(xs) else 0.0
+    lip2 = P.lip_norm(f) ** 2
     var = heat_kernel_apply(P, f * f, t, kernel_tol) \
         - heat_kernel_apply(P, f, t, kernel_tol) ** 2
     i = int(np.argmax(var))

@@ -50,10 +50,11 @@ def line_plot(path, series, title="", xlabel="", ylabel="", vlines=()):
     """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
+    if not xs_all:
         raise ValueError("nothing to plot")
     x_lo, x_hi = _bounds(xs_all)
-    y_lo, y_hi = _bounds(ys_all)
+    # Series with no finite value (an all-inf ratio) get empty axes.
+    y_lo, y_hi = _bounds(ys_all or [0.0])
 
     def sx(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)

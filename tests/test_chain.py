@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cutoff_lab import chain
@@ -189,6 +191,49 @@ class TestMetricData:
         dist = metric_data(cycle_matrix(6)).dist
         assert dist.dtype == np.int64
         assert not dist.flags.writeable
+
+
+def sparse_chain(seed, n, symmetric, lazy):
+    """Random weights on a directed ring plus random arcs, symmetrized on
+    request; a lazy chain holds with probability 0.1-0.6 at each state."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.3)
+    W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    W[np.arange(n), np.arange(n)] = 0.0
+    if symmetric:
+        W = W + W.T
+    P = W / W.sum(axis=1, keepdims=True)
+    if lazy:
+        hold = rng.uniform(0.1, 0.6, n)
+        P = np.diag(hold) + (1.0 - hold)[:, None] * P
+    return StochasticMatrix(P)
+
+
+class TestSupportGraph:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.booleans(),
+           st.booleans())
+    def test_matches_brute_force(self, seed, n, symmetric, lazy):
+        P = sparse_chain(seed, n, symmetric, lazy)
+        adj = P.support & ~np.eye(n, dtype=bool)
+        pairs = [(x, y) for x in range(n) for y in range(n) if adj[x, y]]
+        assert P.adjacency.indices.dtype == np.int32
+        assert not P.adjacency.data.flags.writeable
+        assert P.symmetric_support == bool(np.array_equal(adj, adj.T))
+        f = np.random.default_rng(seed).standard_normal(n)
+        assert P.lip_norm(f) == max(abs(f[x] - f[y]) for x, y in pairs)
+        if not P.symmetric_support:
+            with pytest.raises(AsymmetricSupport):
+                P.edges()
+            return
+        assert P.edges() == [(x, y) for x, y in pairs if x < y]
+        # Floyd-Warshall on the hop count.
+        d = np.where(adj, 1.0, np.inf)
+        np.fill_diagonal(d, 0.0)
+        for k in range(n):
+            d = np.minimum(d, d[:, [k]] + d[[k], :])
+        assert np.array_equal(P.metric.dist, d)
+        assert P.metric.delta == max(1.0 / P.entries[x, y] for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,21 @@ class TestScan:
         assert (out / "cutoff_ratio.svg").exists()
         assert (out / "window.svg").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--spec", "cycle:n=8..9"],
+        ["--spec", "complete:n=3..4", "--eps", "0.25,0.75"],
+        ["--spec", "complete:n=3..4", "--eps", "0.75"],
+    ], ids=["cycle-default-eps", "complete", "complete-one-eps"])
+    def test_zero_mixing_time_members(self, tmp_path, argv):
+        # t_mix(max eps) = 0 on every member: each ratio is inf, and with a
+        # single eps so is the concentration ratio.
+        out = tmp_path / "out"
+        assert main(["scan"] + argv + ["--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "scan.csv")
+        assert [r[header.index("ratio")] for r in rows] == ["inf", "inf"]
+        assert (out / "cutoff_ratio.svg").exists()
+        assert (out / "window.svg").exists()
+
     def test_scan_needs_range(self, tmp_path):
         code = main(["scan", "--spec", "cycle:n=8",
                      "--out", str(tmp_path / "out")])
@@ -179,9 +194,14 @@ class TestExitCodes:
         ["analyze", "--chain-file", "{nan}"],
         ["analyze", "--chain-file", "{binary}"],
         ["analyze", "--spec", "cycle:n=8", "--tgrid", "0:4:0"],
+        ["verify", "--spec", "cycle:n=6", "--seed=-1"],
+        ["analyze", "--spec", "cycle:n=8", "--tgrid", "nan:1:3"],
+        ["analyze", "--spec", "cycle:n=8", "--tgrid", "0:inf:3"],
+        ["analyze", "--spec", "cycle:n=8", "--tgrid=-5:4:3"],
     ], ids=["scan-no-spec", "scan-bad-range", "eps-word", "tol-word",
             "seed-float", "chain-file-dir", "chain-file-nan",
-            "chain-file-not-utf8", "tgrid-zero-steps"])
+            "chain-file-not-utf8", "tgrid-zero-steps", "seed-negative",
+            "tgrid-nan", "tgrid-inf", "tgrid-negative"])
     def test_bad_input_exits_spec(self, tmp_path, argv):
         nan_file = tmp_path / "nan.txt"
         nan_file.write_text("2\nnan 1\n1 0\n")

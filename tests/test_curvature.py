@@ -13,11 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoff_lab import curvature
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               metric_data, stationary)
-from cutoff_lab.curvature import (bakry_emery_curvature, bakry_emery_vertex,
+from cutoff_lab.curvature import (_local_quadratic_forms,
+                                  bakry_emery_curvature, bakry_emery_vertex,
                                   contraction_check, full_curvature_report,
                                   gamma2_form, generator_apply,
                                   ollivier_curvature, subcommutativity_check,
@@ -58,6 +61,26 @@ def random_connected_chain(rng, n):
     P = adj / adj.sum(axis=1, keepdims=True)
     P = 0.5 * np.eye(n) + 0.5 * P
     return StochasticMatrix(P)
+
+
+def sparse_chain(seed, n, symmetric, lazy):
+    """Random weights on a directed ring plus random arcs, symmetrized on
+    request; a lazy chain holds with probability 0.1-0.6 at each state."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.3)
+    W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    W[np.arange(n), np.arange(n)] = 0.0
+    if symmetric:
+        W = W + W.T
+    P = W / W.sum(axis=1, keepdims=True)
+    if lazy:
+        hold = rng.uniform(0.1, 0.6, n)
+        P = np.diag(hold) + (1.0 - hold)[:, None] * P
+    return StochasticMatrix(P)
+
+
+CHAINS = given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.booleans(),
+               st.booleans())
 
 
 def random_distribution(rng, n):
@@ -323,6 +346,51 @@ class TestBakryEmery:
         k0, _ = bakry_emery_vertex(StochasticMatrix(base), 0)
         k1, _ = bakry_emery_vertex(StochasticMatrix(other), 0)
         assert k0 == pytest.approx(k1, abs=1e-12)
+
+    @settings(max_examples=40)
+    @CHAINS
+    def test_local_forms_polarize_gamma_forms(self, seed, n, symmetric, lazy):
+        # A and B against the polarizations of gamma2_form and gamma_form
+        # on the 2-ball basis.  A leaves out the holding term
+        # 1/2 P(x,x) Gamma(x) of Gamma2, hence kappa(x) - P(x,x)/2 on a lazy
+        # chain.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        for x in range(n):
+            A, B, ball = _local_quadratic_forms(P, x)
+            E = np.eye(n)[ball]
+
+            def polar(q):
+                diag = np.array([q(e) for e in E])
+                return np.array([[0.5 * (q(a + b) - q(a) - q(b)) if i != j
+                                  else diag[i] for j, b in enumerate(E)]
+                                 for i, a in enumerate(E)])
+            B2 = polar(lambda f: gamma_form(P, f, f)[x])
+            A2 = polar(lambda f: gamma2_form(P, f)[x])
+            assert np.allclose(B, B2, rtol=0, atol=1e-12)
+            assert np.allclose(A + 0.5 * P.entries[x, x] * B, A2, rtol=0,
+                               atol=1e-12)
+
+    @settings(max_examples=40)
+    @CHAINS
+    def test_sampled_quotient_at_least_kappa(self, seed, n, symmetric, lazy):
+        P = sparse_chain(seed, n, symmetric, lazy)
+        rng = np.random.default_rng(seed)
+        for x in range(n):
+            kappa, _ = bakry_emery_vertex(P, x)
+            for f in rng.standard_normal((20, n)):
+                den = gamma_form(P, f, f)[x]
+                if den > 1e-9:
+                    assert gamma2_form(P, f)[x] / den >= \
+                        kappa - 1e-8 * (1.0 + abs(kappa))
+
+    def test_complete_graph_every_vertex(self):
+        # The 2-ball is the 1-ball, so Gamma vanishes only on constants,
+        # where Gamma2 is zero up to rounding; kappa = (n+2)/(2(n-1)).
+        for n in (3, 5, 12, 20):
+            rep = bakry_emery_curvature(complete_graph(n).matrix, samples=20)
+            for kappa in rep.bakry_emery_vertices.values():
+                assert kappa == pytest.approx((n + 2) / (2 * (n - 1)),
+                                              abs=1e-9)
 
     def test_sampled_rayleigh_validation_runs(self):
         # bakry_emery_curvature raises internally if any sampled quotient

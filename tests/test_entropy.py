@@ -123,12 +123,11 @@ class TestMixing:
         assert np.all(np.diff(prof.d_star) <= 1e-9)
 
     def test_star_helpers_match_profile(self):
+        # Bit-identical: analyze and scan read d* and V* off one profile.
         P = cycle(6).matrix
         prof = entropy_profile(P, [1.5], starts=[0])
-        assert d_star_at(P, 1.5, starts=[0]) == pytest.approx(
-            prof.d_star[0], abs=1e-12)
-        assert v_star_at(P, 1.5, starts=[0]) == pytest.approx(
-            prof.v_star[0], abs=1e-12)
+        assert d_star_at(P, 1.5, starts=[0]) == prof.d_star[0]
+        assert v_star_at(P, 1.5, starts=[0]) == prof.v_star[0]
 
 
 class TestInequalityChecks:
