@@ -16,8 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import (AsymmetricSupport, DimensionMismatch, InvalidTolerance,
-                     NotIrreducible, SpecParseError, TimeOutOfRange)
+from .errors import (AsymmetricSupport, DimensionMismatch, NotIrreducible,
+                     SpecParseError, TimeOutOfRange)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -233,18 +233,13 @@ def metric_data(P: StochasticMatrix) -> MetricData:
 # Heat kernel
 # ---------------------------------------------------------------------------
 
-# Poisson tail is truncated below min(tol, _MASS_TOL) so that kernel rows
+# Poisson tail mass left out of every kernel: small enough that kernel rows
 # remain valid Distributions (sum to 1 within 1e-12) without renormalizing.
 _MASS_TOL = 1e-13
 
 
-def _check_tol(tol: float):
-    if not (0.0 < tol <= 1e-6):
-        raise InvalidTolerance(f"tol must lie in (0, 1e-6], got {tol}")
-
-
-def poisson_weights(t: float, tol: float, min_terms: int = 0) -> np.ndarray:
-    """Poisson(t) pmf q_0..q_K with tail mass below min(tol, 1e-13).
+def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
+    """Poisson(t) pmf q_0..q_K with tail mass below ``_MASS_TOL``.
 
     K is floored at ceil(t + 8*sqrt(t) + 8) to avoid premature truncation
     at small t; ``min_terms`` raises the floor further (needed when entries
@@ -258,7 +253,7 @@ def poisson_weights(t: float, tol: float, min_terms: int = 0) -> np.ndarray:
     if t > 700.0:
         raise TimeOutOfRange("heat kernel times above 700 are out of scale")
     floor_k = max(math.ceil(t + 8.0 * math.sqrt(t) + 8.0), int(min_terms))
-    target = 1.0 - min(tol, _MASS_TOL)
+    target = 1.0 - _MASS_TOL
     q = [math.exp(-t)]
     cum = q[0]
     k = 0
@@ -280,46 +275,43 @@ def _poisson_series(q: np.ndarray, v: np.ndarray, step) -> np.ndarray:
     return acc
 
 
-def heat_kernel_row(P: StochasticMatrix, o: int, t: float,
-                    tol: float = 1e-9, min_terms: int = 0) -> Distribution:
+def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
+                    min_terms: int = 0) -> Distribution:
     """Heat-kernel row P_t(o, .) = sum_k e^{-t} t^k/k! P^k(o, .).
 
     Renormalization-free: the truncation point certifies a TV error below
-    ``tol`` against the exact series.  Row-vector iteration, no matrix
-    powers stored.
+    ``_MASS_TOL`` against the exact series.  Row-vector iteration, no
+    matrix powers stored.
     """
-    _check_tol(tol)
     if not (0 <= o < P.n):
         raise DimensionMismatch(f"state {o} out of range")
-    q = poisson_weights(t, tol, min_terms=min_terms)
+    q = poisson_weights(t, min_terms=min_terms)
     v = np.zeros(P.n)
     v[o] = 1.0
     return Distribution(_poisson_series(q, v, lambda x: x @ P.entries))
 
 
-def heat_kernel(P: StochasticMatrix, t: float, tol: float = 1e-9) -> np.ndarray:
+def heat_kernel(P: StochasticMatrix, t: float) -> np.ndarray:
     """Full heat-kernel matrix; row x is the law P_t(x, .)."""
-    _check_tol(tol)
-    q = poisson_weights(t, tol)
+    q = poisson_weights(t)
     return _poisson_series(q, np.eye(P.n), lambda x: x @ P.entries)
 
 
-def kernel_rows(P: StochasticMatrix, t: float, tol: float,
+def kernel_rows(P: StochasticMatrix, t: float,
                 starts: Optional[Sequence[int]]) -> np.ndarray:
     """Heat-kernel rows P_t(o, .) for o in ``starts``; all rows when None."""
     if starts is None:
-        return heat_kernel(P, t, tol)
-    return np.vstack([heat_kernel_row(P, o, t, tol).probs for o in starts])
+        return heat_kernel(P, t)
+    return np.vstack([heat_kernel_row(P, o, t).probs for o in starts])
 
 
-def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray, t: float,
-                      tol: float = 1e-9) -> np.ndarray:
+def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray,
+                      t: float) -> np.ndarray:
     """Action of the semigroup on an observable: (P_t f)(x)."""
-    _check_tol(tol)
     f = np.asarray(f, dtype=np.float64)
     if f.shape[0] != P.n:
         raise DimensionMismatch("observable length does not match state count")
-    q = poisson_weights(t, tol)
+    q = poisson_weights(t)
     return _poisson_series(q, f, lambda x: P.entries @ x)
 
 

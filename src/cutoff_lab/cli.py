@@ -19,7 +19,7 @@ from . import entropy as ent
 from . import families as fam
 from . import svg
 from .cache import HeatKernelCache
-from .chain import (Distribution, StochasticMatrix, kernel_rows,
+from .chain import (_MASS_TOL, Distribution, StochasticMatrix, kernel_rows,
                     load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
@@ -29,10 +29,12 @@ from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
 CSV_VERSION = "cutoff-lab-csv-v1"
 EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
 
+# Every option a config file may set, with its default.
 DEFAULTS = {
+    "spec": None,
+    "chain-file": None,
     "eps": "0.05,0.1,0.25,0.5,0.75,0.9,0.95",
     "tgrid": "auto",
-    "tol": "1e-8",
     "seed": "0",
     "out": "out",
     "cache": "1",
@@ -83,22 +85,24 @@ class Options:
 
     def __init__(self, args):
         cfg = load_config(args.config) if args.config else {}
+        for key in cfg:
+            if key not in DEFAULTS:
+                raise SpecParseError(f"unknown config key {key!r}; known: "
+                                     f"{', '.join(DEFAULTS)}")
 
         def pick(name, flag_value):
             if flag_value is not None:
                 return str(flag_value)
-            if name in cfg:
-                return cfg[name]
-            return DEFAULTS.get(name)
+            return cfg.get(name, DEFAULTS[name])
 
         self.spec = pick("spec", args.spec)
         self.chain_file = pick("chain-file", args.chain_file)
         self.eps = [_number(float, "--eps", v)
                     for v in pick("eps", args.eps).split(",")]
-        if any(not (0.0 < e < 1.0) for e in self.eps):
-            raise SpecParseError("eps values must lie in (0,1)")
+        # Mixing times are searched at eps to the CSV's 12 digits.
+        if any(not (0.0 < float(_fmt(e)) < 1.0) for e in self.eps):
+            raise SpecParseError("eps values must lie in (0,1) to 12 digits")
         self.tgrid = pick("tgrid", args.tgrid)
-        self.tol = min(_number(float, "--tol", pick("tol", args.tol)), 1e-6)
         self.seed = _number(int, "--seed", pick("seed", args.seed))
         if self.seed < 0:
             raise SpecParseError(f"--seed must be non-negative: {self.seed}")
@@ -125,12 +129,12 @@ class Options:
         return HeatKernelCache(os.path.join(self.outdir(), "cache"))
 
 
-def _cached_rows(cache, P, t, tol, starts):
+def _cached_rows(cache, P, t, starts):
     def compute():
-        return kernel_rows(P, t, tol, starts)
+        return kernel_rows(P, t, starts)
     if cache is None:
         return compute()
-    return cache.get_or_compute(P, t, tol, starts, compute)
+    return cache.get_or_compute(P, t, _MASS_TOL, starts, compute)
 
 
 def _t_grid(opts, t_scale):
@@ -169,11 +173,11 @@ def cmd_analyze(opts: Options) -> int:
     out = opts.outdir()
     cache = opts.kernel_cache()
     metric, pi, starts = P.metric, P.pi, inst.starts
-    tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
+    tmix = {e: inst.t_mix(e) for e in opts.eps}
     olli = ollivier_curvature(P)
     be = bakry_emery_curvature(P, samples=0)
     eps0 = 0.25 if 0.25 in opts.eps else opts.eps[0]
-    prof = ent.entropy_profile(P, [tmix[eps0]], opts.tol, starts)
+    prof = ent.entropy_profile(P, [tmix[eps0]], starts)
     d0, v0 = prof.d_star[0], prof.v_star[0]
     header = (["n", "delta", "diam", "t_rel", "kappa_ollivier",
                "kappa_bakry_emery"]
@@ -187,7 +191,7 @@ def cmd_analyze(opts: Options) -> int:
     grid = _t_grid(opts, max(tmix.values()))
 
     def profile_point(t):
-        rows = _cached_rows(cache, P, t, opts.tol, starts)
+        rows = _cached_rows(cache, P, t, starts)
         tv = float(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1).max())
         d = max(ent.kl_divergence(r, pi) for r in rows)
         return tv, d
@@ -207,8 +211,8 @@ def cmd_analyze(opts: Options) -> int:
     return EXIT_OK
 
 
-def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, tol=1e-9,
-                  n_f=100, semigroup_checks=True):
+def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
+                  semigroup_checks=True):
     """All proved-inequality verdicts for one instance.
 
     Returns a list of InequalityVerdict.  Semigroup-level checks
@@ -222,33 +226,30 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, tol=1e-9,
     verdicts = []
     t_half = inst.t_mix(0.5)
     for e in eps_list:
-        verdicts.append(ent.entropic_upper_bound(inst, t_half, e, tol=tol))
+        verdicts.append(ent.entropic_upper_bound(inst, t_half, e))
         # Entropic lower bound on the entropy-worst kernel row at tmix(1-e).
-        rows = kernel_rows(P, inst.t_mix(1.0 - e), 1e-12, inst.starts)
+        rows = kernel_rows(P, inst.t_mix(1.0 - e), inst.starts)
         worst = max(rows, key=lambda r: ent.kl_divergence(r, pi))
         verdicts.append(ent.entropic_lower_bound_check(
-            Distribution(worst), pi, e, tol=tol))
+            Distribution(worst), pi, e))
         if e < 0.5:
-            verdicts.append(ent.cutoff_window_bound(inst, e, tol=tol))
-        verdicts.append(ent.diameter_bound_check(inst, e, tol=tol))
+            verdicts.append(ent.cutoff_window_bound(inst, e))
+        verdicts.append(ent.diameter_bound_check(inst, e))
     t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
-    verdicts.append(ent.log_gradient_bound_check(inst, t_log, tol=tol))
+    verdicts.append(ent.log_gradient_bound_check(inst, t_log))
     kappa_cc = max(0.0, kappa_cert)
     if kappa_cert >= -1e-8:
         verdicts.append(ent.local_concentration_sweep(
-            P, [1.0, inst.t_mix(0.25)], kappa_cc, n_f=n_f, seed=seed,
-            tol=tol))
+            P, [1.0, inst.t_mix(0.25)], kappa_cc, n_f=n_f, seed=seed))
         for e in eps_list:
             verdicts.extend(ent.varentropy_bound_check(
-                inst, e, kappa=kappa_cert, tol=tol))
+                inst, e, kappa=kappa_cert))
     if semigroup_checks:
         t_grid = [0.5, inst.t_mix(0.25)]
         verdicts.append(contraction_check(
-            P, olli.ollivier_min, t_grid, seed=seed, n_f=min(n_f, 20),
-            tol=tol, check_w1=P.n <= 128))
+            P, olli.ollivier_min, t_grid, seed=seed, n_f=min(n_f, 20)))
         verdicts.append(subcommutativity_check(
-            P, be.bakry_emery_min, t_grid, seed=seed, n_f=min(n_f, 20),
-            tol=tol))
+            P, be.bakry_emery_min, t_grid, seed=seed, n_f=min(n_f, 20)))
     return verdicts
 
 
@@ -284,10 +285,10 @@ def scan_rows(opts: Options):
         P = inst.matrix
         metric, starts = P.metric, inst.starts
         t_rel = inst.t_rel
-        tmix = {e: inst.t_mix(e, opts.tol) for e in opts.eps}
+        tmix = {e: inst.t_mix(e) for e in opts.eps}
         olli = ollivier_curvature(P)
         be = bakry_emery_curvature(P, samples=0)
-        prof = ent.entropy_profile(P, [tmix[eps_lo]], opts.tol, starts)
+        prof = ent.entropy_profile(P, [tmix[eps_lo]], starts)
         d0, v0 = prof.d_star[0], prof.v_star[0]
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
@@ -384,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chain-file", default=None)
         p.add_argument("--eps", default=None)
         p.add_argument("--tgrid", default=None)
-        p.add_argument("--tol", default=None)
         p.add_argument("--seed", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--no-cache", action="store_true")

@@ -311,17 +311,16 @@ def full_curvature_report(P: StochasticMatrix, samples: int = 1000,
 # ---------------------------------------------------------------------------
 
 def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
-                      seed: int = 0, n_f: int = 100, tol: float = 1e-9,
-                      kernel_tol: float = 1e-9,
-                      check_w1: bool = True) -> InequalityVerdict:
+                      seed: int = 0, n_f: int = 100) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip on
-    random Lipschitz-normalized f, plus the W1 form on adjacent pairs."""
+    random Lipschitz-normalized f, plus the W1 form on adjacent pairs on
+    chains of at most 128 states (one dense LP per edge is too slow above)."""
     dist = P.metric.dist
     edges = P.edges()
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_grid:
-        K = heat_kernel(P, t, kernel_tol)
+        K = heat_kernel(P, t)
         decay = float(np.exp(-kappa * t))
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
@@ -330,17 +329,17 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
                 continue
             f = f / lip
             lhs = P.lip_norm(K @ f)
-            cand = make_verdict("lipschitz-contraction", lhs, decay, tol,
+            cand = make_verdict("lipschitz-contraction", lhs, decay,
                                 t=t, kappa=kappa)
             if worst is None or cand.slack < worst.slack:
                 worst = cand
-        if check_w1:
+        if P.n <= 128:
             # One LP per edge: in a shared LP, HiGHS's 1e-7 primal
             # feasibility tolerance moves W1 between these full-support
             # rows by up to 3e-7, so the per-edge values would drift.
             for (x, y) in edges:
                 [(value, *_)] = _w1_restricted([(K[x], K[y])], dist)
-                cand = make_verdict("w1-contraction", value, decay, tol,
+                cand = make_verdict("w1-contraction", value, decay,
                                     t=t, kappa=kappa, edge=(x, y))
                 if worst is None or cand.slack < worst.slack:
                     worst = cand
@@ -348,13 +347,12 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
 
 
 def subcommutativity_check(P: StochasticMatrix, kappa: float, t_grid,
-                           seed: int = 0, n_f: int = 100, tol: float = 1e-9,
-                           kernel_tol: float = 1e-9) -> InequalityVerdict:
+                           seed: int = 0, n_f: int = 100) -> InequalityVerdict:
     """Pointwise Gamma(P_t f, P_t f) <= e^{-2 kappa t} P_t Gamma(f,f)."""
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_grid:
-        K = heat_kernel(P, t, kernel_tol)
+        K = heat_kernel(P, t)
         decay = float(np.exp(-2.0 * kappa * t))
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
@@ -363,8 +361,7 @@ def subcommutativity_check(P: StochasticMatrix, kappa: float, t_grid,
             rhs_vec = decay * (K @ gamma_form(P, f, f))
             i = int(np.argmax(lhs_vec - rhs_vec))
             cand = make_verdict("subcommutativity", float(lhs_vec[i]),
-                                float(rhs_vec[i]), tol, t=t, kappa=kappa,
-                                state=i)
+                                float(rhs_vec[i]), t=t, kappa=kappa, state=i)
             if worst is None or cand.slack < worst.slack:
                 worst = cand
     return worst

@@ -84,26 +84,26 @@ def varentropy(mu, pi) -> float:
 # Worst-case profiles and mixing times
 # ---------------------------------------------------------------------------
 
-def worst_tv(P: StochasticMatrix, t: float, tol: float = 1e-9,
+def worst_tv(P: StochasticMatrix, t: float,
              starts: Optional[Sequence[int]] = None) -> float:
     """max over starting states of ||P_t(x,.) - pi||_TV."""
-    rows = kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, starts)
     return float(0.5 * np.abs(rows - P.pi.probs[None, :]).sum(axis=1).max())
 
 
-def mixing_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
+def mixing_profile(P: StochasticMatrix, t_grid,
                    starts: Optional[Sequence[int]] = None) -> MixingProfile:
     pi = P.pi
     times = np.asarray(sorted(t_grid), dtype=float)
     table = []
     for t in times:
-        rows = kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, starts)
         table.append(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1))
     return MixingProfile(times=times, worst_tv=np.array(table).max(axis=1))
 
 
 def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
-                tol: float = 1e-9, starts: Optional[Sequence[int]] = None) -> float:
+                starts: Optional[Sequence[int]] = None) -> float:
     """Smallest t with worst-case TV <= eps, by doubling then bisection.
 
     Uses monotonicity of the worst-case TV in t; the answer is within
@@ -113,11 +113,11 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
         raise ValueError("eps must lie in (0,1)")
     if not P.irreducible:
         raise NotIrreducible("mixing time requires an irreducible chain")
-    if worst_tv(P, 0.0, tol, starts) <= eps:
+    if worst_tv(P, 0.0, starts) <= eps:
         return 0.0
     lo, hi = 0.0, 1.0
     for _ in range(64):
-        if worst_tv(P, hi, tol, starts) <= eps:
+        if worst_tv(P, hi, starts) <= eps:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -126,38 +126,38 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
         tol_t = 1e-4 * max(1.0, hi)
     while hi - lo > tol_t:
         mid = 0.5 * (lo + hi)
-        if worst_tv(P, mid, tol, starts) <= eps:
+        if worst_tv(P, mid, starts) <= eps:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def entropy_profile(P: StochasticMatrix, t_grid, tol: float = 1e-9,
+def entropy_profile(P: StochasticMatrix, t_grid,
                     starts: Optional[Sequence[int]] = None) -> EntropyProfile:
     """d*_KL and V*_KL over a time grid (max over the given start set)."""
     pi = P.pi
     times = np.asarray(sorted(t_grid), dtype=float)
     d_star, v_star = [], []
     for t in times:
-        rows = kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, starts)
         d_star.append(max(kl_divergence(row, pi) for row in rows))
         v_star.append(max(varentropy(row, pi) for row in rows))
     return EntropyProfile(times=times, d_star=np.array(d_star),
                           v_star=np.array(v_star))
 
 
-def d_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
+def d_star_at(P, t, starts=None, pi=None) -> float:
     if pi is None:
         pi = P.pi
-    rows = kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, starts)
     return max(kl_divergence(row, pi) for row in rows)
 
 
-def v_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
+def v_star_at(P, t, starts=None, pi=None) -> float:
     if pi is None:
         pi = P.pi
-    rows = kernel_rows(P, t, tol, starts)
+    rows = kernel_rows(P, t, starts)
     return max(varentropy(row, pi) for row in rows)
 
 
@@ -165,19 +165,18 @@ def v_star_at(P, t, tol=1e-9, starts=None, pi=None) -> float:
 # Inequality verdicts
 # ---------------------------------------------------------------------------
 
-def entropic_upper_bound(inst: ChainInstance, t: float, eps: float,
-                         tol: float = 1e-9) -> InequalityVerdict:
+def entropic_upper_bound(inst: ChainInstance, t: float,
+                         eps: float) -> InequalityVerdict:
     """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t))."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    lhs = inst.t_mix(eps, tol)
-    d = d_star_at(inst.matrix, t, tol=tol, starts=inst.starts)
+    lhs = inst.t_mix(eps)
+    d = d_star_at(inst.matrix, t, starts=inst.starts)
     rhs = t + (inst.t_rel / eps) * (1.0 + d)
-    return make_verdict("entropic-upper-bound", lhs, rhs, tol, eps=eps, t=t)
+    return make_verdict("entropic-upper-bound", lhs, rhs, eps=eps, t=t)
 
 
-def entropic_lower_bound_check(mu, pi, eps: float,
-                               tol: float = 1e-9) -> InequalityVerdict:
+def entropic_lower_bound_check(mu, pi, eps: float) -> InequalityVerdict:
     """If ||mu - pi||_TV <= 1 - eps then d_KL <= (1 + sqrt(V_KL)) / eps."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
@@ -186,40 +185,38 @@ def entropic_lower_bound_check(mu, pi, eps: float,
     rhs = (1.0 + math.sqrt(varentropy(mu, pi))) / eps
     if tv > 1.0 - eps:
         # Hypothesis gate fails: vacuous pass, recorded as such.
-        return make_verdict("entropic-lower-bound", 0.0, 0.0, tol, eps=eps,
-                            tv=tv, vacuous=True, d_kl=lhs)
-    return make_verdict("entropic-lower-bound", lhs, rhs, tol, eps=eps, tv=tv,
+        return make_verdict("entropic-lower-bound", 0.0, 0.0, eps=eps, tv=tv,
+                            vacuous=True, d_kl=lhs)
+    return make_verdict("entropic-lower-bound", lhs, rhs, eps=eps, tv=tv,
                         vacuous=False)
 
 
-def cutoff_window_bound(inst: ChainInstance, eps: float,
-                        tol: float = 1e-9) -> InequalityVerdict:
+def cutoff_window_bound(inst: ChainInstance,
+                        eps: float) -> InequalityVerdict:
     """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps))))."""
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    t_hi = inst.t_mix(eps, tol)
-    t_lo = inst.t_mix(1.0 - eps, tol)
-    v = v_star_at(inst.matrix, t_lo, tol=tol, starts=inst.starts)
+    t_hi = inst.t_mix(eps)
+    t_lo = inst.t_mix(1.0 - eps)
+    v = v_star_at(inst.matrix, t_lo, starts=inst.starts)
     lhs = t_hi - t_lo
     rhs = (2.0 * inst.t_rel / eps ** 2) * (1.0 + math.sqrt(v))
-    return make_verdict("cutoff-window-bound", lhs, rhs, tol, eps=eps,
+    return make_verdict("cutoff-window-bound", lhs, rhs, eps=eps,
                         t_mix_eps=t_hi, t_mix_1meps=t_lo, v_star=v)
 
 
-def entropic_concentration_ratio(inst: ChainInstance, eps: float,
-                                 tol: float = 1e-9) -> float:
+def entropic_concentration_ratio(inst: ChainInstance, eps: float) -> float:
     """[1 + sqrt(V*(t_mix(eps)))] * t_rel / t_mix(eps); small values certify
     the cutoff criterion."""
-    t_mix = inst.t_mix(eps, tol)
+    t_mix = inst.t_mix(eps)
     if t_mix <= 0.0:
         raise ValueError("degenerate chain: t_mix(eps) = 0")
-    v = v_star_at(inst.matrix, t_mix, tol=tol, starts=inst.starts)
+    v = v_star_at(inst.matrix, t_mix, starts=inst.starts)
     return (1.0 + math.sqrt(v)) * inst.t_rel / t_mix
 
 
-def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
-                         tol: float = 1e-9, tol_t: float = 1e-4,
-                         starts=None) -> float:
+def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
+                         tol_t: float = 1e-4, starts=None) -> float:
     """Solve d*_KL(t) = c (1 + sqrt(V*_KL(t))) by doubling and bisection.
 
     Uses the monotone decay of d* to bracket the crossing; raises
@@ -230,7 +227,7 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
     pi = P.pi
 
     def g(t):
-        rows = kernel_rows(P, t, tol, starts)
+        rows = kernel_rows(P, t, starts)
         d = max(kl_divergence(row, pi) for row in rows)
         v = max(varentropy(row, pi) for row in rows)
         return d - c * (1.0 + math.sqrt(v))
@@ -257,34 +254,31 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0,
 # Log-gradient, local concentration, varentropy and diameter bounds
 # ---------------------------------------------------------------------------
 
-def log_density_lip_norm(inst: ChainInstance, o: int, t: float,
-                         tol: float = 1e-12) -> float:
+def log_density_lip_norm(inst: ChainInstance, o: int, t: float) -> float:
     """Lipschitz norm of log(P_t(o,.)/pi) over support edges."""
     P = inst.matrix
     if not P.symmetric_support:
         raise HypothesisViolation("log-gradient requires symmetric support")
     # The truncated series must reach every state: entries at graph distance
     # k first appear at order k of the Poisson mixture.
-    row = heat_kernel_row(P, o, t, tol,
-                          min_terms=P.metric.diameter + 16).probs
+    row = heat_kernel_row(P, o, t, min_terms=P.metric.diameter + 16).probs
     if np.any(row < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
     return P.lip_norm(np.log(row) - np.log(P.pi.probs))
 
 
-def log_gradient_bound_check(inst: ChainInstance, t: float,
-                             tol: float = 1e-9,
-                             kernel_tol: float = 1e-12) -> InequalityVerdict:
+def log_gradient_bound_check(inst: ChainInstance,
+                             t: float) -> InequalityVerdict:
     """max_o ||log(P_t(o,.)/pi)||_Lip <= 3 (1 + log Delta) for t >= diam/4."""
     metric = inst.matrix.metric
     if t < metric.diameter / 4.0:
         raise HypothesisViolation(
             f"t={t} below diam/4 = {metric.diameter / 4.0}")
     olist = range(inst.matrix.n) if inst.starts is None else inst.starts
-    lhs = max(log_density_lip_norm(inst, o, t, tol=kernel_tol) for o in olist)
+    lhs = max(log_density_lip_norm(inst, o, t) for o in olist)
     rhs = 3.0 * (1.0 + math.log(metric.delta))
-    return make_verdict("log-gradient-bound", lhs, rhs, tol, t=t,
+    return make_verdict("log-gradient-bound", lhs, rhs, t=t,
                         delta=metric.delta)
 
 
@@ -296,39 +290,36 @@ def _lip_rhs(t: float, kappa: float) -> float:
 
 
 def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
-                              kappa: float, tol: float = 1e-9,
-                              kernel_tol: float = 1e-9) -> InequalityVerdict:
+                              kappa: float) -> InequalityVerdict:
     """Pointwise P_t(f^2) - (P_t f)^2 <= ((1-e^{-2 t kappa})/kappa) ||f||_Lip^2,
     with the kappa = 0 limit 2t ||f||_Lip^2."""
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
     f = np.asarray(f, dtype=np.float64)
     lip2 = P.lip_norm(f) ** 2
-    var = heat_kernel_apply(P, f * f, t, kernel_tol) \
-        - heat_kernel_apply(P, f, t, kernel_tol) ** 2
+    var = heat_kernel_apply(P, f * f, t) - heat_kernel_apply(P, f, t) ** 2
     i = int(np.argmax(var))
     rhs = _lip_rhs(t, kappa) * lip2
-    return make_verdict("local-concentration", float(var[i]), rhs, tol,
+    return make_verdict("local-concentration", float(var[i]), rhs,
                         t=t, kappa=kappa, state=i)
 
 
 def local_concentration_sweep(P: StochasticMatrix, t_list, kappa: float,
-                              n_f: int = 100, seed: int = 0,
-                              tol: float = 1e-9) -> InequalityVerdict:
+                              n_f: int = 100,
+                              seed: int = 0) -> InequalityVerdict:
     """Worst verdict over random Lipschitz observables and times."""
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_list:
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
-            v = local_concentration_check(P, f, t, kappa, tol=tol)
+            v = local_concentration_check(P, f, t, kappa)
             if worst is None or v.slack < worst.slack:
                 worst = v
     return worst
 
 
-def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float,
-                           tol: float = 1e-9, kernel_tol: float = 1e-12):
+def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float):
     """Both forms of the varentropy estimate at t = t_mix(eps):
 
     1. V*_KL <= 18 t (1 + log Delta)^2;
@@ -348,21 +339,19 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float,
         # Point masses have zero varentropy; both bounds hold as 0 <= 0.
         v, lip = 0.0, 0.0
     else:
-        v = v_star_at(P, t, tol=kernel_tol, starts=inst.starts)
+        v = v_star_at(P, t, starts=inst.starts)
         olist = range(P.n) if inst.starts is None else inst.starts
-        lip = max(log_density_lip_norm(inst, o, t, tol=kernel_tol)
-                  for o in olist)
+        lip = max(log_density_lip_norm(inst, o, t) for o in olist)
     v18 = make_verdict("varentropy-bound-18", v,
                        18.0 * t * (1.0 + math.log(P.metric.delta)) ** 2,
-                       tol, eps=eps, t_mix=t)
+                       eps=eps, t_mix=t)
     vcomp = make_verdict("varentropy-bound-composition", v,
-                         2.0 * t * lip ** 2, tol, eps=eps, t_mix=t,
-                         log_lip=lip)
+                         2.0 * t * lip ** 2, eps=eps, t_mix=t, log_lip=lip)
     return [v18, vcomp]
 
 
-def diameter_bound_check(inst: ChainInstance, eps: float,
-                         tol: float = 1e-9) -> InequalityVerdict:
+def diameter_bound_check(inst: ChainInstance,
+                         eps: float) -> InequalityVerdict:
     """diam <= 2 t_mix(eps) + sqrt(8 t_mix(eps)/(1-eps)) + sqrt(8 t_rel/(1-eps))."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
@@ -370,4 +359,4 @@ def diameter_bound_check(inst: ChainInstance, eps: float,
     rhs = 2.0 * t + math.sqrt(8.0 * t / (1.0 - eps)) \
         + math.sqrt(8.0 * inst.t_rel / (1.0 - eps))
     return make_verdict("diameter-bound", float(inst.matrix.metric.diameter),
-                        rhs, tol, eps=eps, t_mix=t)
+                        rhs, eps=eps, t_mix=t)

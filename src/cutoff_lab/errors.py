@@ -13,10 +13,6 @@ class AsymmetricSupport(CutoffLabError):
     """P(x,y) > 0 does not imply P(y,x) > 0."""
 
 
-class InvalidTolerance(CutoffLabError):
-    """Tolerance outside the accepted range."""
-
-
 class DimensionMismatch(CutoffLabError):
     """Vectors or matrices with incompatible shapes."""
 

@@ -114,14 +114,13 @@ class ChainInstance:
     def t_rel(self) -> float:
         return relaxation_time(self.matrix).t_rel
 
-    def t_mix(self, eps: float, tol: float = 1e-9) -> float:
-        """Worst-case mixing time over ``starts``, memoized by (eps, tol);
-        eps is rounded to 12 digits (the CSV precision), so that ``1 - 0.9``
-        and ``0.1`` share one search."""
-        key = (round(eps, 12), tol)
+    def t_mix(self, eps: float) -> float:
+        """Worst-case mixing time over ``starts``, memoized by eps; eps is
+        rounded to 12 significant digits (the CSV precision), so that
+        ``1 - 0.9`` and ``0.1`` share one search."""
+        key = float(f"{eps:.12g}")
         if key not in self._t_mix:
-            self._t_mix[key] = mixing_time(self.matrix, key[0], tol=tol,
-                                           starts=self.starts)
+            self._t_mix[key] = mixing_time(self.matrix, key, starts=self.starts)
         return self._t_mix[key]
 
 

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Slack below zero that a verdict still passes: absorbs the rounding of the
+# two sides, far above the heat kernels' 1e-13 truncation (chain._MASS_TOL).
+VERDICT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class InequalityVerdict:
-    """One checked inequality: lhs <= rhs up to a tolerance.
+    """One checked inequality: lhs <= rhs up to ``VERDICT_TOL``.
 
     ``slack = rhs - lhs`` and ``passed`` is equivalent to
-    ``slack >= -tolerance``.  ``context`` carries the parameters the check
+    ``slack >= -VERDICT_TOL``.  ``context`` carries the parameters the check
     was run with (epsilon, t, start, ...).
     """
 
     name: str
     lhs: float
     rhs: float
-    tolerance: float
     context: dict = field(default_factory=dict)
 
     @property
@@ -26,7 +29,7 @@ class InequalityVerdict:
 
     @property
     def passed(self) -> bool:
-        return self.slack >= -self.tolerance
+        return self.slack >= -VERDICT_TOL
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -34,6 +37,6 @@ class InequalityVerdict:
                 f"slack={self.slack:.3g}")
 
 
-def make_verdict(name, lhs, rhs, tolerance, **context) -> InequalityVerdict:
+def make_verdict(name, lhs, rhs, **context) -> InequalityVerdict:
     return InequalityVerdict(name=name, lhs=float(lhs), rhs=float(rhs),
-                             tolerance=float(tolerance), context=context)
+                             context=context)

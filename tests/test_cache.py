@@ -31,7 +31,7 @@ def test_round_trip_bit_identical(tmp_path):
 
     def compute():
         calls.append(1)
-        return heat_kernel(P, 1.5, 1e-9)
+        return heat_kernel(P, 1.5)
 
     first = cache.get_or_compute(P, 1.5, 1e-9, None, compute)
     second = cache.get_or_compute(P, 1.5, 1e-9, None, compute)
@@ -42,16 +42,16 @@ def test_round_trip_bit_identical(tmp_path):
 def test_key_includes_time_tol_and_starts(tmp_path):
     cache = HeatKernelCache(tmp_path / "cache")
     P = cycle(6).matrix
-    cache.get_or_compute(P, 1.0, 1e-9, None, lambda: heat_kernel(P, 1.0, 1e-9))
+    cache.get_or_compute(P, 1.0, 1e-9, None, lambda: heat_kernel(P, 1.0))
     calls = []
 
     def compute():
         calls.append(1)
-        return heat_kernel(P, 1.0, 1e-8)
+        return heat_kernel(P, 1.0)
 
     cache.get_or_compute(P, 1.0, 1e-8, None, compute)      # different tol
     cache.get_or_compute(P, 2.0, 1e-8, None,               # different t
-                         lambda: (calls.append(1), heat_kernel(P, 2.0, 1e-8))[1])
+                         lambda: (calls.append(1), heat_kernel(P, 2.0))[1])
     assert len(calls) == 2
 
 
@@ -60,8 +60,8 @@ def test_start_restricted_entries(tmp_path):
     P = cycle(6).matrix
     rows = cache.get_or_compute(
         P, 1.0, 1e-9, [0, 3],
-        lambda: np.vstack([heat_kernel(P, 1.0, 1e-9)[0],
-                           heat_kernel(P, 1.0, 1e-9)[3]]))
+        lambda: np.vstack([heat_kernel(P, 1.0)[0],
+                           heat_kernel(P, 1.0)[3]]))
     assert rows.shape == (2, 6)
     again = cache.get_or_compute(P, 1.0, 1e-9, [0, 3],
                                  lambda: (_ for _ in ()).throw(AssertionError))
@@ -73,12 +73,12 @@ def test_corrupt_entry_recomputed(tmp_path):
     cache = HeatKernelCache(cachedir)
     P = cycle(8).matrix
     good = cache.get_or_compute(P, 1.0, 1e-9, None,
-                                lambda: heat_kernel(P, 1.0, 1e-9))
+                                lambda: heat_kernel(P, 1.0))
     files = list(cachedir.iterdir())
     assert len(files) == 1
     files[0].write_bytes(b"not a numpy file")
     recovered = cache.get_or_compute(P, 1.0, 1e-9, None,
-                                     lambda: heat_kernel(P, 1.0, 1e-9))
+                                     lambda: heat_kernel(P, 1.0))
     assert np.array_equal(good, recovered)
     # The corrupt entry was replaced by a readable one.
     assert np.array_equal(np.load(files[0]), good)
@@ -90,5 +90,5 @@ def test_wrong_shape_recomputed(tmp_path):
     P = cycle(8).matrix
     cache.get_or_compute(P, 1.0, 1e-9, None, lambda: np.zeros((2, 8)))
     rows = cache.get_or_compute(P, 1.0, 1e-9, None,
-                                lambda: heat_kernel(P, 1.0, 1e-9))
+                                lambda: heat_kernel(P, 1.0))
     assert rows.shape == (8, 8)

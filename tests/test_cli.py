@@ -69,7 +69,7 @@ class TestVerify:
         real = families.mixing_time
 
         def counting(P, eps, **kwargs):
-            calls[(eps, kwargs["tol"])] += 1
+            calls[eps] += 1
             return real(P, eps, **kwargs)
         monkeypatch.setattr(families, "mixing_time", counting)
         solves = Counter()
@@ -112,6 +112,20 @@ class TestScan:
         assert [r[header.index("ratio")] for r in rows] == ["inf", "inf"]
         assert (out / "cutoff_ratio.svg").exists()
         assert (out / "window.svg").exists()
+
+    def test_each_mixing_time_searched_once(self, tmp_path, monkeypatch):
+        # The table's t_mix and the cutoff-window verdict share one search
+        # per (member, eps): 3 members x 7 eps.
+        calls = Counter()
+        real = families.mixing_time
+
+        def counting(P, eps, **kwargs):
+            calls[(P.n, eps)] += 1
+            return real(P, eps, **kwargs)
+        monkeypatch.setattr(families, "mixing_time", counting)
+        assert main(["scan", "--spec", "cycle:n=8..12..2",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == 21 and set(calls.values()) == {1}
 
     def test_scan_needs_range(self, tmp_path):
         code = main(["scan", "--spec", "cycle:n=8",
@@ -180,6 +194,15 @@ class TestExitCodes:
         assert main(["analyze", "--spec", f"bd:p={rates};q={rates}",
                      "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_CAP
 
+    @pytest.mark.parametrize("eps, code", [
+        ("1e-300", EXIT_CAP), ("4e-13", EXIT_OK), ("0.9999999999999", EXIT_SPEC),
+    ], ids=["eps-tiny", "eps-small", "eps-rounds-to-one"])
+    def test_eps_at_twelve_digits(self, tmp_path, eps, code):
+        # eps is searched at 12 significant digits: 1e-300 stays positive
+        # (and its search passes t = 700), 0.9999999999999 becomes 1.
+        assert main(["analyze", "--spec", "cycle:n=8", "--eps", eps,
+                     "--no-cache", "--out", str(tmp_path / "o")]) == code
+
     def test_bad_eps(self, tmp_path):
         assert main(["analyze", "--spec", "cycle:n=8", "--eps", "1.5",
                      "--out", str(tmp_path / "o")]) == EXIT_SPEC
@@ -188,7 +211,6 @@ class TestExitCodes:
         ["scan"],
         ["scan", "--spec", "cycle:n=a..12"],
         ["analyze", "--spec", "cycle:n=8", "--eps", "quarter"],
-        ["analyze", "--spec", "cycle:n=8", "--tol", "fine"],
         ["analyze", "--spec", "cycle:n=8", "--seed", "1.5"],
         ["analyze", "--chain-file", "{dir}"],
         ["analyze", "--chain-file", "{nan}"],
@@ -198,8 +220,7 @@ class TestExitCodes:
         ["analyze", "--spec", "cycle:n=8", "--tgrid", "nan:1:3"],
         ["analyze", "--spec", "cycle:n=8", "--tgrid", "0:inf:3"],
         ["analyze", "--spec", "cycle:n=8", "--tgrid=-5:4:3"],
-    ], ids=["scan-no-spec", "scan-bad-range", "eps-word", "tol-word",
-            "seed-float", "chain-file-dir", "chain-file-nan",
+    ], ids=["scan-no-spec", "scan-bad-range", "eps-word", "seed-float", "chain-file-dir", "chain-file-nan",
             "chain-file-not-utf8", "tgrid-zero-steps", "seed-negative",
             "tgrid-nan", "tgrid-inf", "tgrid-negative"])
     def test_bad_input_exits_spec(self, tmp_path, argv):
@@ -230,6 +251,16 @@ class TestOptions:
               "--config", str(cfg), "--out", str(out)])
         assert (out / "analysis.csv").exists()
         assert not (tmp_path / "cfg_dir").exists()
+
+    @pytest.mark.parametrize("line", ["epsilon=0.5", "tol=1e-8"])
+    def test_unknown_config_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        assert main(["analyze", "--spec", "cycle:n=8", "--config",
+                     str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert repr(line.split("=")[0]) in err and "chain-file" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

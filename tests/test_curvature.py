@@ -435,5 +435,5 @@ class TestSemigroupChecks:
         # A deliberately wrong (too large) curvature constant must be
         # caught by the contraction check.
         P = cycle(8).matrix
-        v = contraction_check(P, 1.5, [2.0], n_f=20, seed=0, check_w1=False)
+        v = contraction_check(P, 1.5, [2.0], n_f=20, seed=0)
         assert not v.passed

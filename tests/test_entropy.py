@@ -149,7 +149,7 @@ class TestInequalityChecks:
         P = hypercube(4).matrix
         pi = stationary(P)
         from cutoff_lab.chain import heat_kernel_row
-        row = heat_kernel_row(P, 0, 3.0, 1e-12)
+        row = heat_kernel_row(P, 0, 3.0)
         v = entropic_lower_bound_check(row, pi, 0.25)
         assert not v.context["vacuous"]
         assert v.passed
@@ -173,7 +173,7 @@ class TestInequalityChecks:
         t = cutoff_time_equation(P, c=1.0, starts=[0])
         pi = stationary(P)
         from cutoff_lab.chain import heat_kernel_row
-        row = heat_kernel_row(P, 0, t, 1e-12).probs
+        row = heat_kernel_row(P, 0, t).probs
         d = kl_divergence(row, pi)
         v = varentropy(row, pi)
         assert d == pytest.approx(1.0 + math.sqrt(v), abs=0.05)
