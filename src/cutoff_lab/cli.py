@@ -99,9 +99,10 @@ class Options:
         self.chain_file = pick("chain-file", args.chain_file)
         self.eps = [_number(float, "--eps", v)
                     for v in pick("eps", args.eps).split(",")]
-        # Mixing times are searched at eps to the CSV's 12 digits.
-        if any(not (0.0 < float(_fmt(e)) < 1.0) for e in self.eps):
-            raise SpecParseError("eps values must lie in (0,1) to 12 digits")
+        for e in self.eps:
+            # verify and scan also search t_mix(1 - eps).
+            ent.check_eps(e)
+            ent.check_eps(1.0 - e)
         self.tgrid = pick("tgrid", args.tgrid)
         self.seed = _number(int, "--seed", pick("seed", args.seed))
         if self.seed < 0:

@@ -15,8 +15,8 @@ import numpy as np
 from .chain import (Distribution, StochasticMatrix, heat_kernel_apply,
                     heat_kernel_row, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
-                     HypothesisViolation, NoCrossing, NotIrreducible,
-                     UnderflowRisk, UnsupportedState)
+                     EpsilonOutOfRange, HypothesisViolation, NoCrossing,
+                     NotIrreducible, UnderflowRisk, UnsupportedState)
 from .verdicts import InequalityVerdict, make_verdict
 
 if TYPE_CHECKING:
@@ -24,6 +24,16 @@ if TYPE_CHECKING:
 
 EPS_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 _LOG_FLOOR = 1e-300
+# Worst TV carries the heat kernel's truncation error (up to chain._MASS_TOL
+# = 1e-13), so it cannot resolve an eps near that: on complete:n=10 a search
+# at eps = 1e-15 ends at t = 75.5 against the exact 31.0.
+EPS_MIN = 1e-12
+
+
+def check_eps(eps: float) -> None:
+    """Refuse an eps below EPS_MIN or not below 1."""
+    if not (EPS_MIN <= eps < 1.0):
+        raise EpsilonOutOfRange(f"eps must lie in [{EPS_MIN:g}, 1): {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,7 @@ def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
     Uses monotonicity of the worst-case TV in t; the answer is within
     ``tol_t`` of the true crossing (default 1e-4 times the bracket scale).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0,1)")
+    check_eps(eps)
     if not P.irreducible:
         raise NotIrreducible("mixing time requires an irreducible chain")
     if worst_tv(P, 0.0, starts) <= eps:

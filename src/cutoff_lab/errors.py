@@ -57,6 +57,10 @@ class StateCapExceeded(CutoffLabError):
     """Requested chain exceeds the configured state-space cap."""
 
 
+class EpsilonOutOfRange(CutoffLabError, ValueError):
+    """eps below the kernel's resolution (entropy.EPS_MIN) or not below 1."""
+
+
 class TimeOutOfRange(CutoffLabError, OverflowError):
     """Heat-kernel time beyond the range the Poisson weights support."""
 

@@ -194,14 +194,24 @@ class TestExitCodes:
         assert main(["analyze", "--spec", f"bd:p={rates};q={rates}",
                      "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_CAP
 
-    @pytest.mark.parametrize("eps, code", [
-        ("1e-300", EXIT_CAP), ("4e-13", EXIT_OK), ("0.9999999999999", EXIT_SPEC),
-    ], ids=["eps-tiny", "eps-small", "eps-rounds-to-one"])
-    def test_eps_at_twelve_digits(self, tmp_path, eps, code):
-        # eps is searched at 12 significant digits: 1e-300 stays positive
-        # (and its search passes t = 700), 0.9999999999999 becomes 1.
-        assert main(["analyze", "--spec", "cycle:n=8", "--eps", eps,
-                     "--no-cache", "--out", str(tmp_path / "o")]) == code
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--eps", "1e-300"],
+        ["analyze", "--eps", "1e-15"],
+        ["analyze", "--eps", "4e-13"],
+        ["analyze", "--eps", "0.9999999999999"],
+        ["verify", "--eps", "4e-13"],
+        ["verify", "--eps", "0.9999999999999"],
+    ], ids=["eps-tiny", "eps-below-kernel", "eps-small", "eps-rounds-to-one",
+            "verify-eps-small", "verify-eps-near-one"])
+    def test_eps_beyond_kernel_resolution(self, tmp_path, argv):
+        # The heat kernel's 1e-13 tail mass resolves no eps below 1e-12, and
+        # verify also searches t_mix(1 - eps).
+        assert main(argv + ["--spec", "cycle:n=8", "--no-cache",
+                            "--out", str(tmp_path / "o")]) == EXIT_SPEC
+
+    def test_eps_at_floor(self, tmp_path):
+        assert main(["verify", "--spec", "cycle:n=8", "--eps", "1e-12",
+                     "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_bad_eps(self, tmp_path):
         assert main(["analyze", "--spec", "cycle:n=8", "--eps", "1.5",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
-from cutoff_lab.entropy import (EPS_GRID, cutoff_time_equation,
+from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
                                 cutoff_window_bound, d_star_at,
                                 diameter_bound_check,
                                 entropic_concentration_ratio,
@@ -20,8 +20,8 @@ from cutoff_lab.entropy import (EPS_GRID, cutoff_time_equation,
                                 mixing_time, tv_distance, v_star_at,
                                 varentropy, varentropy_bound_check, worst_tv)
 from cutoff_lab.errors import (CurvatureHypothesisFailed, DimensionMismatch,
-                               HypothesisViolation, NoCrossing,
-                               UnsupportedState)
+                               EpsilonOutOfRange, HypothesisViolation,
+                               NoCrossing, UnsupportedState)
 from cutoff_lab.families import complete_graph, cycle, hypercube
 
 
@@ -115,6 +115,18 @@ class TestMixing:
         for eps in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 mixing_time(P, eps)
+
+    def test_resolved_down_to_eps_min(self):
+        # At EPS_MIN the kernel's 1e-13 tail mass still resolves the
+        # crossing; below it the search is refused instead of run.
+        inst = complete_graph(10)
+        assert mixing_time(inst.matrix, EPS_MIN, starts=[0]) == pytest.approx(
+            complete_tmix(10, EPS_MIN), abs=5e-3)
+        for eps in (1e-15, 4e-13, 1e-300, math.nan):
+            with pytest.raises(EpsilonOutOfRange):
+                mixing_time(inst.matrix, eps)
+        with pytest.raises(EpsilonOutOfRange):
+            inst.t_mix(0.9999999999999)   # 1 at 12 significant digits
 
     def test_entropy_profile_decreasing(self):
         P = hypercube(3).matrix
