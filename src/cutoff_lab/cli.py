@@ -25,6 +25,7 @@ from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
 from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
                      StateCapExceeded, TimeOutOfRange)
+from .verdicts import KAPPA_SLACK
 
 CSV_VERSION = "cutoff-lab-csv-v1"
 EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
@@ -239,7 +240,7 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
     t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
     verdicts.append(ent.log_gradient_bound_check(inst, t_log))
     kappa_cc = max(0.0, kappa_cert)
-    if kappa_cert >= -1e-8:
+    if kappa_cert >= -KAPPA_SLACK:
         verdicts.append(ent.local_concentration_sweep(
             P, [1.0, inst.t_mix(0.25)], kappa_cc, n_f=n_f, seed=seed))
         for e in eps_list:

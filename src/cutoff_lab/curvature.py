@@ -1,11 +1,14 @@
 """Ollivier-Ricci curvature via exact W1 transport with dual certificates,
-and Bakry-Emery curvature via per-vertex Gamma2 eigenproblems.
+and Bakry-Emery curvature via one Schur complement per vertex.
 
 The Ollivier value reported is the one-step edge minimum, which lower-bounds
 the semigroup-level constant by convexity of W1 and the triangle inequality.
 The Bakry-Emery value at a vertex x is the exact infimum of
-Gamma2(f,f)(x) / Gamma(f,f)(x); both forms only see f on the 2-ball of x,
-so the infimum reduces to a local generalized eigenproblem.
+Gamma2(f,f)(x) / Gamma(f,f)(x); both forms only see f on the 2-ball of x
+and ignore constants.  With f(x) = 0, Gamma(x) is diagonal on the
+out-neighbours of x (the 1-sphere) and zero beyond, where Gamma2 is
+diagonal, so minimizing over the outer values leaves a Schur complement on
+the 1-sphere whose least eigenvalue is the infimum.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ DUALITY_TOL = 1e-8
 # Transport variables per shared LP in ollivier_curvature: large enough to
 # amortize the solver set-up, small enough that a batch stays cheap.
 _LP_VARS = 1024
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -218,54 +220,32 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int):
     """Exact kappa(x) = inf_f Gamma2(f,f)(x) / Gamma(f,f)(x), plus a
     minimizing observable (length n, supported on the 2-ball).
 
-    Directions with Gamma(f,f)(x) = 0 are handled by a Schur complement:
-    if Gamma2 can be pushed to -infinity along them, the sentinel -inf is
-    returned (the pointwise inequality must hold for every f).
+    Both forms ignore constants, so f(x) = 0.  On the out-neighbours y of x
+    (near), Gamma(.,.)(x) is D = diag(P(x,y)/2); it is zero on the rest of
+    the 2-ball (far), where the Gamma2 block is diagonal with entries
+    a_z = 1/4 sum_y P(x,y) P(y,z) > 0.  Minimizing over f_far leaves
+    f_far = -A_fn f_near / a and the Schur complement
+    S = A_nn - A_nf diag(a)^-1 A_fn, so
+    kappa(x) = lambda_min(D^-1/2 S D^-1/2) and f_near = D^-1/2 v.
     """
-    A, B, ball = _local_quadratic_forms(P, x)
-    m = len(ball)
-    scale = float(np.linalg.norm(A)) + 1.0
-    evals, evecs = np.linalg.eigh(B)
-    tol_b = max(1e-12, 1e-12 * float(evals[-1]))
-    null_mask = evals <= tol_b
-    N = evecs[:, null_mask]
-    R = evecs[:, ~null_mask]
-    lam = evals[~null_mask]
-    if R.shape[1] == 0:
-        # Isolated-vertex degeneracy; cannot happen for irreducible chains.
-        return NEG_INF, None
-    Arr = R.T @ A @ R
-    if N.shape[1] > 0:
-        Ann = N.T @ A @ N
-        Anr = N.T @ A @ R
-        ann_evals = np.linalg.eigvalsh(Ann)
-        if ann_evals[0] < -1e-10 * scale:
-            return NEG_INF, None
-        # pinv's cutoff is relative to the largest eigenvalue: a block that
-        # is zero up to rounding (the constants, when the 2-ball is the
-        # 1-ball) would be inverted, not zeroed.
-        if ann_evals[-1] <= 1e-10 * scale:
-            X = np.zeros_like(Anr)
-        else:
-            X = np.linalg.pinv(Ann, rcond=1e-10) @ Anr
-        if np.linalg.norm(Ann @ X - Anr) > 1e-8 * scale:
-            return NEG_INF, None
-        M = Arr - Anr.T @ X
-    else:
-        M = Arr
-        X = None
-    d = 1.0 / np.sqrt(lam)
-    Msym = d[:, None] * M * d[None, :]
-    Msym = 0.5 * (Msym + Msym.T)
-    w, W = np.linalg.eigh(Msym)
-    kappa = float(w[0])
-    r_star = d * W[:, 0]
-    f_loc = R @ r_star
-    if X is not None:
-        f_loc = f_loc - N @ (X @ r_star)
-    f_full = np.zeros(P.n)
-    f_full[ball] = f_loc
-    return kappa, f_full
+    A, _, ball = _local_quadratic_forms(P, x)
+    adj = P.adjacency
+    lo, hi = adj.indptr[x], adj.indptr[x + 1]
+    if lo == hi:
+        raise NotIrreducible(f"state {x} has no out-neighbour")
+    near = np.searchsorted(ball, adj.indices[lo:hi])
+    far = np.setdiff1d(np.arange(len(ball)),
+                       np.append(near, np.searchsorted(ball, x)))
+    A_nf = A[np.ix_(near, far)]
+    a = np.diagonal(A)[far]
+    S = A[np.ix_(near, near)] - (A_nf / a) @ A_nf.T
+    r = 1.0 / np.sqrt(0.5 * adj.data[lo:hi])
+    evals, evecs = np.linalg.eigh(r[:, None] * S * r[None, :])
+    f_near = r * evecs[:, 0]
+    f = np.zeros(P.n)
+    f[ball[near]] = f_near
+    f[ball[far]] = -(f_near @ A_nf) / a
+    return float(evals[0]), f
 
 
 def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
@@ -282,7 +262,7 @@ def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
     for x in range(P.n):
         kappa, _ = bakry_emery_vertex(P, x)
         kappas[x] = kappa
-        if samples > 0 and np.isfinite(kappa):
+        if samples > 0:
             A, B, ball = _local_quadratic_forms(P, x)
             F = rng.standard_normal((len(ball), samples))
             num = np.einsum("im,ij,jm->m", F, A, F)

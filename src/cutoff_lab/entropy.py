@@ -17,7 +17,7 @@ from .chain import (Distribution, StochasticMatrix, heat_kernel_apply,
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      EpsilonOutOfRange, HypothesisViolation, NoCrossing,
                      NotIrreducible, UnderflowRisk, UnsupportedState)
-from .verdicts import InequalityVerdict, make_verdict
+from .verdicts import KAPPA_SLACK, InequalityVerdict, make_verdict
 
 if TYPE_CHECKING:
     from .families import ChainInstance
@@ -112,34 +112,40 @@ def mixing_profile(P: StochasticMatrix, t_grid,
     return MixingProfile(times=times, worst_tv=np.array(table).max(axis=1))
 
 
-def mixing_time(P: StochasticMatrix, eps: float, tol_t: float | None = None,
+def _first_time(below) -> float:
+    """Smallest t > 0 with below(t), for a predicate that stays true once it
+    holds: double t from 1 until below(t), then bisect the last bracket
+    [lo, hi] to within 1e-4 max(1, hi) and return its midpoint."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        if below(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoCrossing("no crossing found while doubling t to 2^64")
+    tol = 1e-4 * max(1.0, hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def mixing_time(P: StochasticMatrix, eps: float, *,
                 starts: Optional[Sequence[int]] = None) -> float:
     """Smallest t with worst-case TV <= eps, by doubling then bisection.
 
     Uses monotonicity of the worst-case TV in t; the answer is within
-    ``tol_t`` of the true crossing (default 1e-4 times the bracket scale).
+    1e-4 times the bracket scale of the true crossing (see _first_time).
     """
     check_eps(eps)
     if not P.irreducible:
         raise NotIrreducible("mixing time requires an irreducible chain")
     if worst_tv(P, 0.0, starts) <= eps:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        if worst_tv(P, hi, starts) <= eps:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise RuntimeError("mixing time bracket exceeded 2^64")
-    if tol_t is None:
-        tol_t = 1e-4 * max(1.0, hi)
-    while hi - lo > tol_t:
-        mid = 0.5 * (lo + hi)
-        if worst_tv(P, mid, starts) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _first_time(lambda t: worst_tv(P, t, starts) <= eps)
 
 
 def entropy_profile(P: StochasticMatrix, t_grid,
@@ -225,11 +231,11 @@ def entropic_concentration_ratio(inst: ChainInstance, eps: float) -> float:
 
 
 def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
-                         tol_t: float = 1e-4, starts=None) -> float:
+                         starts=None) -> float:
     """Solve d*_KL(t) = c (1 + sqrt(V*_KL(t))) by doubling and bisection.
 
-    Uses the monotone decay of d* to bracket the crossing; raises
-    NoCrossing when even t=0 falls below the target.
+    Uses the monotone decay of d* to bracket the crossing (see _first_time);
+    raises NoCrossing when even t=0 falls below the target.
     """
     if c <= 0.0:
         raise ValueError("prefactor c must be positive")
@@ -243,20 +249,7 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
 
     if g(0.0) < 0.0:
         raise NoCrossing("d*(0) already below c (1 + sqrt(V*(0)))")
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        if g(hi) < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NoCrossing("no sign change found while doubling")
-    while hi - lo > tol_t * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _first_time(lambda t: g(t) < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +332,7 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float):
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
-    if kappa < -1e-8:
+    if kappa < -KAPPA_SLACK:
         raise CurvatureHypothesisFailed(
             f"chain not certified non-negatively curved (kappa={kappa})")
     P = inst.matrix

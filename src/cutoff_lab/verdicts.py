@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 # Slack below zero that a verdict still passes: absorbs the rounding of the
 # two sides, far above the heat kernels' 1e-13 truncation (chain._MASS_TOL).
 VERDICT_TOL = 1e-9
+# A curvature minimum down to -KAPPA_SLACK counts as certified non-negative:
+# the Ollivier values carry the transport LPs' duality tolerance
+# (curvature.DUALITY_TOL = 1e-8).
+KAPPA_SLACK = 1e-8
 
 
 @dataclass(frozen=True)

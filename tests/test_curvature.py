@@ -327,13 +327,51 @@ class TestBakryEmery:
         rep = bakry_emery_curvature(cycle(8).matrix, samples=50, seed=0)
         assert rep.bakry_emery_min == pytest.approx(0.0, abs=1e-9)
 
-    def test_minimizer_attains_kappa(self):
-        P = hypercube(3).matrix
-        kappa, f = bakry_emery_vertex(P, 0)
-        num = gamma2_form(P, f)[0]
-        den = gamma_form(P, f, f)[0]
-        assert den > 1e-12
-        assert num / den == pytest.approx(kappa, abs=1e-8)
+    def test_flat_cycle_and_8_cube_to_rounding(self):
+        # No threshold to round through: the 32-cycle is flat and the 8-cube
+        # has 2/d = 1/4 at every vertex, both to 1e-15.
+        for P, want in ((cycle(32).matrix, 0.0), (hypercube(8).matrix, 0.25)):
+            rep = bakry_emery_curvature(P, samples=0)
+            for kappa in rep.bakry_emery_vertices.values():
+                assert abs(kappa - want) <= 1e-15
+
+    @settings(max_examples=40)
+    @CHAINS
+    def test_minimizer_attains_kappa(self, seed, n, symmetric, lazy):
+        # With test_sampled_quotient_at_least_kappa this brackets kappa(x)
+        # from both sides.  The local forms leave out the holding term
+        # 1/2 P(x,x) Gamma(f,f)(x) of Gamma2, so it is taken off here.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        for x in range(n):
+            kappa, f = bakry_emery_vertex(P, x)
+            den = gamma_form(P, f, f)[x]
+            num = gamma2_form(P, f)[x] - 0.5 * P.entries[x, x] * den
+            assert den > 1e-12
+            assert num / den == pytest.approx(kappa,
+                                              abs=1e-9 * (1.0 + abs(kappa)))
+
+    @settings(max_examples=40)
+    @CHAINS
+    def test_local_forms_block_structure(self, seed, n, symmetric, lazy):
+        # The closed form of bakry_emery_vertex rests on these facts.  With
+        # near the out-neighbours of x and far the rest of the 2-ball, B is
+        # diag(P(x,y)/2) on near and zero on far, and A is diagonal on far
+        # with entries a_z = 1/4 sum_{y != x} P(x,y) P(y,z) > 0.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        E = P.entries
+        for x in range(n):
+            A, B, ball = _local_quadratic_forms(P, x)
+            w = E[x].copy()
+            w[x] = 0.0
+            near = w[ball] > 0
+            far = ~near & (ball != x)
+            assert np.array_equal(B[np.ix_(near, near)],
+                                  np.diag(0.5 * w[ball[near]]))
+            assert not B[far].any() and not B[:, far].any()
+            a = 0.25 * (w @ E)[ball[far]]
+            assert np.all(a > 0)
+            assert np.allclose(A[np.ix_(far, far)], np.diag(a), rtol=0,
+                               atol=1e-15)
 
     def test_two_ball_locality(self):
         # Perturbing transition rates outside the 2-ball of x leaves
@@ -383,9 +421,16 @@ class TestBakryEmery:
                     assert gamma2_form(P, f)[x] / den >= \
                         kappa - 1e-8 * (1.0 + abs(kappa))
 
+    def test_absorbing_state_refused(self):
+        # Gamma(.,.)(x) vanishes at a state without out-neighbours, so
+        # there is no quotient to minimize.
+        P = StochasticMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(NotIrreducible):
+            bakry_emery_vertex(P, 0)
+
     def test_complete_graph_every_vertex(self):
-        # The 2-ball is the 1-ball, so Gamma vanishes only on constants,
-        # where Gamma2 is zero up to rounding; kappa = (n+2)/(2(n-1)).
+        # The 2-ball is the 1-ball, so there is no far block and no Schur
+        # complement to take; kappa = (n+2)/(2(n-1)).
         for n in (3, 5, 12, 20):
             rep = bakry_emery_curvature(complete_graph(n).matrix, samples=20)
             for kappa in rep.bakry_emery_vertices.values():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cutoff_lab import entropy
 from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
 from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
                                 cutoff_window_bound, d_star_at,
@@ -109,6 +110,12 @@ class TestMixing:
     def test_zero_when_already_mixed(self):
         P = cycle(4).matrix   # TV(0) = 3/4 <= 0.8
         assert mixing_time(P, 0.8) == 0.0
+
+    def test_bracket_overflow_raises_no_crossing(self, monkeypatch):
+        # A worst TV that never falls to eps exhausts the doubling.
+        monkeypatch.setattr(entropy, "worst_tv", lambda P, t, starts: 1.0)
+        with pytest.raises(NoCrossing):
+            mixing_time(cycle(4).matrix, 0.25)
 
     def test_eps_range_gate(self):
         P = cycle(4).matrix

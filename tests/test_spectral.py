@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cutoff_lab import spectral
 from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
@@ -12,6 +13,7 @@ from cutoff_lab.errors import CertificateFailed, NotIrreducible
 from cutoff_lab.families import complete_graph, cycle, hypercube
 from cutoff_lab.spectral import (adjoint, dirichlet_energy, gamma_form,
                                  relaxation_time, reversibilization)
+from test_curvature import CHAINS, sparse_chain
 
 
 def biased_cycle(n, p=0.7):
@@ -97,6 +99,20 @@ class TestRelaxationTime:
         assert eigs[-1] >= -1.0 - 1e-12
         assert rep.lambda2 == pytest.approx(eigs[1])
 
+    @settings(max_examples=40)
+    @CHAINS
+    def test_matches_reversibilization_spectrum(self, seed, n, symmetric,
+                                                lazy):
+        # relaxation_time symmetrizes D^(1/2) P D^(-1/2) directly; the
+        # reference takes the spectrum of the reversibilization K itself.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        s = np.sqrt(P.pi.probs)
+        K = reversibilization(P).entries
+        want = np.linalg.eigvalsh((s[:, None] * K) / s[None, :])[::-1]
+        rep = relaxation_time(P)
+        assert np.allclose(rep.eigenvalues, want, rtol=0, atol=1e-12)
+        assert rep.t_rel == pytest.approx(1.0 / (1.0 - want[1]), rel=1e-12)
+
     def test_rejects_reducible(self):
         with pytest.raises(NotIrreducible):
             relaxation_time(StochasticMatrix(np.eye(3)))
@@ -146,6 +162,16 @@ class TestPoincare:
         var = pi.probs @ (f - pi.probs @ f) ** 2
         energy = dirichlet_energy(P, pi, f)
         assert var == pytest.approx(rep.t_rel * energy, rel=1e-10)
+
+    def test_block_energy_matches_columns(self):
+        P = biased_cycle(7)
+        pi = stationary(P)
+        F = np.random.default_rng(9).standard_normal((7, 5))
+        block = dirichlet_energy(P, pi, F)
+        assert block.shape == (5,)
+        for j in range(5):
+            assert block[j] == pytest.approx(
+                dirichlet_energy(P, pi, F[:, j]), rel=1e-13)
 
     def test_random_observables_certified(self):
         # relaxation_time itself raises if any certificate fails.
