@@ -266,13 +266,64 @@ def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
     return np.array(q)
 
 
-def _poisson_series(q: np.ndarray, v: np.ndarray, step) -> np.ndarray:
-    """sum_k q[k] step^k(v), accumulated in order k = 0, 1, ..."""
-    acc = q[0] * v
-    for k in range(1, len(q)):
-        v = step(v)
-        acc += q[k] * v
+def _poisson_series(q: np.ndarray, terms) -> np.ndarray:
+    """sum_k q[k] v_k over the terms v_0, v_1, ..., accumulated in order
+    k = 0, 1, ...; no term past v_K (K = len(q) - 1) is drawn."""
+    terms = iter(terms)
+    acc = q[0] * next(terms)
+    for qk, v in zip(q[1:], terms):
+        acc += qk * v
     return acc
+
+
+def _iterates(v: np.ndarray, step):
+    """v, step(v), step(step(v)), ... computed as they are drawn."""
+    while True:
+        yield v
+        v = step(v)
+
+
+class _KernelRows:
+    """Heat-kernel rows P_t(o, .) for o in ``starts`` at any t asked of it;
+    every row (the full kernel) when ``starts`` is None.
+
+    For a start set it keeps one power sequence v_k = e_o P^k per start,
+    extended on demand by the series' own row-matrix product, and weights
+    it by poisson_weights(t) for each t: a search over t pays the products
+    of its largest t once, and each row equals the one-shot series bit for
+    bit.  It holds K(t) |starts| n floats while it lives.  Full kernels
+    keep the per-t series, since their powers would cost K n^2 floats.
+    """
+
+    def __init__(self, P: StochasticMatrix,
+                 starts: Optional[Sequence[int]]):
+        self._P = P
+        self._powers = None
+        if starts is None:
+            return
+        if len(starts) == 0:
+            raise DimensionMismatch("need at least one start state")
+        self._powers = []
+        for o in starts:
+            if not (0 <= o < P.n):
+                raise DimensionMismatch(f"state {o} out of range")
+            v = np.zeros(P.n)
+            v[o] = 1.0
+            self._powers.append([v])
+
+    def laws(self, t: float, *,
+             min_terms: int = 0) -> list[Distribution]:
+        """The rows at t as Distributions, one per start."""
+        q = poisson_weights(t, min_terms=min_terms)
+        for vs in self._powers:
+            while len(vs) < len(q):
+                vs.append(vs[-1] @ self._P.entries)
+        return [Distribution(_poisson_series(q, vs)) for vs in self._powers]
+
+    def __call__(self, t: float) -> np.ndarray:
+        if self._powers is None:
+            return heat_kernel(self._P, t)
+        return np.vstack([law.probs for law in self.laws(t)])
 
 
 def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
@@ -280,29 +331,24 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
     """Heat-kernel row P_t(o, .) = sum_k e^{-t} t^k/k! P^k(o, .).
 
     Renormalization-free: the truncation point certifies a TV error below
-    ``_MASS_TOL`` against the exact series.  Row-vector iteration, no
-    matrix powers stored.
+    ``_MASS_TOL`` against the exact series.  Row-vector iteration; the
+    row powers e_o P^k are held only for this call (see _KernelRows, which
+    keeps them across the times of a search).
     """
-    if not (0 <= o < P.n):
-        raise DimensionMismatch(f"state {o} out of range")
-    q = poisson_weights(t, min_terms=min_terms)
-    v = np.zeros(P.n)
-    v[o] = 1.0
-    return Distribution(_poisson_series(q, v, lambda x: x @ P.entries))
+    return _KernelRows(P, [o]).laws(t, min_terms=min_terms)[0]
 
 
 def heat_kernel(P: StochasticMatrix, t: float) -> np.ndarray:
     """Full heat-kernel matrix; row x is the law P_t(x, .)."""
     q = poisson_weights(t)
-    return _poisson_series(q, np.eye(P.n), lambda x: x @ P.entries)
+    return _poisson_series(q, _iterates(np.eye(P.n),
+                                        lambda x: x @ P.entries))
 
 
 def kernel_rows(P: StochasticMatrix, t: float,
                 starts: Optional[Sequence[int]]) -> np.ndarray:
     """Heat-kernel rows P_t(o, .) for o in ``starts``; all rows when None."""
-    if starts is None:
-        return heat_kernel(P, t)
-    return np.vstack([heat_kernel_row(P, o, t).probs for o in starts])
+    return _KernelRows(P, starts)(t)
 
 
 def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray,
@@ -312,7 +358,7 @@ def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray,
     if f.shape[0] != P.n:
         raise DimensionMismatch("observable length does not match state count")
     q = poisson_weights(t)
-    return _poisson_series(q, f, lambda x: P.entries @ x)
+    return _poisson_series(q, _iterates(f, lambda x: P.entries @ x))
 
 
 # ---------------------------------------------------------------------------

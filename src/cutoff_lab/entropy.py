@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .chain import (Distribution, StochasticMatrix, heat_kernel_apply,
-                    heat_kernel_row, kernel_rows)
+from .chain import (Distribution, StochasticMatrix, _KernelRows,
+                    heat_kernel_apply, heat_kernel_row, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      EpsilonOutOfRange, HypothesisViolation, NoCrossing,
                      NotIrreducible, UnderflowRisk, UnsupportedState)
@@ -94,21 +94,22 @@ def varentropy(mu, pi) -> float:
 # Worst-case profiles and mixing times
 # ---------------------------------------------------------------------------
 
+def _row_tvs(rows: np.ndarray, pi: Distribution) -> np.ndarray:
+    """||row - pi||_TV for each row."""
+    return 0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1)
+
+
 def worst_tv(P: StochasticMatrix, t: float,
              starts: Optional[Sequence[int]] = None) -> float:
     """max over starting states of ||P_t(x,.) - pi||_TV."""
-    rows = kernel_rows(P, t, starts)
-    return float(0.5 * np.abs(rows - P.pi.probs[None, :]).sum(axis=1).max())
+    return float(_row_tvs(kernel_rows(P, t, starts), P.pi).max())
 
 
 def mixing_profile(P: StochasticMatrix, t_grid,
                    starts: Optional[Sequence[int]] = None) -> MixingProfile:
-    pi = P.pi
+    rows_at = _KernelRows(P, starts)
     times = np.asarray(sorted(t_grid), dtype=float)
-    table = []
-    for t in times:
-        rows = kernel_rows(P, t, starts)
-        table.append(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1))
+    table = [_row_tvs(rows_at(t), P.pi) for t in times]
     return MixingProfile(times=times, worst_tv=np.array(table).max(axis=1))
 
 
@@ -139,23 +140,34 @@ def mixing_time(P: StochasticMatrix, eps: float, *,
 
     Uses monotonicity of the worst-case TV in t; the answer is within
     1e-4 times the bracket scale of the true crossing (see _first_time).
+    A start set keeps one power sequence for the whole search; full
+    kernels are summed afresh at each t (see chain._KernelRows).
     """
     check_eps(eps)
     if not P.irreducible:
         raise NotIrreducible("mixing time requires an irreducible chain")
-    if worst_tv(P, 0.0, starts) <= eps:
+    if starts is None:
+        def tv(t):
+            return worst_tv(P, t, None)
+    else:
+        rows_at = _KernelRows(P, starts)
+
+        def tv(t):
+            return float(_row_tvs(rows_at(t), P.pi).max())
+    if tv(0.0) <= eps:
         return 0.0
-    return _first_time(lambda t: worst_tv(P, t, starts) <= eps)
+    return _first_time(lambda t: tv(t) <= eps)
 
 
 def entropy_profile(P: StochasticMatrix, t_grid,
                     starts: Optional[Sequence[int]] = None) -> EntropyProfile:
     """d*_KL and V*_KL over a time grid (max over the given start set)."""
     pi = P.pi
+    rows_at = _KernelRows(P, starts)
     times = np.asarray(sorted(t_grid), dtype=float)
     d_star, v_star = [], []
     for t in times:
-        rows = kernel_rows(P, t, starts)
+        rows = rows_at(t)
         d_star.append(max(kl_divergence(row, pi) for row in rows))
         v_star.append(max(varentropy(row, pi) for row in rows))
     return EntropyProfile(times=times, d_star=np.array(d_star),
@@ -240,9 +252,10 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
     if c <= 0.0:
         raise ValueError("prefactor c must be positive")
     pi = P.pi
+    rows_at = _KernelRows(P, starts)
 
     def g(t):
-        rows = kernel_rows(P, t, starts)
+        rows = rows_at(t)
         d = max(kl_divergence(row, pi) for row in rows)
         v = max(varentropy(row, pi) for row in rows)
         return d - c * (1.0 + math.sqrt(v))

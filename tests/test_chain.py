@@ -21,6 +21,7 @@ from cutoff_lab.errors import (AsymmetricSupport, DimensionMismatch,
                                NotIrreducible, SpecParseError)
 from cutoff_lab.entropy import d_star_at, mixing_time, worst_tv
 from cutoff_lab.spectral import relaxation_time
+from test_curvature import sparse_chain
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -192,22 +193,6 @@ class TestMetricData:
         assert not dist.flags.writeable
 
 
-def sparse_chain(seed, n, symmetric, lazy):
-    """Random weights on a directed ring plus random arcs, symmetrized on
-    request; a lazy chain holds with probability 0.1-0.6 at each state."""
-    rng = np.random.default_rng(seed)
-    W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.3)
-    W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-    W[np.arange(n), np.arange(n)] = 0.0
-    if symmetric:
-        W = W + W.T
-    P = W / W.sum(axis=1, keepdims=True)
-    if lazy:
-        hold = rng.uniform(0.1, 0.6, n)
-        P = np.diag(hold) + (1.0 - hold)[:, None] * P
-    return StochasticMatrix(P)
-
-
 class TestSupportGraph:
     @settings(max_examples=60)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.booleans(),
@@ -354,6 +339,44 @@ class TestHeatKernel:
         P = sparse_chain(seed, n, symmetric, lazy)
         tv = [worst_tv(P, t) for t in sorted(times)]
         assert np.all(np.diff(tv) <= 1e-12)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.booleans(),
+           st.booleans(),
+           st.lists(st.tuples(st.floats(0.0, 30.0), st.sampled_from([0, 40])),
+                    min_size=1, max_size=4),
+           st.sampled_from(["increasing", "decreasing", "repeated"]))
+    def test_shared_powers_match_fresh_rows(self, seed, n, symmetric, lazy,
+                                            asks, order):
+        # Rows reweighted from one power sequence, whatever order the times
+        # come in and whatever truncation floor each asks for, are the rows
+        # a fresh series gives, bit for bit; so is the one-shot row.
+        P = sparse_chain(seed, n, symmetric, lazy)
+
+        def series_row(o, t, m):
+            q = poisson_weights(t, min_terms=m)
+            v = np.zeros(n)
+            v[o] = 1.0
+            acc = q[0] * v
+            for k in range(1, len(q)):
+                v = v @ P.entries
+                acc += q[k] * v
+            return Distribution(acc).probs
+
+        asks = sorted(asks, reverse=order == "decreasing")
+        if order == "repeated":
+            asks = asks + asks[::-1]
+        starts = list(range(0, n, 2))
+        rows = chain._KernelRows(P, starts)
+        for t, m in asks:
+            fresh = [heat_kernel_row(P, o, t, min_terms=m).probs
+                     for o in starts]
+            assert all(np.array_equal(row, series_row(o, t, m))
+                       for o, row in zip(starts, fresh))
+            shared = [law.probs for law in rows.laws(t, min_terms=m)]
+            assert all(map(np.array_equal, shared, fresh))
+            if m == 0:
+                assert np.array_equal(rows(t), np.vstack(fresh))
 
     def test_state_out_of_range(self):
         with pytest.raises(DimensionMismatch):

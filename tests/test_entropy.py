@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from cutoff_lab import entropy
-from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
+from cutoff_lab import chain, entropy
+from cutoff_lab.chain import (Distribution, StochasticMatrix, kernel_rows,
+                              poisson_weights, stationary)
 from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
                                 cutoff_window_bound, d_star_at,
                                 diameter_bound_check,
@@ -23,7 +24,8 @@ from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
 from cutoff_lab.errors import (CurvatureHypothesisFailed, DimensionMismatch,
                                EpsilonOutOfRange, HypothesisViolation,
                                NoCrossing, UnsupportedState)
-from cutoff_lab.families import complete_graph, cycle, hypercube
+from cutoff_lab.families import (complete_graph, cycle, hypercube,
+                                 parse_family_spec)
 
 
 def complete_tmix(n, eps):
@@ -116,6 +118,50 @@ class TestMixing:
         monkeypatch.setattr(entropy, "worst_tv", lambda P, t, starts: 1.0)
         with pytest.raises(NoCrossing):
             mixing_time(cycle(4).matrix, 0.25)
+
+    @pytest.mark.parametrize("spec", ["hypercube:d=6", "cycle:n=16",
+                                      "cayley-random:Z2^6:d=10:seed=3"])
+    def test_search_equals_worst_tv_search(self, spec):
+        # One power sequence for the whole search gives the very times of
+        # a search that sums a fresh row at each t.
+        P = parse_family_spec(spec).matrix
+        for eps in (0.1, 0.25, 0.75):
+            fresh = entropy._first_time(
+                lambda t: worst_tv(P, t, [0]) <= eps)
+            assert mixing_time(P, eps, starts=[0]) == fresh
+
+    def test_search_pays_its_largest_t_once(self, monkeypatch):
+        # Every row-matrix product of a search with a start set extends its
+        # one power sequence: K(hi) products in all, hi the end of the final
+        # bracket, however many times the bisection evaluates.
+        P = StochasticMatrix(hypercube(8).matrix.entries)
+        P.pi                            # solved before counting
+        products, times = [], []
+
+        class Counted(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(other.shape)
+                return other @ self.view(np.ndarray)
+        object.__setattr__(P, "entries", P.entries.view(Counted))
+        real = chain.poisson_weights
+
+        def recorded(t, **kwargs):
+            times.append(t)
+            return real(t, **kwargs)
+        monkeypatch.setattr(chain, "poisson_weights", recorded)
+        mixing_time(P, 0.25, starts=[0])
+        assert len(set(times)) > 10
+        assert len(products) == len(poisson_weights(max(times))) - 1
+        assert set(products) == {(P.n,)}
+
+    def test_empty_start_set(self):
+        P = hypercube(3).matrix
+        with pytest.raises(DimensionMismatch):
+            mixing_time(P, 0.25, starts=[])
+        with pytest.raises(DimensionMismatch):
+            worst_tv(P, 1.0, [])
+        with pytest.raises(DimensionMismatch):
+            kernel_rows(P, 1.0, [])
 
     def test_eps_range_gate(self):
         P = cycle(4).matrix
