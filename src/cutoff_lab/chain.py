@@ -2,7 +2,9 @@
 metric and heat kernel.
 
 The heat kernel is the continuous-time semigroup e^{t(P-I)}, evaluated as a
-Poisson mixture of matrix powers with certified truncation error.
+Poisson mixture of matrix powers with certified truncation error: row by row
+for a start set, and by scaling and squaring a short mixture for the full
+kernel.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import (AsymmetricSupport, DimensionMismatch, NotIrreducible,
-                     SpecParseError, TimeOutOfRange)
+from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
+                     NotIrreducible, SpecParseError, TimeOutOfRange)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -244,7 +246,8 @@ def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
     K is floored at ceil(t + 8*sqrt(t) + 8) to avoid premature truncation
     at small t; ``min_terms`` raises the floor further (needed when entries
     at graph distance up to the diameter must be resolved, e.g. for log
-    densities).
+    densities).  Start-set rows and :func:`heat_kernel_apply` use these
+    weights; :func:`heat_kernel` squares a short mixture and has no limit.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -257,13 +260,35 @@ def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
     q = [math.exp(-t)]
     cum = q[0]
     k = 0
+    # For t <= 700 the floor is at most 920 terms and already leaves a tail
+    # far below _MASS_TOL (the tail past 8 standard deviations, against a
+    # rounding error of cum near 1e-15), so the loop ends at max(floor,
+    # min_terms), before k = 1000 unless min_terms asks for more.
     while cum < target or k < floor_k:
         k += 1
         q.append(q[-1] * t / k)
         cum += q[-1]
-        if k > 200000:
-            raise RuntimeError("Poisson truncation did not converge")
     return np.array(q)
+
+
+def _squaring_weights(s: float, tol: float,
+                      min_terms: int) -> tuple[np.ndarray, float]:
+    """Poisson(s) pmf q_0..q_K for the base of a squaring, s <= 1/2, and a
+    bound on its tail mass beyond K, which is at most ``tol``; K >=
+    ``min_terms``.
+
+    The tail is bounded directly, not as 1 - sum(q), which cannot resolve
+    a tol near the double-precision spacing of 1: the ratio q_{k+1}/q_k =
+    s/(k+1) falls with k, so the tail past K is at most
+    q_{K+1} / (1 - s/(K+2)).
+    """
+    q = [math.exp(-s)]
+    while True:
+        nxt = q[-1] * s / len(q)
+        tail = nxt / (1.0 - s / (len(q) + 1))
+        if len(q) > min_terms and tail <= tol:
+            return np.array(q), tail
+        q.append(nxt)
 
 
 def _poisson_series(q: np.ndarray, terms) -> np.ndarray:
@@ -292,7 +317,8 @@ class _KernelRows:
     it by poisson_weights(t) for each t: a search over t pays the products
     of its largest t once, and each row equals the one-shot series bit for
     bit.  It holds K(t) |starts| n floats while it lives.  Full kernels
-    keep the per-t series, since their powers would cost K n^2 floats.
+    are squared afresh at each t (see heat_kernel), since their powers
+    would cost K n^2 floats.
     """
 
     def __init__(self, P: StochasticMatrix,
@@ -338,11 +364,55 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
     return _KernelRows(P, [o]).laws(t, min_terms=min_terms)[0]
 
 
-def heat_kernel(P: StochasticMatrix, t: float) -> np.ndarray:
-    """Full heat-kernel matrix; row x is the law P_t(x, .)."""
-    q = poisson_weights(t)
-    return _poisson_series(q, _iterates(np.eye(P.n),
-                                        lambda x: x @ P.entries))
+def heat_kernel(P: StochasticMatrix, t: float, *,
+                min_terms: int = 0) -> np.ndarray:
+    """Full heat-kernel matrix; row x is the law P_t(x, .).
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 2003): P_t =
+    (P_s)^(2^j) with j = max(0, ceil(log2(2t))), so s = t/2^j <= 1/2, at
+    len(q) - 1 + j matrix products and with no upper limit on t.  The base
+    P_s is the Poisson mixture with weights q (see _squaring_weights; Fox &
+    Glynn, CACM 1988) cut where its tail is below _MASS_TOL/2^(j+1), and at
+    no fewer than ``min_terms`` terms, undivided, so far entries keep the
+    relative accuracy of heat_kernel_row with the same ``min_terms``.
+
+    Truncation only loses mass, and a squaring at most doubles the loss,
+    so each row misses at most _MASS_TOL/2.  A squaring also doubles any
+    rounding error in the row sums, which would reach 2^j units of
+    roundoff (2e-13 at t = 1375).  So the missed mass d of each row is
+    carried as a small number, d <- d + A d as A <- A A, and after each
+    product the rows are rescaled to sum to 1 - d.  That takes P as
+    exactly stochastic: a rescaling beyond ROW_SUM_TOL, or a row missing
+    more than _MASS_TOL at the end, raises CertificateFailed.
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if not math.isfinite(t):
+        raise TimeOutOfRange(f"heat kernel time {t!r} is not finite")
+    if t == 0.0:
+        return np.eye(P.n)
+    # j = ceil(log2(2t)) exactly, from t = m 2^e with 1/2 <= m < 1.
+    m, e = math.frexp(t)
+    j = max(0, e if m == 0.5 else e + 1)
+    q, tail = _squaring_weights(math.ldexp(t, -j),
+                                math.ldexp(_MASS_TOL, -(j + 1)), min_terms)
+    A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ P.entries))
+    d = np.full(P.n, tail)
+    for step in range(j + 1):
+        if step:
+            d = d + A @ d
+            A = A @ A
+        scale = (1.0 - d) / A.sum(axis=1)
+        drift = float(np.max(np.abs(scale - 1.0)))
+        if drift > ROW_SUM_TOL:
+            raise CertificateFailed(
+                f"heat-kernel row sums off by {drift}: P is not stochastic")
+        A *= scale[:, None]
+    missed = 1.0 - float(A.sum(axis=1).min())
+    if missed > _MASS_TOL:
+        raise CertificateFailed(
+            f"heat-kernel rows miss {missed} of their mass at t={t}")
+    return A
 
 
 def kernel_rows(P: StochasticMatrix, t: float,

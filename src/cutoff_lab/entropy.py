@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .chain import (Distribution, StochasticMatrix, _KernelRows,
-                    heat_kernel_apply, heat_kernel_row, kernel_rows)
+from .chain import (Distribution, StochasticMatrix, _KernelRows, heat_kernel,
+                    heat_kernel_apply, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      EpsilonOutOfRange, HypothesisViolation, NoCrossing,
                      NotIrreducible, UnderflowRisk, UnsupportedState)
@@ -141,7 +141,7 @@ def mixing_time(P: StochasticMatrix, eps: float, *,
     Uses monotonicity of the worst-case TV in t; the answer is within
     1e-4 times the bracket scale of the true crossing (see _first_time).
     A start set keeps one power sequence for the whole search; full
-    kernels are summed afresh at each t (see chain._KernelRows).
+    kernels are squared afresh at each t (see chain._KernelRows).
     """
     check_eps(eps)
     if not P.irreducible:
@@ -271,16 +271,28 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
 
 def log_density_lip_norm(inst: ChainInstance, o: int, t: float) -> float:
     """Lipschitz norm of log(P_t(o,.)/pi) over support edges."""
+    return _max_log_lip(inst, t, [o])
+
+
+def _max_log_lip(inst: ChainInstance, t: float,
+                 starts: Optional[Sequence[int]]) -> float:
+    """max over o in ``starts`` of ||log(P_t(o,.)/pi)||_Lip; over every
+    state, all rows from one full kernel, when ``starts`` is None."""
     P = inst.matrix
     if not P.symmetric_support:
         raise HypothesisViolation("log-gradient requires symmetric support")
     # The truncated series must reach every state: entries at graph distance
     # k first appear at order k of the Poisson mixture.
-    row = heat_kernel_row(P, o, t, min_terms=P.metric.diameter + 16).probs
-    if np.any(row < _LOG_FLOOR):
+    reach = P.metric.diameter + 16
+    if starts is None:
+        rows = heat_kernel(P, t, min_terms=reach)
+    else:
+        rows = np.vstack([law.probs for law in
+                          _KernelRows(P, starts).laws(t, min_terms=reach)])
+    if np.any(rows < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
-    return P.lip_norm(np.log(row) - np.log(P.pi.probs))
+    return max(P.lip_norm(f) for f in np.log(rows) - np.log(P.pi.probs))
 
 
 def log_gradient_bound_check(inst: ChainInstance,
@@ -290,8 +302,7 @@ def log_gradient_bound_check(inst: ChainInstance,
     if t < metric.diameter / 4.0:
         raise HypothesisViolation(
             f"t={t} below diam/4 = {metric.diameter / 4.0}")
-    olist = range(inst.matrix.n) if inst.starts is None else inst.starts
-    lhs = max(log_density_lip_norm(inst, o, t) for o in olist)
+    lhs = _max_log_lip(inst, t, inst.starts)
     rhs = 3.0 * (1.0 + math.log(metric.delta))
     return make_verdict("log-gradient-bound", lhs, rhs, t=t,
                         delta=metric.delta)
@@ -304,6 +315,16 @@ def _lip_rhs(t: float, kappa: float) -> float:
     return -math.expm1(-2.0 * t * kappa) / kappa
 
 
+def _concentration_verdict(P: StochasticMatrix, f: np.ndarray,
+                           var: np.ndarray, t: float,
+                           kappa: float) -> InequalityVerdict:
+    """Verdict at the state where var = P_t(f^2) - (P_t f)^2 peaks."""
+    i = int(np.argmax(var))
+    rhs = _lip_rhs(t, kappa) * P.lip_norm(f) ** 2
+    return make_verdict("local-concentration", float(var[i]), rhs,
+                        t=t, kappa=kappa, state=i)
+
+
 def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
                               kappa: float) -> InequalityVerdict:
     """Pointwise P_t(f^2) - (P_t f)^2 <= ((1-e^{-2 t kappa})/kappa) ||f||_Lip^2,
@@ -311,24 +332,30 @@ def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
     f = np.asarray(f, dtype=np.float64)
-    lip2 = P.lip_norm(f) ** 2
     var = heat_kernel_apply(P, f * f, t) - heat_kernel_apply(P, f, t) ** 2
-    i = int(np.argmax(var))
-    rhs = _lip_rhs(t, kappa) * lip2
-    return make_verdict("local-concentration", float(var[i]), rhs,
-                        t=t, kappa=kappa, state=i)
+    return _concentration_verdict(P, f, var, t, kappa)
 
 
 def local_concentration_sweep(P: StochasticMatrix, t_list, kappa: float,
                               n_f: int = 100,
                               seed: int = 0) -> InequalityVerdict:
-    """Worst verdict over random Lipschitz observables and times."""
+    """Worst verdict over random Lipschitz observables and times.
+
+    The verdict of a loop of local_concentration_check over the same
+    observables (n_f standard normal draws per t, in order; the first of
+    equal slacks wins), with P_t applied to all of them through one full
+    kernel per t.
+    """
+    if kappa < 0.0:
+        raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_list:
-        for _ in range(n_f):
-            f = rng.standard_normal(P.n)
-            v = local_concentration_check(P, f, t, kappa)
+        F = rng.standard_normal((n_f, P.n))
+        moments = np.concatenate([F * F, F]) @ heat_kernel(P, t).T
+        var = moments[:n_f] - moments[n_f:] ** 2
+        for f, var_f in zip(F, var):
+            v = _concentration_verdict(P, f, var_f, t, kappa)
             if worst is None or v.slack < worst.slack:
                 worst = v
     return worst
@@ -355,8 +382,7 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float):
         v, lip = 0.0, 0.0
     else:
         v = v_star_at(P, t, starts=inst.starts)
-        olist = range(P.n) if inst.starts is None else inst.starts
-        lip = max(log_density_lip_norm(inst, o, t) for o in olist)
+        lip = _max_log_lip(inst, t, inst.starts)
     v18 = make_verdict("varentropy-bound-18", v,
                        18.0 * t * (1.0 + math.log(P.metric.delta)) ** 2,
                        eps=eps, t_mix=t)

@@ -17,8 +17,10 @@ from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               heat_kernel_apply, heat_kernel_row,
                               load_chain_file, metric_data, poisson_weights,
                               save_chain_file, stationary, validate)
-from cutoff_lab.errors import (AsymmetricSupport, DimensionMismatch,
-                               NotIrreducible, SpecParseError)
+from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
+                               DimensionMismatch, NotIrreducible,
+                               SpecParseError, TimeOutOfRange)
+from cutoff_lab.families import birth_death, complete_graph, hypercube
 from cutoff_lab.entropy import d_star_at, mixing_time, worst_tv
 from cutoff_lab.spectral import relaxation_time
 from test_curvature import sparse_chain
@@ -385,6 +387,121 @@ class TestHeatKernel:
     def test_observable_length_checked(self):
         with pytest.raises(DimensionMismatch):
             heat_kernel_apply(cycle_matrix(4), np.zeros(5), 1.0)
+
+
+class TestSquaredKernel:
+    """heat_kernel squares a short Poisson mixture: closed forms, the mass
+    certificate, far entries, and its product count."""
+
+    @staticmethod
+    def assert_certified(K, exact):
+        # Every error is missing mass: at most _MASS_TOL per row, and a row
+        # l1 error of at most twice that.
+        assert 1.0 - K.sum(axis=1).min() <= chain._MASS_TOL
+        assert np.abs(K - exact).sum(axis=1).max() <= 2 * chain._MASS_TOL
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 30), st.floats(0.0, 3000.0))
+    def test_complete_graph_closed_form(self, n, t):
+        # P - I = (n/(n-1)) (J/n - I), and J/n is a projection.
+        a = math.exp(-t * n / (n - 1))
+        exact = a * np.eye(n) + (1.0 - a) * np.full((n, n), 1.0 / n)
+        self.assert_certified(heat_kernel(complete_graph(n).matrix, t), exact)
+
+    @pytest.mark.parametrize("t", [0.3, 5.0, 1500.0])
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_hypercube_product_formula(self, d, t):
+        # Each coordinate flips at rate 1/d: P_t(x, y) is the product of
+        # (1 + e^{-2t/d})/2 over agreeing and (1 - e^{-2t/d})/2 over
+        # disagreeing coordinates.
+        x = np.arange(2 ** d)
+        h = np.array([bin(v).count("1") for v in x])[x[:, None] ^ x[None, :]]
+        e = math.exp(-2.0 * t / d)
+        exact = ((1 + e) / 2) ** (d - h) * ((1 - e) / 2) ** h
+        self.assert_certified(heat_kernel(hypercube(d).matrix, t), exact)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.booleans(),
+           st.floats(0.0, 100.0))
+    def test_reversible_chains_match_eigh(self, seed, n, lazy, t):
+        # Symmetric weights make the chain reversible: D^{1/2} P D^{-1/2}
+        # with D = diag(pi) is symmetric, and its eigenvectors give P_t.
+        P = sparse_chain(seed, n, True, lazy)
+        r = np.sqrt(P.pi.probs)
+        S = r[:, None] * P.entries / r[None, :]
+        w, V = np.linalg.eigh(0.5 * (S + S.T))
+        exact = ((V * np.exp(t * (w - 1.0))) @ V.T) / r[:, None] * r[None, :]
+        self.assert_certified(heat_kernel(P, t), exact)
+
+    @pytest.mark.parametrize("t", [0.0855, 100.0, 265.0])
+    @pytest.mark.parametrize("p", [0.35, 0.3])
+    def test_far_entries_match_rows(self, p, t):
+        # With the diameter's reach the squared kernel resolves entries down
+        # to 1e-121 (the drifting chain's pi spans 1e14) as the one-row
+        # series does.  t = 0.0855 is the symmetric chain's t_mix(0.95),
+        # where no squaring happens, and 100-265 its drifting twin's t_mix.
+        P = birth_death([p] * 39, [0.5 - p] * 39).matrix
+        reach = P.metric.diameter + 16
+        K = heat_kernel(P, t, min_terms=reach)
+        rows = np.vstack([heat_kernel_row(P, o, t, min_terms=reach).probs
+                          for o in range(P.n)])
+        assert np.all(np.abs(K - rows) <= 1e-10 * rows)
+
+    def test_far_entries_at_mid_times(self):
+        # At t = 10 a 55-term row series is itself short for the far
+        # entries (off by 8e-5 relative); against a 400-term series the
+        # squared kernel with the same 55-term reach agrees.
+        P = birth_death([0.35] * 39, [0.15] * 39).matrix
+        K = heat_kernel(P, 10.0, min_terms=P.metric.diameter + 16)
+        rows = np.vstack([heat_kernel_row(P, o, 10.0, min_terms=400).probs
+                          for o in range(P.n)])
+        assert np.all(np.abs(K - rows) <= 1e-10 * rows)
+
+    def test_products_per_kernel(self, monkeypatch):
+        # len(q) - 1 series products for the base, then j squarings, where
+        # j = ceil(log2(2t)) = 9 at t = 200: 13 + 9 here, against the 321
+        # series terms of the unsquared kernel.
+        products, bases = [], []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                a, b = self.view(np.ndarray), np.asarray(other)
+                if b.ndim == 2:
+                    products.append(b.shape)
+                return (a @ b).view(Counted)
+        # The series starts from the identity, so every matrix it makes,
+        # and every square of one, is Counted.
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda n: eye(n).view(Counted))
+        real = chain._squaring_weights
+
+        def recorded(*args):
+            q, tail = real(*args)
+            bases.append(len(q))
+            return q, tail
+        monkeypatch.setattr(chain, "_squaring_weights", recorded)
+        K = heat_kernel(hypercube(6).matrix, 200.0)
+        assert len(products) == bases[0] - 1 + 9 <= 25
+        assert set(products) == {(64, 64)}
+        assert np.abs(K - 1 / 64).sum(axis=1).max() <= 2 * chain._MASS_TOL
+
+    def test_times_past_700(self):
+        P = cycle_matrix(9)
+        for t in (701.0, 1e5, 1e300):
+            K = heat_kernel(P, t)
+            assert np.abs(K - 1 / 9).sum(axis=1).max() <= 2 * chain._MASS_TOL
+        with pytest.raises(TimeOutOfRange):
+            heat_kernel(P, math.inf)
+        with pytest.raises(ValueError):
+            heat_kernel(P, -1.0)
+        assert np.array_equal(heat_kernel(P, 0.0), np.eye(9))
+
+    def test_substochastic_matrix_refused(self):
+        # Rows that lose mass are not rounding: the row-sum rescaling
+        # refuses them instead of restoring the mass.
+        P = StochasticMatrix(0.9 * cycle_matrix(5).entries)
+        with pytest.raises(CertificateFailed):
+            heat_kernel(P, 3.0)
 
 
 # ---------------------------------------------------------------------------

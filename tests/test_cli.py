@@ -188,11 +188,35 @@ class TestExitCodes:
         assert main(["curvature", "--spec", "cycle:n=6",
                      "--out", str(tmp_path / "o")]) == EXIT_VERDICT
 
-    def test_time_out_of_range(self, tmp_path):
-        # A slowly mixing chain whose mixing-time search passes t = 700.
+    def test_time_limit_binds_start_set_rows_only(self, tmp_path):
+        # The symmetric 40-state birth-death chain is not vertex-transitive,
+        # so its mixing-time searches square full kernels, which have no
+        # t <= 700 limit: tmix(0.05) is near 1375.
         rates = ",".join(["0.3"] * 39)
+        out = tmp_path / "bd"
         assert main(["analyze", "--spec", f"bd:p={rates};q={rates}",
-                     "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_CAP
+                     "--no-cache", "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "analysis.csv")
+        got = float(dict(zip(header, rows[0]))["tmix_0.05"])
+        # Worst TV from an eigendecomposition: P is symmetric, pi uniform.
+        P = families.birth_death([0.3] * 39, [0.3] * 39).matrix.entries
+        w, V = np.linalg.eigh(P)
+
+        def tv(t):
+            K = (V * np.exp(t * (w - 1.0))) @ V.T
+            return 0.5 * np.abs(K - 1.0 / 40).sum(axis=1).max()
+        lo, hi = 1024.0, 2048.0
+        assert tv(lo) > 0.05 >= tv(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if tv(mid) <= 0.05 else (mid, hi)
+        # The search bisects its last bracket [1024, 2048] to a width of
+        # 1e-4 * 2048 and returns the midpoint.
+        assert abs(got - hi) <= 0.5e-4 * 2048
+        # A vertex-transitive chain searches rows from one start, which
+        # keep the limit: cycle:n=200 passes t = 700 while doubling.
+        assert main(["analyze", "--spec", "cycle:n=200", "--no-cache",
+                     "--out", str(tmp_path / "cycle")]) == EXIT_CAP
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--eps", "1e-300"],

@@ -482,3 +482,12 @@ class TestSemigroupChecks:
         P = cycle(8).matrix
         v = contraction_check(P, 1.5, [2.0], n_f=20, seed=0)
         assert not v.passed
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_tied_edges_report_the_first(self, n, t):
+        # A rotation maps every edge of the cycle onto every other, so their
+        # W1 contractions tie; rounding must not pick the reported edge.
+        v = contraction_check(cycle(n).matrix, 0.0, [t], n_f=5, seed=0)
+        assert v.name == "w1-contraction"
+        assert v.context["edge"] == (0, 1)

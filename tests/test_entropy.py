@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cutoff_lab import chain, entropy
-from cutoff_lab.chain import (Distribution, StochasticMatrix, kernel_rows,
-                              poisson_weights, stationary)
+from cutoff_lab.chain import (Distribution, StochasticMatrix,
+                              heat_kernel_apply, kernel_rows, poisson_weights,
+                              stationary)
 from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
                                 cutoff_window_bound, d_star_at,
                                 diameter_bound_check,
@@ -26,6 +28,7 @@ from cutoff_lab.errors import (CurvatureHypothesisFailed, DimensionMismatch,
                                NoCrossing, UnsupportedState)
 from cutoff_lab.families import (complete_graph, cycle, hypercube,
                                  parse_family_spec)
+from test_curvature import CHAINS, sparse_chain
 
 
 def complete_tmix(n, eps):
@@ -292,6 +295,34 @@ class TestInequalityChecks:
         P = hypercube(3).matrix
         v = local_concentration_sweep(P, [0.5, 2.0], 0.0, n_f=25, seed=1)
         assert v.passed
+
+    @CHAINS
+    @settings(max_examples=40)
+    def test_sweep_equals_check_loop(self, seed, n, symmetric, lazy):
+        # One kernel per t applied to all observables gives the verdict of a
+        # loop of single checks over the same draws, to rounding.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        times, kappa, n_f = [0.4, 3.0], 0.05, 6
+        rng = np.random.default_rng(seed)
+        loop = None
+        for t in times:
+            for _ in range(n_f):
+                f = rng.standard_normal(n)
+                v = local_concentration_check(P, f, t, kappa)
+                if loop is None or v.slack < loop.slack:
+                    loop, var = v, (heat_kernel_apply(P, f * f, t)
+                                    - heat_kernel_apply(P, f, t) ** 2)
+        sweep = local_concentration_sweep(P, times, kappa, n_f=n_f,
+                                          seed=seed)
+        assert sweep.lhs == pytest.approx(loop.lhs, rel=1e-12, abs=1e-12)
+        assert sweep.rhs == pytest.approx(loop.rhs, rel=1e-12, abs=1e-12)
+        # Same state, unless the variance ties there (the flip chain on two
+        # states is symmetric, and rounding picks the state).
+        context = dict(sweep.context)
+        i = context.pop("state")
+        assert context == {k: loop.context[k] for k in ("t", "kappa")}
+        assert i == loop.context["state"] or (
+            var[i] == pytest.approx(loop.lhs, rel=1e-12, abs=1e-12))
 
     def test_varentropy_bounds(self):
         for v in varentropy_bound_check(hypercube(4), 0.25, kappa=0.0):
