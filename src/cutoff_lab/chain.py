@@ -19,7 +19,8 @@ from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
-                     NotIrreducible, SpecParseError, TimeOutOfRange)
+                     NotIrreducible, SpecParseError, TimeOutOfRange,
+                     UnderflowRisk)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -85,13 +86,13 @@ class StochasticMatrix:
 
     @cached_property
     def pi(self) -> Distribution:
-        """Stationary law, see :func:`stationary`."""
-        return stationary(self)
+        """Stationary law, see :func:`_solve_stationary`."""
+        return _solve_stationary(self)
 
     @cached_property
     def metric(self) -> MetricData:
-        """Support-graph metric, see :func:`metric_data`."""
-        return metric_data(self)
+        """Support-graph metric, see :func:`_support_metric`."""
+        return _support_metric(self)
 
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
@@ -172,12 +173,16 @@ def validate(P: StochasticMatrix) -> ValidationReport:
 
 
 def stationary(P: StochasticMatrix) -> Distribution:
-    """Unique invariant law pi = pi P of an irreducible chain.
+    """Unique invariant law pi = pi P of an irreducible chain: ``P.pi``,
+    solved once per matrix on first use."""
+    return P.pi
 
-    Solves the singular linear system directly, replacing the last equation
-    with the normalization sum(pi) = 1; falls back to power iteration on the
-    lazy kernel if the solve is ill-conditioned.
-    """
+
+def _solve_stationary(P: StochasticMatrix) -> Distribution:
+    """Solves the singular linear system directly, replacing the last
+    equation with the normalization sum(pi) = 1.  A failed solve or a
+    residual max|pi P - pi| above STATIONARY_TOL raises CertificateFailed;
+    an entry <= 0, which no irreducible chain has, raises UnderflowRisk."""
     if not P.irreducible:
         raise NotIrreducible("stationary law requires an irreducible chain")
     n = P.n
@@ -187,38 +192,25 @@ def stationary(P: StochasticMatrix) -> Distribution:
     b[-1] = 1.0
     try:
         pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi = np.full(n, np.nan)
-    if not np.all(np.isfinite(pi)) or _stationary_residual(P, pi) > STATIONARY_TOL:
-        pi = _stationary_power_iteration(P)
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return Distribution(pi)
-
-
-def _stationary_residual(P: StochasticMatrix, pi: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ P.entries - pi)))
-
-
-def _stationary_power_iteration(P: StochasticMatrix, max_iter=200000) -> np.ndarray:
-    # Lazy average kills periodicity; convergence is geometric for
-    # irreducible chains.
-    n = P.n
-    M = 0.5 * (np.eye(n) + P.entries)
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ M
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < 1e-16:
-            pi = nxt
-            break
-        pi = nxt
-    if _stationary_residual(P, pi) > STATIONARY_TOL:
-        raise NotIrreducible("power iteration failed to converge to pi")
-    return pi
+    except np.linalg.LinAlgError as exc:
+        raise CertificateFailed(f"stationary solve failed: {exc}") from exc
+    residual = float(np.max(np.abs(pi @ P.entries - pi)))
+    if not residual <= STATIONARY_TOL:         # NaN included
+        raise CertificateFailed(f"stationary solve leaves residual {residual}")
+    if pi.min() <= 0.0:
+        raise UnderflowRisk(
+            f"stationary law has an entry {pi.min()} <= 0: its small "
+            f"entries are below the accuracy of the solve")
+    return Distribution(pi / pi.sum())
 
 
 def metric_data(P: StochasticMatrix) -> MetricData:
+    """Support-graph metric ``P.metric``, computed once per matrix on first
+    use."""
+    return P.metric
+
+
+def _support_metric(P: StochasticMatrix) -> MetricData:
     """All-pairs BFS distance on the support graph, diameter and sparsity."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
@@ -337,19 +329,21 @@ class _KernelRows:
             v[o] = 1.0
             self._powers.append([v])
 
-    def laws(self, t: float, *,
-             min_terms: int = 0) -> list[Distribution]:
-        """The rows at t as Distributions, one per start."""
+    def __call__(self, t: float, *, min_terms: int = 0) -> np.ndarray:
+        """The rows at t, one per start; ``min_terms`` as in
+        poisson_weights and heat_kernel."""
+        if self._powers is None:
+            return heat_kernel(self._P, t, min_terms=min_terms)
         q = poisson_weights(t, min_terms=min_terms)
         for vs in self._powers:
             while len(vs) < len(q):
                 vs.append(vs[-1] @ self._P.entries)
-        return [Distribution(_poisson_series(q, vs)) for vs in self._powers]
-
-    def __call__(self, t: float) -> np.ndarray:
-        if self._powers is None:
-            return heat_kernel(self._P, t)
-        return np.vstack([law.probs for law in self.laws(t)])
+        rows = np.vstack([_poisson_series(q, vs) for vs in self._powers])
+        drift = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
+        if drift > ROW_SUM_TOL:
+            raise CertificateFailed(
+                f"heat-kernel row sums off by {drift}: P is not stochastic")
+        return rows
 
 
 def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
@@ -361,7 +355,7 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
     row powers e_o P^k are held only for this call (see _KernelRows, which
     keeps them across the times of a search).
     """
-    return _KernelRows(P, [o]).laws(t, min_terms=min_terms)[0]
+    return Distribution(_KernelRows(P, [o])(t, min_terms=min_terms)[0])
 
 
 def heat_kernel(P: StochasticMatrix, t: float, *,

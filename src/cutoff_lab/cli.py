@@ -2,8 +2,8 @@
 suite, scan families for cutoff signatures, dump curvature tables, and
 generate random Cayley instances.
 
-Exit codes: 0 success, 2 spec error, 3 theorem-verdict failure,
-4 resource cap.
+Exit codes: 0 success, 2 spec error, 3 theorem-verdict failure or failed
+certificate, 4 resource cap or an entry below double-precision reach.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .chain import (_MASS_TOL, Distribution, StochasticMatrix, kernel_rows,
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
 from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
-                     StateCapExceeded, TimeOutOfRange)
+                     StateCapExceeded, TimeOutOfRange, UnderflowRisk)
 from .verdicts import KAPPA_SLACK
 
 CSV_VERSION = "cutoff-lab-csv-v1"
@@ -194,9 +194,8 @@ def cmd_analyze(opts: Options) -> int:
 
     def profile_point(t):
         rows = _cached_rows(cache, P, t, starts)
-        tv = float(0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1).max())
-        d = max(ent.kl_divergence(r, pi) for r in rows)
-        return tv, d
+        return (float(ent._row_tvs(rows, pi).max()),
+                float(ent._row_entropies(rows, pi)[0].max()))
     points = [profile_point(t) for t in grid]
     svg.line_plot(
         os.path.join(out, "profile.svg"),
@@ -231,7 +230,7 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
         verdicts.append(ent.entropic_upper_bound(inst, t_half, e))
         # Entropic lower bound on the entropy-worst kernel row at tmix(1-e).
         rows = kernel_rows(P, inst.t_mix(1.0 - e), inst.starts)
-        worst = max(rows, key=lambda r: ent.kl_divergence(r, pi))
+        worst = rows[np.argmax(ent._row_entropies(rows, pi)[0])]
         verdicts.append(ent.entropic_lower_bound_check(
             Distribution(worst), pi, e))
         if e < 0.5:
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
     try:
         opts = Options(args)
         return COMMANDS[args.command](opts)
-    except (StateCapExceeded, TimeOutOfRange) as exc:
+    except (StateCapExceeded, TimeOutOfRange, UnderflowRisk) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except CertificateFailed as exc:

@@ -5,6 +5,7 @@ Frozen oracle values are derived in comments next to each assertion.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               save_chain_file, stationary, validate)
 from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
                                DimensionMismatch, NotIrreducible,
-                               SpecParseError, TimeOutOfRange)
+                               SpecParseError, TimeOutOfRange, UnderflowRisk)
 from cutoff_lab.families import birth_death, complete_graph, hypercube
-from cutoff_lab.entropy import d_star_at, mixing_time, worst_tv
+from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at, worst_tv
 from cutoff_lab.spectral import relaxation_time
 from test_curvature import sparse_chain
 
@@ -159,6 +160,25 @@ class TestStationary:
         pi = stationary(StochasticMatrix(FLIP))
         assert np.allclose(pi.probs, 0.5)
 
+    def test_failed_solve_raises_certificate(self, monkeypatch):
+        # The solve is the only route to pi: a result that is not invariant
+        # (uniform, for a chain whose pi is not) or a solver error is a
+        # failed certificate.
+        P = birth_death([0.3] * 5, [0.6] * 5).matrix
+
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        for solve in (lambda A, b: np.full(len(b), 1.0 / len(b)), singular):
+            monkeypatch.setattr(np.linalg, "solve", solve)
+            with pytest.raises(CertificateFailed):
+                stationary(P)
+
+    def test_nonpositive_entry_raises_underflow(self):
+        # pi ~ 18^i spans 1e-99 to 0.94 on 80 states: the solve leaves its
+        # smallest entries at or below 0, which no irreducible chain has.
+        with pytest.raises(UnderflowRisk):
+            stationary(birth_death([0.9] * 79, [0.05] * 79).matrix)
+
 
 # ---------------------------------------------------------------------------
 # Graph metric
@@ -235,18 +255,39 @@ class TestCachedInvariants:
 
     def test_pi_solved_once_across_primitives(self, monkeypatch):
         calls = []
-        real = chain.stationary
+        real = chain._solve_stationary
 
         def counting(P):
             calls.append(P)
             return real(P)
-        monkeypatch.setattr(chain, "stationary", counting)
+        monkeypatch.setattr(chain, "_solve_stationary", counting)
         P = random_chain(np.random.default_rng(3), 6)
         t = mixing_time(P, 0.25)
         mixing_time(P, 0.75)
         relaxation_time(P)
         d_star_at(P, t)
         assert calls == [P]
+
+    def test_pipeline_call_sequence_solves_once(self, monkeypatch):
+        # The cutoff-ratio pipeline's calls on one matrix solve pi once and
+        # run one BFS, and the public functions return the kept invariants.
+        counts = Counter()
+        for helper in ("_solve_stationary", "_support_metric"):
+            def counted(P, _real=getattr(chain, helper), _name=helper):
+                counts[_name] += 1
+                return _real(P)
+            monkeypatch.setattr(chain, helper, counted)
+        inst = hypercube(5)
+        P, starts = inst.matrix, inst.starts
+        pi = stationary(P)
+        metric_data(P)
+        relaxation_time(P)
+        t25 = mixing_time(P, 0.25, starts=starts)
+        mixing_time(P, 0.75, starts=starts)
+        d_star_at(P, t25, starts=starts, pi=pi)
+        v_star_at(P, t25, starts=starts, pi=pi)
+        assert counts == {"_solve_stationary": 1, "_support_metric": 1}
+        assert stationary(P) is P.pi and metric_data(P) is P.metric
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +416,7 @@ class TestHeatKernel:
                      for o in starts]
             assert all(np.array_equal(row, series_row(o, t, m))
                        for o, row in zip(starts, fresh))
-            shared = [law.probs for law in rows.laws(t, min_terms=m)]
+            shared = rows(t, min_terms=m)
             assert all(map(np.array_equal, shared, fresh))
             if m == 0:
                 assert np.array_equal(rows(t), np.vstack(fresh))

@@ -73,11 +73,12 @@ class TestVerify:
             return real(P, eps, **kwargs)
         monkeypatch.setattr(families, "mixing_time", counting)
         solves = Counter()
-        for name in ("stationary", "metric_data"):
-            def counted(P, _real=getattr(chain, name), _name=name):
+        for name, helper in (("stationary", "_solve_stationary"),
+                             ("metric_data", "_support_metric")):
+            def counted(P, _real=getattr(chain, helper), _name=name):
                 solves[_name] += 1
                 return _real(P)
-            monkeypatch.setattr(chain, name, counted)
+            monkeypatch.setattr(chain, helper, counted)
         inst = families.hypercube(3)
         verdict_suite(inst, EPS_GRID, n_f=5, semigroup_checks=False)
         # t_mix(1 - 0.9) and t_mix(0.1) are one search: 7 distinct eps.
@@ -187,6 +188,23 @@ class TestExitCodes:
         monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)
         assert main(["curvature", "--spec", "cycle:n=6",
                      "--out", str(tmp_path / "o")]) == EXIT_VERDICT
+
+    def test_failed_stationary_solve_exits_verdict(self, tmp_path,
+                                                   monkeypatch):
+        # A uniform "solution" is not invariant for this chain.
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: np.full(len(b), 1.0 / len(b)))
+        assert main(["analyze", "--spec", "bd:p=0.3,0.3;q=0.6,0.6",
+                     "--no-cache", "--out", str(tmp_path / "o")]) \
+            == EXIT_VERDICT
+
+    @pytest.mark.parametrize("n, code", [(80, EXIT_CAP), (40, EXIT_OK)])
+    def test_stationary_underflow_exits_cap(self, tmp_path, n, code):
+        # pi ~ 18^i: on 80 states its smallest entries (near 1e-99) come out
+        # of the solve at or below 0, a numerical limit, not a bad spec.
+        p, q = ",".join(["0.9"] * (n - 1)), ",".join(["0.05"] * (n - 1))
+        assert main(["analyze", "--spec", f"bd:p={p};q={q}", "--no-cache",
+                     "--out", str(tmp_path / "o")]) == code
 
     def test_time_limit_binds_start_set_rows_only(self, tmp_path):
         # The symmetric 40-state birth-death chain is not vertex-transitive,

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoff_lab import chain, entropy
 from cutoff_lab.chain import (Distribution, StochasticMatrix,
@@ -84,6 +85,50 @@ class TestDivergences:
         with pytest.raises(DimensionMismatch):
             tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_row_entropies_match_per_row_formula(self, n, m, seed, tiny):
+        # Row blocks with zeros and point masses, against a pi that may
+        # hold an entry near 1e-15.
+        rng = np.random.default_rng(seed)
+        pi = rng.dirichlet(np.ones(n))
+        if tiny:
+            pi[rng.integers(n)] = 1e-15
+            pi /= pi.sum()
+        rows = rng.dirichlet(np.ones(n), size=m)
+        rows[rng.random((m, n)) < 0.3] = 0.0
+        rows[0] = 0.0
+        rows[0, rng.integers(n)] = 1.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        kl, var = entropy._row_entropies(rows, pi)
+        for row, d, v in zip(rows, kl, var):
+            w = row[row > 0]
+            logr = np.log(w / pi[row > 0])
+            want_d = w @ logr
+            want_v = w @ (logr - want_d) ** 2
+            assert abs(d - want_d) <= 1e-13 * abs(want_d) + 1e-15
+            assert abs(v - want_v) <= 1e-13 * abs(want_v) + 1e-15
+            assert kl_divergence(row, pi) == d
+            assert kl_divergence(Distribution(row), Distribution(pi)) == d
+            assert varentropy(row, pi) == v
+            assert varentropy(Distribution(row), Distribution(pi)) == v
+
+    def test_row_entropies_gates(self):
+        pi = np.array([0.5, 0.5, 0.0])
+        rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        # A pi-null state is allowed where no row charges it.
+        kl, var = entropy._row_entropies(rows[:1], pi)
+        assert kl[0] == 0.0 and var[0] == 0.0
+        with pytest.raises(UnsupportedState):
+            entropy._row_entropies(rows, pi)
+        with pytest.raises(DimensionMismatch):
+            entropy._row_entropies(rows[:, :2], pi)
+        for f in (kl_divergence, varentropy):
+            with pytest.raises(DimensionMismatch):
+                f(np.array([1.0]), pi)
+
 
 class TestMixing:
     def test_complete_graph_closed_form(self):
@@ -118,7 +163,8 @@ class TestMixing:
 
     def test_bracket_overflow_raises_no_crossing(self, monkeypatch):
         # A worst TV that never falls to eps exhausts the doubling.
-        monkeypatch.setattr(entropy, "worst_tv", lambda P, t, starts: 1.0)
+        monkeypatch.setattr(entropy, "_row_tvs",
+                            lambda rows, pi: np.ones(len(rows)))
         with pytest.raises(NoCrossing):
             mixing_time(cycle(4).matrix, 0.25)
 
