@@ -1,8 +1,8 @@
 """Content-addressed cache for heat-kernel rows.
 
 Keys are a cryptographic digest of the matrix shape and raw float64
-bytes, the time, the tolerance and the start set; hits return
-bit-identical arrays.  Entries cached under the older key (the entries
+bytes, the time and the start set; hits return bit-identical arrays.
+Entries cached under an older key (with a tolerance, or the entries
 printed to 17 significant digits) simply miss and are recomputed.
 """
 
@@ -33,15 +33,15 @@ class HeatKernelCache:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    def _path(self, digest: str, t: float, tol: float, starts) -> str:
+    def _path(self, digest: str, t: float, starts) -> str:
         tag = "all" if starts is None else "-".join(str(s) for s in starts)
         key = hashlib.sha256(
-            f"{digest}|{t!r}|{tol!r}|{tag}".encode("ascii")).hexdigest()
+            f"{digest}|{t!r}|{tag}".encode("ascii")).hexdigest()
         return os.path.join(self.directory, key + ".npy")
 
-    def get_or_compute(self, P: StochasticMatrix, t: float, tol: float,
-                       starts, compute) -> np.ndarray:
-        path = self._path(matrix_digest(P), t, tol, starts)
+    def get_or_compute(self, P: StochasticMatrix, t: float, starts,
+                       compute) -> np.ndarray:
+        path = self._path(matrix_digest(P), t, starts)
         if os.path.exists(path):
             try:
                 rows = np.load(path)

@@ -19,8 +19,8 @@ from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
-                     NotIrreducible, SpecParseError, TimeOutOfRange,
-                     UnderflowRisk)
+                     NotIrreducible, SpecParseError, StateCapExceeded,
+                     TimeOutOfRange, UnderflowRisk)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -230,57 +230,50 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
 # Poisson tail mass left out of every kernel: small enough that kernel rows
 # remain valid Distributions (sum to 1 within 1e-12) without renormalizing.
 _MASS_TOL = 1e-13
+_POWERS_CAP = 2 ** 24          # floats (128 MiB) in a start set's powers
 
 
-def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
-    """Poisson(t) pmf q_0..q_K with tail mass below ``_MASS_TOL``.
+def _poisson_pmf(t: float, tol: float,
+                 min_terms: int = 0) -> tuple[np.ndarray, float]:
+    """Poisson(t) pmf q_0..q_K and a bound ``tail`` <= ``tol`` on the mass
+    beyond K.
 
-    K is floored at ceil(t + 8*sqrt(t) + 8) to avoid premature truncation
-    at small t; ``min_terms`` raises the floor further (needed when entries
-    at graph distance up to the diameter must be resolved, e.g. for log
-    densities).  Start-set rows and :func:`heat_kernel_apply` use these
-    weights; :func:`heat_kernel` squares a short mixture and has no limit.
+    Anchored at the mode m = floor(t) (Fox & Glynn, CACM 1988): q_m from
+    lgamma, then q_{k-1} = q_k k/t down and q_{k+1} = q_k t/(k+1) up, so
+    no finite t is out of range; weights below the float range come out 0.
+    K is the first K >= max(m, min_terms) with q_{K+1}/(1 - t/(K+2)) <=
+    tol, a direct bound (the ratios q_{k+1}/q_k fall below t/(K+2) < 1)
+    where 1 - sum(q) could not resolve a tol near the spacing of doubles
+    at 1.  The weights are scaled to sum to 1 - tail, which also removes
+    the rounding of q_m.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
+    if not math.isfinite(t):
+        raise TimeOutOfRange(f"heat kernel time {t!r} is not finite")
     if t == 0.0:
-        return np.array([1.0])
-    if t > 700.0:
-        raise TimeOutOfRange("heat kernel times above 700 are out of scale")
-    floor_k = max(math.ceil(t + 8.0 * math.sqrt(t) + 8.0), int(min_terms))
-    target = 1.0 - _MASS_TOL
-    q = [math.exp(-t)]
-    cum = q[0]
-    k = 0
-    # For t <= 700 the floor is at most 920 terms and already leaves a tail
-    # far below _MASS_TOL (the tail past 8 standard deviations, against a
-    # rounding error of cum near 1e-15), so the loop ends at max(floor,
-    # min_terms), before k = 1000 unless min_terms asks for more.
-    while cum < target or k < floor_k:
-        k += 1
-        q.append(q[-1] * t / k)
-        cum += q[-1]
-    return np.array(q)
-
-
-def _squaring_weights(s: float, tol: float,
-                      min_terms: int) -> tuple[np.ndarray, float]:
-    """Poisson(s) pmf q_0..q_K for the base of a squaring, s <= 1/2, and a
-    bound on its tail mass beyond K, which is at most ``tol``; K >=
-    ``min_terms``.
-
-    The tail is bounded directly, not as 1 - sum(q), which cannot resolve
-    a tol near the double-precision spacing of 1: the ratio q_{k+1}/q_k =
-    s/(k+1) falls with k, so the tail past K is at most
-    q_{K+1} / (1 - s/(K+2)).
-    """
-    q = [math.exp(-s)]
+        return np.array([1.0]), 0.0
+    m = math.floor(t)
+    down = [math.exp(m * math.log(t) - t - math.lgamma(m + 1))]
+    while len(down) <= m and down[-1] > 0.0:
+        down.append(down[-1] * (m + 1 - len(down)) / t)
+    up = [down[0]]
     while True:
-        nxt = q[-1] * s / len(q)
-        tail = nxt / (1.0 - s / (len(q) + 1))
-        if len(q) > min_terms and tail <= tol:
-            return np.array(q), tail
-        q.append(nxt)
+        k = m + len(up)                 # K + 1 > t
+        nxt = up[-1] * t / k
+        tail = nxt / (1.0 - t / (k + 1))
+        if k > min_terms and tail <= tol:
+            break
+        up.append(nxt)
+    q = np.concatenate([np.zeros(m + 1 - len(down)), down[:0:-1], up])
+    return q * ((1.0 - tail) / q.sum()), tail
+
+
+def poisson_weights(t: float, *, min_terms: int = 0) -> np.ndarray:
+    """Poisson(t) pmf q_0..q_K with tail mass at most ``_MASS_TOL`` and K >=
+    ``min_terms`` (see _poisson_pmf): the weights of start-set rows and
+    :func:`heat_kernel_apply`."""
+    return _poisson_pmf(t, _MASS_TOL, min_terms)[0]
 
 
 def _poisson_series(q: np.ndarray, terms) -> np.ndarray:
@@ -308,9 +301,9 @@ class _KernelRows:
     extended on demand by the series' own row-matrix product, and weights
     it by poisson_weights(t) for each t: a search over t pays the products
     of its largest t once, and each row equals the one-shot series bit for
-    bit.  It holds K(t) |starts| n floats while it lives.  Full kernels
-    are squared afresh at each t (see heat_kernel), since their powers
-    would cost K n^2 floats.
+    bit.  It holds K(t) > t times |starts| n floats while it lives, at
+    most _POWERS_CAP.  Full kernels are squared afresh at each t (see
+    heat_kernel), since their powers would cost K n^2 floats.
     """
 
     def __init__(self, P: StochasticMatrix,
@@ -334,6 +327,9 @@ class _KernelRows:
         poisson_weights and heat_kernel."""
         if self._powers is None:
             return heat_kernel(self._P, t, min_terms=min_terms)
+        if t * len(self._powers) * self._P.n > _POWERS_CAP:
+            raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
+                                   f"over {_POWERS_CAP} floats of powers")
         q = poisson_weights(t, min_terms=min_terms)
         for vs in self._powers:
             while len(vs) < len(q):
@@ -365,10 +361,9 @@ def heat_kernel(P: StochasticMatrix, t: float, *,
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 2003): P_t =
     (P_s)^(2^j) with j = max(0, ceil(log2(2t))), so s = t/2^j <= 1/2, at
     len(q) - 1 + j matrix products and with no upper limit on t.  The base
-    P_s is the Poisson mixture with weights q (see _squaring_weights; Fox &
-    Glynn, CACM 1988) cut where its tail is below _MASS_TOL/2^(j+1), and at
-    no fewer than ``min_terms`` terms, undivided, so far entries keep the
-    relative accuracy of heat_kernel_row with the same ``min_terms``.
+    P_s is the Poisson mixture with weights q (see _poisson_pmf) cut where
+    its tail is below _MASS_TOL/2^(j+1), and at no fewer than
+    ``min_terms`` terms, undivided, so far entries stay accurate.
 
     Truncation only loses mass, and a squaring at most doubles the loss,
     so each row misses at most _MASS_TOL/2.  A squaring also doubles any
@@ -379,17 +374,13 @@ def heat_kernel(P: StochasticMatrix, t: float, *,
     exactly stochastic: a rescaling beyond ROW_SUM_TOL, or a row missing
     more than _MASS_TOL at the end, raises CertificateFailed.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not math.isfinite(t):
-        raise TimeOutOfRange(f"heat kernel time {t!r} is not finite")
     if t == 0.0:
         return np.eye(P.n)
     # j = ceil(log2(2t)) exactly, from t = m 2^e with 1/2 <= m < 1.
     m, e = math.frexp(t)
     j = max(0, e if m == 0.5 else e + 1)
-    q, tail = _squaring_weights(math.ldexp(t, -j),
-                                math.ldexp(_MASS_TOL, -(j + 1)), min_terms)
+    q, tail = _poisson_pmf(math.ldexp(t, -j),
+                           math.ldexp(_MASS_TOL, -(j + 1)), min_terms)
     A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ P.entries))
     d = np.full(P.n, tail)
     for step in range(j + 1):

@@ -19,7 +19,7 @@ from . import entropy as ent
 from . import families as fam
 from . import svg
 from .cache import HeatKernelCache
-from .chain import (_MASS_TOL, Distribution, StochasticMatrix, kernel_rows,
+from .chain import (Distribution, StochasticMatrix, kernel_rows,
                     load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
@@ -136,7 +136,8 @@ def _cached_rows(cache, P, t, starts):
         return kernel_rows(P, t, starts)
     if cache is None:
         return compute()
-    return cache.get_or_compute(P, t, _MASS_TOL, starts, compute)
+    # By keyword: perfbench/tracing.py's lookup hook reads it from kwargs.
+    return cache.get_or_compute(P, t, starts, compute=compute)
 
 
 def _t_grid(opts, t_scale):

@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .chain import (Distribution, StochasticMatrix, _KernelRows, heat_kernel,
-                    heat_kernel_apply, kernel_rows)
+from .chain import (_MASS_TOL, Distribution, StochasticMatrix, _KernelRows,
+                    _poisson_pmf, heat_kernel, heat_kernel_apply, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      EpsilonOutOfRange, HypothesisViolation, NoCrossing,
                      NotIrreducible, UnderflowRisk, UnsupportedState)
@@ -24,10 +24,10 @@ if TYPE_CHECKING:
 
 EPS_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 _LOG_FLOOR = 1e-300
-# Worst TV carries the heat kernel's truncation error (up to chain._MASS_TOL
-# = 1e-13), so it cannot resolve an eps near that: on complete:n=10 a search
-# at eps = 1e-15 ends at t = 75.5 against the exact 31.0.
-EPS_MIN = 1e-12
+# Worst TV carries the kernel's truncation error (chain._MASS_TOL = 1e-13),
+# which moves t_mix(eps) by about 1e-13 t_rel/eps: that stays under the
+# bisection tolerance 1e-4 t_mix only for eps >~ 1e-10.
+EPS_MIN = 1e3 * _MASS_TOL
 
 
 def check_eps(eps: float) -> None:
@@ -286,10 +286,16 @@ def _max_log_lip(inst: ChainInstance, t: float,
     # The truncated series must reach every state: entries at graph distance
     # k first appear at order k of the Poisson mixture.
     reach = P.metric.diameter + 16
-    rows = _KernelRows(P, starts)(t, min_terms=reach)
+    rows_at = _KernelRows(P, starts)
+    rows = rows_at(t, min_terms=reach)
     if np.any(rows < _LOG_FLOOR):
         raise UnderflowRisk(
             f"heat-kernel entry below {_LOG_FLOOR} at t={t}; increase t")
+    if starts is not None:
+        # Entries fall short by up to the Poisson tail left out: extend the
+        # series until that is below 1e-12 of the smallest entry.
+        q, _ = _poisson_pmf(t, 1e-12 * rows.min(), reach)
+        rows = rows_at(t, min_terms=len(q) - 1)
     return max(P.lip_norm(f) for f in np.log(rows) - np.log(P.pi.probs))
 
 

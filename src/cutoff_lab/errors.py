@@ -54,7 +54,7 @@ class GenerationFailed(CutoffLabError):
 
 
 class StateCapExceeded(CutoffLabError):
-    """Requested chain exceeds the configured state-space cap."""
+    """A chain or a heat-kernel power sequence exceeds its size cap."""
 
 
 class EpsilonOutOfRange(CutoffLabError, ValueError):
@@ -62,7 +62,7 @@ class EpsilonOutOfRange(CutoffLabError, ValueError):
 
 
 class TimeOutOfRange(CutoffLabError, OverflowError):
-    """Heat-kernel time beyond the range the Poisson weights support."""
+    """Heat-kernel time that is not finite."""
 
 
 class SpecParseError(CutoffLabError):

@@ -33,25 +33,21 @@ def test_round_trip_bit_identical(tmp_path):
         calls.append(1)
         return heat_kernel(P, 1.5)
 
-    first = cache.get_or_compute(P, 1.5, 1e-9, None, compute)
-    second = cache.get_or_compute(P, 1.5, 1e-9, None, compute)
+    first = cache.get_or_compute(P, 1.5, None, compute)
+    second = cache.get_or_compute(P, 1.5, None, compute)
     assert len(calls) == 1
     assert np.array_equal(first, second)
 
 
-def test_key_includes_time_tol_and_starts(tmp_path):
+def test_key_includes_time_and_starts(tmp_path):
     cache = HeatKernelCache(tmp_path / "cache")
     P = cycle(6).matrix
-    cache.get_or_compute(P, 1.0, 1e-9, None, lambda: heat_kernel(P, 1.0))
+    cache.get_or_compute(P, 1.0, None, lambda: heat_kernel(P, 1.0))
     calls = []
-
-    def compute():
-        calls.append(1)
-        return heat_kernel(P, 1.0)
-
-    cache.get_or_compute(P, 1.0, 1e-8, None, compute)      # different tol
-    cache.get_or_compute(P, 2.0, 1e-8, None,               # different t
+    cache.get_or_compute(P, 2.0, None,                     # different t
                          lambda: (calls.append(1), heat_kernel(P, 2.0))[1])
+    cache.get_or_compute(P, 1.0, [0],                      # different starts
+                         lambda: (calls.append(1), heat_kernel(P, 1.0)[:1])[1])
     assert len(calls) == 2
 
 
@@ -59,11 +55,11 @@ def test_start_restricted_entries(tmp_path):
     cache = HeatKernelCache(tmp_path / "cache")
     P = cycle(6).matrix
     rows = cache.get_or_compute(
-        P, 1.0, 1e-9, [0, 3],
+        P, 1.0, [0, 3],
         lambda: np.vstack([heat_kernel(P, 1.0)[0],
                            heat_kernel(P, 1.0)[3]]))
     assert rows.shape == (2, 6)
-    again = cache.get_or_compute(P, 1.0, 1e-9, [0, 3],
+    again = cache.get_or_compute(P, 1.0, [0, 3],
                                  lambda: (_ for _ in ()).throw(AssertionError))
     assert np.array_equal(rows, again)
 
@@ -72,12 +68,11 @@ def test_corrupt_entry_recomputed(tmp_path):
     cachedir = tmp_path / "cache"
     cache = HeatKernelCache(cachedir)
     P = cycle(8).matrix
-    good = cache.get_or_compute(P, 1.0, 1e-9, None,
-                                lambda: heat_kernel(P, 1.0))
+    good = cache.get_or_compute(P, 1.0, None, lambda: heat_kernel(P, 1.0))
     files = list(cachedir.iterdir())
     assert len(files) == 1
     files[0].write_bytes(b"not a numpy file")
-    recovered = cache.get_or_compute(P, 1.0, 1e-9, None,
+    recovered = cache.get_or_compute(P, 1.0, None,
                                      lambda: heat_kernel(P, 1.0))
     assert np.array_equal(good, recovered)
     # The corrupt entry was replaced by a readable one.
@@ -88,7 +83,6 @@ def test_wrong_shape_recomputed(tmp_path):
     cachedir = tmp_path / "cache"
     cache = HeatKernelCache(cachedir)
     P = cycle(8).matrix
-    cache.get_or_compute(P, 1.0, 1e-9, None, lambda: np.zeros((2, 8)))
-    rows = cache.get_or_compute(P, 1.0, 1e-9, None,
-                                lambda: heat_kernel(P, 1.0))
+    cache.get_or_compute(P, 1.0, None, lambda: np.zeros((2, 8)))
+    rows = cache.get_or_compute(P, 1.0, None, lambda: heat_kernel(P, 1.0))
     assert rows.shape == (8, 8)

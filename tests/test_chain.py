@@ -6,6 +6,7 @@ Frozen oracle values are derived in comments next to each assertion.
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from scipy.linalg import expm
 
 from cutoff_lab import chain
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
-                              heat_kernel_apply, heat_kernel_row,
+                              heat_kernel_apply, heat_kernel_row, kernel_rows,
                               load_chain_file, metric_data, poisson_weights,
                               save_chain_file, stationary, validate)
 from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
                                DimensionMismatch, NotIrreducible,
-                               SpecParseError, TimeOutOfRange, UnderflowRisk)
-from cutoff_lab.families import birth_death, complete_graph, hypercube
+                               SpecParseError, StateCapExceeded,
+                               TimeOutOfRange, UnderflowRisk)
+from cutoff_lab.families import birth_death, complete_graph, cycle, hypercube
 from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at, worst_tv
 from cutoff_lab.spectral import relaxation_time
 from test_curvature import sparse_chain
@@ -294,12 +296,49 @@ class TestCachedInvariants:
 # Heat kernel
 # ---------------------------------------------------------------------------
 
+def exact_poisson(t, K):
+    """Poisson(t) pmf q_0..q_K and the tail mass past K, in 60-digit
+    decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        T = Decimal(t)
+        q = [(-T).exp()]
+        for k in range(1, K + 1):
+            q.append(q[-1] * T / k)
+        # Past the mode the terms fall at least geometrically.
+        tail, term, k = Decimal(0), q[-1], K
+        while term > tail * Decimal("1e-30") or k < T:
+            k += 1
+            term = term * T / k
+            tail += term
+        return q, tail
+
+
 class TestPoissonWeights:
     def test_mass_certificate(self):
-        for t in (0.01, 0.5, 3.0, 40.0, 300.0):
+        # The weights sum to 1 - tail, and K is the first index past the
+        # mode whose tail bound is below _MASS_TOL.
+        for t in (0.01, 0.5, 3.0, 40.0, 300.0, 5000.0):
             q = poisson_weights(t)
             assert abs(1.0 - q.sum()) < 1e-13
-            assert len(q) >= math.ceil(t + 8 * math.sqrt(t) + 8)
+            K = len(q) - 1
+            if K - 1 >= math.floor(t):
+                q_K = exact_poisson(t, K)[0][K]
+                assert float(q_K) / (1 - t / (K + 1)) > chain._MASS_TOL
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 5.0, 300.0, 700.0, 701.0,
+                                   1500.0, 1e4])
+    def test_matches_exact_pmf(self, t):
+        # Every weight in the normal float range is within 1e-13 relative
+        # of the exact pmf, and the returned tail bound lies between the
+        # true tail and tol, for a tol of _MASS_TOL and a far smaller one.
+        for tol in (chain._MASS_TOL, 1e-200):
+            q, tail = chain._poisson_pmf(t, tol)
+            exact, true_tail = exact_poisson(t, len(q) - 1)
+            for w, e in zip(q, exact):
+                if e > Decimal("1e-290"):
+                    assert abs(Decimal(float(w)) - e) <= Decimal(1e-13) * e
+            assert true_tail <= Decimal(tail) and tail <= tol
 
     def test_zero_time(self):
         assert poisson_weights(0.0).tolist() == [1.0]
@@ -311,8 +350,9 @@ class TestPoissonWeights:
     def test_rejects_negative_and_huge_times(self):
         with pytest.raises(ValueError):
             poisson_weights(-1.0)
-        with pytest.raises(OverflowError):
-            poisson_weights(701.0)
+        for t in (math.inf, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                poisson_weights(t)
 
 
 class TestHeatKernel:
@@ -421,6 +461,27 @@ class TestHeatKernel:
             if m == 0:
                 assert np.array_equal(rows(t), np.vstack(fresh))
 
+    def test_rows_past_700(self):
+        # Start-set rows against the cycle's character sum P_t(0, x) =
+        # (1/n) sum_k e^{t (cos(2 pi k/n) - 1)} e^{2 pi i k x/n}, and the
+        # semigroup's action against the squared kernel.
+        n, t = 200, 1500.0
+        P = cycle(n).matrix
+        exact = np.fft.ifft(np.exp(t * (np.cos(2 * np.pi * np.arange(n) / n)
+                                        - 1.0))).real
+        row = kernel_rows(P, t, [0])[0]
+        assert np.abs(row - exact).sum() <= 2 * chain._MASS_TOL
+        f = np.random.default_rng(4).standard_normal(n)
+        assert np.max(np.abs(heat_kernel_apply(P, f, t)
+                             - heat_kernel(P, t) @ f)) <= 1e-12
+
+    def test_power_sequence_cap(self):
+        # The rows' powers would hold about t n floats: refused before any
+        # is computed.
+        rows = chain._KernelRows(cycle_matrix(64), [0])
+        with pytest.raises(StateCapExceeded):
+            rows(1e6)
+
     def test_state_out_of_range(self):
         with pytest.raises(DimensionMismatch):
             heat_kernel_row(cycle_matrix(4), 4, 1.0)
@@ -514,13 +575,13 @@ class TestSquaredKernel:
         # and every square of one, is Counted.
         eye = np.eye
         monkeypatch.setattr(np, "eye", lambda n: eye(n).view(Counted))
-        real = chain._squaring_weights
+        real = chain._poisson_pmf
 
         def recorded(*args):
             q, tail = real(*args)
             bases.append(len(q))
             return q, tail
-        monkeypatch.setattr(chain, "_squaring_weights", recorded)
+        monkeypatch.setattr(chain, "_poisson_pmf", recorded)
         K = heat_kernel(hypercube(6).matrix, 200.0)
         assert len(products) == bases[0] - 1 + 9 <= 25
         assert set(products) == {(64, 64)}

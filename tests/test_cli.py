@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, CSV format, option
 precedence, caching and reproducibility."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from cutoff_lab import chain, curvature, families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
                             EXIT_VERDICT, load_config, main, verdict_suite)
-from cutoff_lab.entropy import EPS_GRID
+from cutoff_lab.entropy import EPS_GRID, EPS_MIN
 
 
 def read_csv(path):
@@ -206,10 +207,10 @@ class TestExitCodes:
         assert main(["analyze", "--spec", f"bd:p={p};q={q}", "--no-cache",
                      "--out", str(tmp_path / "o")]) == code
 
-    def test_time_limit_binds_start_set_rows_only(self, tmp_path):
+    def test_long_times_from_full_kernels_and_rows(self, tmp_path):
         # The symmetric 40-state birth-death chain is not vertex-transitive,
-        # so its mixing-time searches square full kernels, which have no
-        # t <= 700 limit: tmix(0.05) is near 1375.
+        # so its mixing-time searches square full kernels: tmix(0.05) is
+        # near 1375.
         rates = ",".join(["0.3"] * 39)
         out = tmp_path / "bd"
         assert main(["analyze", "--spec", f"bd:p={rates};q={rates}",
@@ -231,28 +232,48 @@ class TestExitCodes:
         # The search bisects its last bracket [1024, 2048] to a width of
         # 1e-4 * 2048 and returns the midpoint.
         assert abs(got - hi) <= 0.5e-4 * 2048
-        # A vertex-transitive chain searches rows from one start, which
-        # keep the limit: cycle:n=200 passes t = 700 while doubling.
-        assert main(["analyze", "--spec", "cycle:n=200", "--no-cache",
-                     "--out", str(tmp_path / "cycle")]) == EXIT_CAP
+        # A vertex-transitive chain searches rows from one start: on
+        # cycle:n=200 they reach t = 8192 while doubling.  Worst TV from
+        # the character sum P_t(0, x) = (1/n) sum_k e^{t (cos(2 pi k/n) - 1)}
+        # e^{2 pi i k x/n}.
+        out = tmp_path / "cycle"
+        assert main(["analyze", "--spec", "cycle:n=200", "--eps", "0.05,0.25",
+                     "--no-cache", "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "analysis.csv")
+        got = dict(zip(header, rows[0]))
+        rate = np.cos(2 * np.pi * np.arange(200) / 200) - 1.0
+
+        def cycle_tv(t):
+            return 0.5 * np.abs(np.fft.ifft(np.exp(t * rate)).real
+                                - 1.0 / 200).sum()
+        for eps in (0.05, 0.25):
+            lo, hi = 0.0, 8192.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if cycle_tv(mid) <= eps else (mid, hi)
+            # Within the width of the search's last bracket, 1e-4 times its
+            # power-of-two end.
+            top = 2.0 ** math.ceil(math.log2(hi))
+            assert abs(float(got[f"tmix_{eps}"]) - hi) <= 1e-4 * top
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--eps", "1e-300"],
         ["analyze", "--eps", "1e-15"],
         ["analyze", "--eps", "4e-13"],
+        ["analyze", "--eps", "1e-11"],
         ["analyze", "--eps", "0.9999999999999"],
         ["verify", "--eps", "4e-13"],
         ["verify", "--eps", "0.9999999999999"],
-    ], ids=["eps-tiny", "eps-below-kernel", "eps-small", "eps-rounds-to-one",
-            "verify-eps-small", "verify-eps-near-one"])
+    ], ids=["eps-tiny", "eps-below-kernel", "eps-small", "eps-below-floor",
+            "eps-rounds-to-one", "verify-eps-small", "verify-eps-near-one"])
     def test_eps_beyond_kernel_resolution(self, tmp_path, argv):
-        # The heat kernel's 1e-13 tail mass resolves no eps below 1e-12, and
-        # verify also searches t_mix(1 - eps).
+        # The heat kernel's 1e-13 tail mass resolves no eps below EPS_MIN =
+        # 1e-10, and verify also searches t_mix(1 - eps).
         assert main(argv + ["--spec", "cycle:n=8", "--no-cache",
                             "--out", str(tmp_path / "o")]) == EXIT_SPEC
 
     def test_eps_at_floor(self, tmp_path):
-        assert main(["verify", "--spec", "cycle:n=8", "--eps", "1e-12",
+        assert main(["verify", "--spec", "cycle:n=8", "--eps", repr(EPS_MIN),
                      "--no-cache", "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_bad_eps(self, tmp_path):

@@ -27,8 +27,8 @@ from cutoff_lab.entropy import (EPS_GRID, EPS_MIN, cutoff_time_equation,
 from cutoff_lab.errors import (CurvatureHypothesisFailed, DimensionMismatch,
                                EpsilonOutOfRange, HypothesisViolation,
                                NoCrossing, UnsupportedState)
-from cutoff_lab.families import (complete_graph, cycle, hypercube,
-                                 parse_family_spec)
+from cutoff_lab.families import (birth_death, complete_graph, cycle,
+                                 hypercube, parse_family_spec)
 from test_curvature import CHAINS, sparse_chain
 
 
@@ -220,11 +220,13 @@ class TestMixing:
 
     def test_resolved_down_to_eps_min(self):
         # At EPS_MIN the kernel's 1e-13 tail mass still resolves the
-        # crossing; below it the search is refused instead of run.
+        # crossing, from rows and from the squared full kernel; below it
+        # the search is refused instead of run.
         inst = complete_graph(10)
-        assert mixing_time(inst.matrix, EPS_MIN, starts=[0]) == pytest.approx(
-            complete_tmix(10, EPS_MIN), abs=5e-3)
-        for eps in (1e-15, 4e-13, 1e-300, math.nan):
+        for starts in ([0], None):
+            assert mixing_time(inst.matrix, EPS_MIN, starts=starts) == \
+                pytest.approx(complete_tmix(10, EPS_MIN), abs=5e-3)
+        for eps in (1e-15, 4e-13, 1e-11, 1e-300, math.nan):
             with pytest.raises(EpsilonOutOfRange):
                 mixing_time(inst.matrix, eps)
         with pytest.raises(EpsilonOutOfRange):
@@ -313,6 +315,18 @@ class TestInequalityChecks:
         # the plain Poisson truncation would cut the series short.
         lip = log_density_lip_norm(cycle(32), 0, 0.17)
         assert np.isfinite(lip) and lip > 0
+
+    def test_log_density_far_entries_certified(self):
+        # At t = 10 the diameter's reach (55 terms) leaves the far entries
+        # of a start row 5e-6 short; the row's series is extended until its
+        # Poisson tail is below 1e-12 of its smallest entry, and agrees
+        # with a full kernel whose base reaches 400 terms.
+        inst = birth_death([0.35] * 39, [0.15] * 39)
+        P = inst.matrix
+        K = chain.heat_kernel(P, 10.0, min_terms=400)
+        want = P.lip_norm(np.log(K[0]) - np.log(P.pi.probs))
+        assert log_density_lip_norm(inst, 0, 10.0) == pytest.approx(
+            want, rel=1e-12)
 
     def test_local_concentration_zero_curvature_limit(self):
         # kappa -> 0 limit of (1 - e^{-2 t kappa})/kappa is 2t.
