@@ -47,7 +47,13 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Per-edge Ollivier values and/or per-vertex Bakry-Emery values."""
+    """Per-edge Ollivier values and/or per-vertex Bakry-Emery values.
+
+    ``ollivier_edges`` maps each edge (x, y) to its kappa and
+    ``bakry_emery_vertices`` each vertex x to its kappa; when the report was
+    computed with a start set, they hold only the edges with an endpoint in
+    it, or only its vertices, and the minima are taken over those.
+    """
 
     ollivier_edges: Optional[dict] = None
     ollivier_min: Optional[float] = None
@@ -132,12 +138,33 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     return TransportPlan(plan=plan, value=value, dual_potential=potential)
 
 
-def ollivier_curvature(P: StochasticMatrix) -> CurvatureReport:
-    """One-step Ollivier curvature kappa(x,y) = 1 - W1(P(x,.), P(y,.)) on
-    every support edge; global value is the edge minimum.
+def _vertices(P: StochasticMatrix, starts) -> list:
+    """The vertices of ``starts``; every vertex when it is None."""
+    if starts is None:
+        return list(range(P.n))
+    if len(starts) == 0 or not all(0 <= x < P.n for x in starts):
+        raise DimensionMismatch(f"bad start set {list(starts)} for {P.n} "
+                                f"states")
+    return list(starts)
 
-    The edge LPs are solved in shared LPs of at most ``_LP_VARS`` transport
-    variables each (a larger single edge gets an LP of its own).
+
+def _edges_at(P: StochasticMatrix, starts) -> list:
+    """Support edges with an endpoint in ``starts``, in P.edges() order;
+    every edge when ``starts`` is None."""
+    keep = set(_vertices(P, starts))
+    return [(x, y) for x, y in P.edges() if x in keep or y in keep]
+
+
+def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
+    """One-step Ollivier curvature kappa(x,y) = 1 - W1(P(x,.), P(y,.)) on
+    every support edge, or on the edges with an endpoint in ``starts``;
+    global value is the edge minimum.
+
+    On a vertex-transitive chain an automorphism of P carries every edge
+    onto an edge at a start vertex, so the start set's minimum is the
+    global one.  The edge LPs are solved in shared LPs of at most
+    ``_LP_VARS`` transport variables each (a larger single edge gets an LP
+    of its own).
     """
     if not P.symmetric_support:
         raise AsymmetricSupport("Ollivier curvature requires symmetric support")
@@ -147,7 +174,7 @@ def ollivier_curvature(P: StochasticMatrix) -> CurvatureReport:
     E = P.entries
     sizes = np.diff(P.adjacency.indptr) + (np.diagonal(E) > 0)
     batches, n_vars = [[]], 0
-    for (x, y) in P.edges():
+    for (x, y) in _edges_at(P, starts):
         size = int(sizes[x] * sizes[y])
         if batches[-1] and n_vars + size > _LP_VARS:
             batches.append([])
@@ -216,7 +243,7 @@ def _local_quadratic_forms(P: StochasticMatrix, x: int):
     return A, B, ball
 
 
-def bakry_emery_vertex(P: StochasticMatrix, x: int):
+def bakry_emery_vertex(P: StochasticMatrix, x: int, *, forms=None):
     """Exact kappa(x) = inf_f Gamma2(f,f)(x) / Gamma(f,f)(x), plus a
     minimizing observable (length n, supported on the 2-ball).
 
@@ -227,8 +254,10 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int):
     f_far = -A_fn f_near / a and the Schur complement
     S = A_nn - A_nf diag(a)^-1 A_fn, so
     kappa(x) = lambda_min(D^-1/2 S D^-1/2) and f_near = D^-1/2 v.
+    ``forms`` is _local_quadratic_forms(P, x) when the caller already
+    holds it.
     """
-    A, _, ball = _local_quadratic_forms(P, x)
+    A, _, ball = _local_quadratic_forms(P, x) if forms is None else forms
     adj = P.adjacency
     lo, hi = adj.indptr[x], adj.indptr[x + 1]
     if lo == hi:
@@ -249,8 +278,10 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int):
 
 
 def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
-                          seed: int = 0) -> CurvatureReport:
-    """Per-vertex Bakry-Emery curvature with random-sampling validation.
+                          seed: int = 0, starts=None) -> CurvatureReport:
+    """Per-vertex Bakry-Emery curvature with random-sampling validation, at
+    every vertex or at the vertices of ``starts`` (on a vertex-transitive
+    chain, kappa(x) is the same at every x).
 
     For each vertex, ``samples`` random local observables must have Rayleigh
     quotient >= kappa(x) - 1e-8 whenever Gamma(f,f)(x) > 1e-12.
@@ -259,11 +290,11 @@ def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
         raise NotIrreducible("Bakry-Emery curvature requires irreducibility")
     rng = np.random.default_rng(seed)
     kappas = {}
-    for x in range(P.n):
-        kappa, _ = bakry_emery_vertex(P, x)
+    for x in _vertices(P, starts):
+        A, B, ball = forms = _local_quadratic_forms(P, x)
+        kappa, _ = bakry_emery_vertex(P, x, forms=forms)
         kappas[x] = kappa
         if samples > 0:
-            A, B, ball = _local_quadratic_forms(P, x)
             F = rng.standard_normal((len(ball), samples))
             num = np.einsum("im,ij,jm->m", F, A, F)
             den = np.einsum("im,ij,jm->m", F, B, F)
@@ -291,12 +322,16 @@ def full_curvature_report(P: StochasticMatrix, samples: int = 1000,
 # ---------------------------------------------------------------------------
 
 def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
-                      seed: int = 0, n_f: int = 100) -> InequalityVerdict:
+                      seed: int = 0, n_f: int = 100,
+                      starts=None) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip on
     random Lipschitz-normalized f, plus the W1 form on adjacent pairs on
-    chains of at most 128 states (one dense LP per edge is too slow above)."""
+    chains of at most 128 states (one dense LP per edge is too slow above):
+    every edge, or the edges with an endpoint in ``starts``, which on a
+    vertex-transitive chain attain the worst W1 (an automorphism of P also
+    preserves P_t and the metric)."""
     dist = P.metric.dist
-    edges = P.edges()
+    edges = _edges_at(P, starts)
     rng = np.random.default_rng(seed)
     worst = None
     for t in t_grid:
@@ -320,7 +355,9 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
             # Edges that a symmetry of the chain maps onto each other tie,
             # up to the rounding of K and of the LP (3e-16 on cycle:n=32 at
             # t = 0.5): a later edge must be worse by more than VERDICT_TOL,
-            # so the first of tied edges is reported.
+            # so the first of tied edges is reported.  The edges at vertex 0
+            # come first in P.edges(), so a start set [0] reports the same
+            # edge as the full list.
             for (x, y) in edges:
                 [(value, *_)] = _w1_restricted([(K[x], K[y])], dist)
                 cand = make_verdict("w1-contraction", value, decay,

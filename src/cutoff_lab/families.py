@@ -107,7 +107,12 @@ class ChainInstance:
 
     @property
     def starts(self):
-        """Start set sufficient for worst-case maximizations."""
+        """Start set sufficient for worst-case maximizations over starting
+        states (TV, entropy) and for curvature minimizations over edges and
+        vertices (Ollivier, Bakry-Emery, W1 contraction): [0] on a
+        vertex-transitive chain, whose automorphisms preserve P, P_t and
+        the metric; None (every state) otherwise.  The ``curvature``
+        command still tabulates every edge and vertex."""
         return [0] if self.transitive else None
 
     @cached_property

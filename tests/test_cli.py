@@ -3,11 +3,12 @@ precedence, caching and reproducibility."""
 
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cutoff_lab import chain, curvature, families
+from cutoff_lab import chain, cli, curvature, families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
                             EXIT_VERDICT, load_config, main, verdict_suite)
@@ -42,6 +43,32 @@ class TestAnalyze:
         code = main(["analyze", "--chain-file", str(chain),
                      "--eps", "0.25", "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
+
+    def test_profile_grid_shares_one_power_sequence(self, tmp_path,
+                                                    monkeypatch):
+        # The 25 grid rows of a start set are drawn from one _KernelRows,
+        # and every output and cache file equals that of one-shot rows.
+        made = []
+
+        class Counted(chain._KernelRows):
+            def __init__(self, P, starts):
+                made.append(starts)
+                super().__init__(P, starts)
+        argv = ["analyze", "--spec", "cycle:n=12", "--eps", "0.25", "--out"]
+        monkeypatch.setattr(cli, "_KernelRows", Counted)
+        assert main(argv + [str(tmp_path / "shared")]) == EXIT_OK
+        assert made == [[0]]
+        monkeypatch.setattr(cli, "_KernelRows", lambda P, starts: partial(
+            chain.kernel_rows, P, starts=starts))
+        assert main(argv + [str(tmp_path / "one-shot")]) == EXIT_OK
+
+        def files(name):
+            root = tmp_path / name
+            return {str(f.relative_to(root)): f.read_bytes()
+                    for f in root.rglob("*") if f.is_file()}
+        shared = files("shared")
+        assert len([f for f in shared if f.startswith("cache")]) == 25
+        assert shared == files("one-shot")
 
     def test_explicit_tgrid(self, tmp_path):
         code = main(["analyze", "--spec", "cycle:n=8", "--eps", "0.5",
@@ -87,6 +114,40 @@ class TestVerify:
         assert solves == {"stationary": 1, "metric_data": 1}
         P = inst.matrix
         assert P.pi is P.pi
+
+    def test_transitive_curvature_from_start_vertex(self, tmp_path):
+        # hypercube:d=6 is vertex-transitive: its curvature minima and W1
+        # contraction are read at the edges of vertex 0 (and the reported
+        # tied edge is the first of the full edge list).
+        out = tmp_path / "out"
+        assert main(["verify", "--spec", "hypercube:d=6",
+                     "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "verdicts.csv")
+        w1 = [dict(zip(header, r)) for r in rows if r[0] == "w1-contraction"]
+        assert w1 and "edge=(0/1)" in w1[0]["context"].split(";")
+
+    def test_other_chains_use_every_edge(self, monkeypatch):
+        # A birth-death chain is not vertex-transitive: no start set, so the
+        # curvature reports cover every edge and every vertex.
+        seen = {}
+        for name in ("ollivier_curvature", "bakry_emery_curvature",
+                     "contraction_check"):
+            def wrapped(*args, _real=getattr(cli, name), _name=name,
+                        **kwargs):
+                seen[_name] = kwargs["starts"], _real(*args, **kwargs)
+                return seen[_name][1]
+            monkeypatch.setattr(cli, name, wrapped)
+        inst = families.parse_family_spec("bd:p=0.3,0.3,0.3;q=0.2,0.2,0.2")
+        assert not inst.transitive
+        verdict_suite(inst, [0.25], n_f=5)
+        assert {k: v[0] for k, v in seen.items()} == {
+            "ollivier_curvature": None, "bakry_emery_curvature": None,
+            "contraction_check": None}
+        P = inst.matrix
+        assert sorted(seen["ollivier_curvature"][1].ollivier_edges) \
+            == P.edges()
+        assert sorted(seen["bakry_emery_curvature"][1].bakry_emery_vertices) \
+            == list(range(P.n))
 
 
 class TestScan:

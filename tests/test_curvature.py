@@ -26,9 +26,10 @@ from cutoff_lab.curvature import (_local_quadratic_forms,
                                   ollivier_curvature, subcommutativity_check,
                                   wasserstein1)
 from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
-                               NotIrreducible)
+                               DimensionMismatch, NotIrreducible)
 from cutoff_lab.families import (birth_death, complete_graph, cycle,
-                                 hypercube)
+                                 hypercube, parse_family_spec,
+                                 perturb_toward_uniform)
 from cutoff_lab.spectral import gamma_form
 
 FLIP = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -445,12 +446,23 @@ class TestBakryEmery:
     def test_sampled_quotient_below_kappa_fails(self, monkeypatch):
         real = curvature.bakry_emery_vertex
 
-        def inflated(P, x):
-            kappa, f = real(P, x)
+        def inflated(P, x, **kwargs):
+            kappa, f = real(P, x, **kwargs)
             return kappa + 1.0, f
         monkeypatch.setattr(curvature, "bakry_emery_vertex", inflated)
         with pytest.raises(CertificateFailed, match="Rayleigh"):
             bakry_emery_curvature(cycle(6).matrix, samples=50)
+
+    def test_local_forms_built_once_per_vertex(self, monkeypatch):
+        calls = []
+        real = curvature._local_quadratic_forms
+
+        def counted(P, x):
+            calls.append(x)
+            return real(P, x)
+        monkeypatch.setattr(curvature, "_local_quadratic_forms", counted)
+        bakry_emery_curvature(cycle(6).matrix, samples=20)
+        assert calls == list(range(6))
 
     def test_full_report_combines_both(self):
         rep = full_curvature_report(cycle(6).matrix, samples=20)
@@ -491,3 +503,48 @@ class TestSemigroupChecks:
         v = contraction_check(cycle(n).matrix, 0.0, [t], n_f=5, seed=0)
         assert v.name == "w1-contraction"
         assert v.context["edge"] == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Start sets on vertex-transitive chains
+# ---------------------------------------------------------------------------
+
+class TestStartSets:
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=4", "hypercube:d=4:lazy=0.5", "cycle:n=12",
+        "complete:n=8", "sym:k=4", "hypercube:d=3+theta=0.1"])
+    def test_start_set_minima_are_global(self, spec):
+        # An automorphism of P carries every edge onto one at vertex 0 and
+        # preserves P_t and the metric, so the start set's minima are the
+        # all-edge and all-vertex minima, and the W1 contraction reports the
+        # same first tied edge.  One t keeps the all-edge LPs cheap; the
+        # perturbed cube has complete support (7 of its 28 edges at 0).
+        if spec.endswith("+theta=0.1"):
+            inst = perturb_toward_uniform(hypercube(3), 0.1)
+        else:
+            inst = parse_family_spec(spec)
+        P, starts = inst.matrix, inst.starts
+        assert inst.transitive and starts == [0]
+        olli_all, olli = ollivier_curvature(P), ollivier_curvature(P, starts)
+        assert set(olli.ollivier_edges) == {e for e in P.edges() if 0 in e}
+        assert olli.ollivier_min == pytest.approx(olli_all.ollivier_min,
+                                                  abs=1e-12)
+        be_all = bakry_emery_curvature(P, samples=0)
+        be = bakry_emery_curvature(P, samples=0, starts=starts)
+        assert list(be.bakry_emery_vertices) == [0]
+        assert be.bakry_emery_min == pytest.approx(be_all.bakry_emery_min,
+                                                   abs=1e-12)
+        kappa = olli_all.ollivier_min
+        full = contraction_check(P, kappa, [1.0], n_f=2, seed=0)
+        fast = contraction_check(P, kappa, [1.0], n_f=2, seed=0,
+                                 starts=starts)
+        assert (fast.name, fast.context) == (full.name, full.context)
+        assert fast.lhs == pytest.approx(full.lhs, abs=1e-12)
+
+    def test_start_set_must_be_states(self):
+        P = cycle(6).matrix
+        for starts in ([], [6], [-1]):
+            with pytest.raises(DimensionMismatch):
+                ollivier_curvature(P, starts)
+            with pytest.raises(DimensionMismatch):
+                bakry_emery_curvature(P, samples=0, starts=starts)
