@@ -5,12 +5,16 @@ The heat kernel is the continuous-time semigroup e^{t(P-I)}, evaluated as a
 Poisson mixture of matrix powers with certified truncation error: row by row
 for a start set, and by scaling and squaring a short mixture for the full
 kernel.
+
+A random walk on an abelian group may declare its step law (StepLaw); the
+stationary law, the metric and the spectrum are then read off the law in
+closed form, and every other chain takes the dense paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -20,16 +24,64 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
                      NotIrreducible, SpecParseError, StateCapExceeded,
-                     TimeOutOfRange, UnderflowRisk)
+                     StepLawMismatch, TimeOutOfRange, UnderflowRisk)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# Row-vector products v P go through a CSR copy of P^T when P has at most
+# this fraction of n^2 nonzero entries.  Measured on one core (CSR product
+# time over dense gemv time): 1.0 at n = 256, 0.4 at n = 512, 0.27 at
+# n = 1024 and 0.17 at n = 2048 at this density; at full density the CSR
+# product is 3-5 times slower.
+CSR_FRACTION = 0.1
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class StepLaw:
+    """Declares P(x, y) = mu(y - x) on Z_{m1} x ... x Z_{mk}, ``factors`` =
+    (m1, ..., mk).
+
+    States and group elements are mixed-radix indices, last factor fastest
+    (numpy's C order over ``factors``); laziness is part of mu(0).  The
+    Cayley families hand it to StochasticMatrix, which checks it against
+    the entries exactly.
+    """
+
+    factors: tuple
+    mu: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(int(m) for m in self.factors))
+        object.__setattr__(self, "mu", _readonly(self.mu))
+
+    def translate(self, g: int) -> np.ndarray:
+        """x + g for every state x."""
+        shift = [-int(c) for c in np.unravel_index(g, self.factors)]
+        grid = np.arange(self.mu.size).reshape(self.factors)
+        return np.roll(grid, shift, axis=tuple(range(grid.ndim))).ravel()
+
+    def differences(self) -> np.ndarray:
+        """The (n, n) table of y - x: x ^ y when every factor is 2, else
+        accumulated one factor at a time (one n^2 temporary)."""
+        x = np.arange(self.mu.size, dtype=np.int32)
+        if set(self.factors) == {2}:
+            return np.bitwise_xor.outer(x, x)
+        out = np.zeros((x.size, x.size), dtype=np.int32)
+        weight = x.size
+        for m, c in zip(self.factors, np.unravel_index(x, self.factors)):
+            weight //= m
+            c = c.astype(np.int32)
+            d = c[None, :] - c[:, None]
+            d %= m
+            d *= weight
+            out += d
+        return out
 
 
 @dataclass(frozen=True)
@@ -42,10 +94,17 @@ class StochasticMatrix:
     construction (exact zero threshold: entries are exact inputs).  ``pi``
     and ``metric`` are solved on first use and kept.  Construction does not
     reject broken rows; use :func:`validate` to obtain a diagnostics record.
+
+    ``step_law`` (internal, set by the abelian Cayley families) declares P
+    a group walk; construction checks every entry it implies, at (x, x + g)
+    for g in the support of mu, and that P has no other nonzero entry, and
+    raises StepLawMismatch otherwise.
     """
 
     entries: np.ndarray
     labels: Optional[tuple] = None
+    step_law: Optional[StepLaw] = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -61,10 +120,19 @@ class StochasticMatrix:
             if len(labels) != entries.shape[0]:
                 raise DimensionMismatch("label count does not match state count")
             object.__setattr__(self, "labels", labels)
-        xs, ys = np.nonzero(entries > 0)
-        off = xs != ys
-        xs, ys = xs[off], ys[off]
-        adj = csr_matrix((entries[xs, ys], (xs, ys)), shape=entries.shape)
+        xs, ys = np.nonzero(entries != 0)
+        vals = entries[xs, ys]
+        if self.step_law is not None:
+            _check_step_law(entries, self.step_law, len(xs))
+        # P^T in CSR, for row-vector products on a sparse support (rows of
+        # P^T list x in increasing order).
+        object.__setattr__(self, "_csr_transpose",
+                           csr_matrix((vals, (ys, xs)), shape=entries.shape)
+                           if len(xs) <= CSR_FRACTION * entries.size
+                           else None)
+        edge = (xs != ys) & (vals > 0)
+        adj = csr_matrix((vals[edge], (xs[edge], ys[edge])),
+                         shape=entries.shape)
         for a in (adj.data, adj.indices, adj.indptr):
             a.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
@@ -94,6 +162,13 @@ class StochasticMatrix:
         """Support-graph metric, see :func:`_support_metric`."""
         return _support_metric(self)
 
+    def row_times(self, v: np.ndarray) -> np.ndarray:
+        """Row-vector product v P: by the CSR copy of P^T kept for a
+        support of at most CSR_FRACTION n^2 entries, by the dense
+        ``entries`` otherwise."""
+        T = self._csr_transpose
+        return v @ self.entries if T is None else T @ v
+
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
 
@@ -112,6 +187,24 @@ class StochasticMatrix:
             return 0.0
         return float(np.max(np.abs(
             f[adj.indices] - np.repeat(f, np.diff(adj.indptr)))))
+
+
+def _check_step_law(entries: np.ndarray, law: StepLaw, nnz: int):
+    """P(x, y) = mu(y - x) exactly, for every x and y, given the count
+    ``nnz`` of nonzero entries: O(n |supp mu|) comparisons."""
+    n = entries.shape[0]
+    if math.prod(law.factors) != n or law.mu.shape != (n,):
+        raise StepLawMismatch(f"group {law.factors} with a step law of "
+                              f"{law.mu.size} entries on {n} states")
+    support = np.flatnonzero(law.mu)
+    if nnz != n * support.size:
+        raise StepLawMismatch(f"{nnz} nonzero entries where the step law "
+                              f"gives {n * support.size}")
+    xs = np.arange(n)
+    for g in support:
+        if np.any(entries[xs, law.translate(g)] != law.mu[g]):
+            raise StepLawMismatch(f"entries at (x, x + {g}) differ from "
+                                  f"mu({g}) = {law.mu[g]!r}")
 
 
 @dataclass(frozen=True)
@@ -179,29 +272,34 @@ def stationary(P: StochasticMatrix) -> Distribution:
 
 
 def _solve_stationary(P: StochasticMatrix) -> Distribution:
-    """Solves the singular linear system directly, replacing the last
-    equation with the normalization sum(pi) = 1.  A failed solve or a
-    residual max|pi P - pi| above STATIONARY_TOL raises CertificateFailed;
-    an entry <= 0, which no irreducible chain has, raises UnderflowRisk."""
+    """The uniform law for a declared group walk, whose columns sum like
+    its rows; otherwise solves the singular linear system directly,
+    replacing the last equation with the normalization sum(pi) = 1.  A
+    failed solve or a residual max|pi P - pi| above STATIONARY_TOL raises
+    CertificateFailed; an entry <= 0, which no irreducible chain has,
+    raises UnderflowRisk."""
     if not P.irreducible:
         raise NotIrreducible("stationary law requires an irreducible chain")
     n = P.n
-    A = P.entries.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise CertificateFailed(f"stationary solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(pi @ P.entries - pi)))
+    if P.step_law is not None:
+        pi = np.full(n, 1.0 / n)
+    else:
+        A = P.entries.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        try:
+            pi = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise CertificateFailed(f"stationary solve failed: {exc}") from exc
+    residual = float(np.max(np.abs(P.row_times(pi) - pi)))
     if not residual <= STATIONARY_TOL:         # NaN included
         raise CertificateFailed(f"stationary solve leaves residual {residual}")
     if pi.min() <= 0.0:
         raise UnderflowRisk(
             f"stationary law has an entry {pi.min()} <= 0: its small "
             f"entries are below the accuracy of the solve")
-    return Distribution(pi / pi.sum())
+    return Distribution(pi if P.step_law is not None else pi / pi.sum())
 
 
 def metric_data(P: StochasticMatrix) -> MetricData:
@@ -211,13 +309,22 @@ def metric_data(P: StochasticMatrix) -> MetricData:
 
 
 def _support_metric(P: StochasticMatrix) -> MetricData:
-    """All-pairs BFS distance on the support graph, diameter and sparsity."""
+    """BFS distance on the support graph, diameter and sparsity.
+
+    A declared group walk takes one BFS from 0 and d(x, y) = d(0, y - x),
+    translation being a graph automorphism; every other chain takes a BFS
+    from each state.  The support is symmetric, so the directed search
+    gives the undirected distances."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
     adj = P.adjacency
-    d = shortest_path(adj, method="D", unweighted=True, directed=False)
+    law = P.step_law
+    d = shortest_path(adj, method="D", unweighted=True,
+                      indices=None if law is None else 0)
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
+    if law is not None:
+        d = d.astype(np.int64)[law.differences()]
     dist = _readonly(d, np.int64)
     delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
     return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)
@@ -298,10 +405,10 @@ class _KernelRows:
     every row (the full kernel) when ``starts`` is None.
 
     For a start set it keeps one power sequence v_k = e_o P^k per start,
-    extended on demand by the series' own row-matrix product, and weights
-    it by poisson_weights(t) for each t: a search over t pays the products
-    of its largest t once, and each row equals the one-shot series bit for
-    bit.  It holds K(t) > t times |starts| n floats while it lives, at
+    extended on demand by P.row_times (a CSR product on a sparse support),
+    and weights it by poisson_weights(t) for each t: a search over t pays
+    the products of its largest t once, and each row equals the one-shot
+    series bit for bit.  It holds K(t) > t times |starts| n floats while it lives, at
     most _POWERS_CAP.  Full kernels are squared afresh at each t (see
     heat_kernel), since their powers would cost K n^2 floats.
     """
@@ -333,7 +440,7 @@ class _KernelRows:
         q = poisson_weights(t, min_terms=min_terms)
         for vs in self._powers:
             while len(vs) < len(q):
-                vs.append(vs[-1] @ self._P.entries)
+                vs.append(self._P.row_times(vs[-1]))
         rows = np.vstack([_poisson_series(q, vs) for vs in self._powers])
         drift = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
         if drift > ROW_SUM_TOL:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .chain import StochasticMatrix
+from .chain import StepLaw, StochasticMatrix
 from .entropy import mixing_time
 from .errors import (GenerationFailed, NotGenerating, NotSymmetricSet,
                      SpecParseError, StateCapExceeded)
@@ -156,18 +156,26 @@ def _generating(spec: GroupSpec, gens) -> bool:
 
 def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
                  laziness: float = 0.0) -> ChainInstance:
-    """P(x,y) = (1/|S|) #{g in S : y = x + g}, alpha-lazy if laziness > 0;
-    ``elems`` is a symmetric generating multiset of element indices."""
+    """P(x,y) = mu(y - x) with mu(g) = (1/|S|) #{s in S : s = g}, made
+    alpha-lazy by mu <- alpha [g = 0] + (1 - alpha) mu if laziness > 0;
+    ``elems`` is a symmetric generating multiset of element indices.  The
+    matrix carries mu as its declared StepLaw."""
     N = spec.N
     _check_cap(N)
+    mu = np.zeros(N)
+    for g in elems:
+        mu[g] += 1.0 / len(elems)
+    if laziness > 0.0:
+        mu *= 1.0 - laziness
+        mu[0] += laziness
+    law = StepLaw(spec.factors, mu)
     P = np.zeros((N, N))
     xs = np.arange(N)
-    for g in elems:
-        P[xs, spec.add(xs, g)] += 1.0 / len(elems)
-    if laziness > 0.0:
-        P = laziness * np.eye(N) + (1.0 - laziness) * P
-    return ChainInstance(StochasticMatrix(P), family=family, params=params,
-                         transitive=True, curvature_claim=CLAIM_ABELIAN)
+    for g in np.flatnonzero(mu):
+        P[xs, law.translate(g)] = mu[g]
+    return ChainInstance(StochasticMatrix(P, step_law=law), family=family,
+                         params=params, transitive=True,
+                         curvature_claim=CLAIM_ABELIAN)
 
 
 def abelian_cayley(spec: GroupSpec, S) -> ChainInstance:

@@ -433,7 +433,9 @@ class TestHeatKernel:
                                             asks, order):
         # Rows reweighted from one power sequence, whatever order the times
         # come in and whatever truncation floor each asks for, are the rows
-        # a fresh series gives, bit for bit; so is the one-shot row.
+        # a fresh series gives, bit for bit; so is the one-shot row.  The
+        # series multiplies as the rows do, by P.row_times (dense or CSR
+        # by the support's density).
         P = sparse_chain(seed, n, symmetric, lazy)
 
         def series_row(o, t, m):
@@ -442,7 +444,7 @@ class TestHeatKernel:
             v[o] = 1.0
             acc = q[0] * v
             for k in range(1, len(q)):
-                v = v @ P.entries
+                v = P.row_times(v)
                 acc += q[k] * v
             return Distribution(acc).probs
 

@@ -182,16 +182,18 @@ class TestMixing:
     def test_search_pays_its_largest_t_once(self, monkeypatch):
         # Every row-matrix product of a search with a start set extends its
         # one power sequence: K(hi) products in all, hi the end of the final
-        # bracket, however many times the bisection evaluates.
+        # bracket, however many times the bisection evaluates.  The products
+        # are counted at P.row_times, which multiplies by a CSR copy of P
+        # on this sparse support.
         P = StochasticMatrix(hypercube(8).matrix.entries)
         P.pi                            # solved before counting
         products, times = [], []
+        row_times = P.row_times
 
-        class Counted(np.ndarray):
-            def __rmatmul__(self, other):
-                products.append(other.shape)
-                return other @ self.view(np.ndarray)
-        object.__setattr__(P, "entries", P.entries.view(Counted))
+        def counted(v):
+            products.append(v.shape)
+            return row_times(v)
+        object.__setattr__(P, "row_times", counted)
         real = chain.poisson_weights
 
         def recorded(t, **kwargs):

@@ -237,9 +237,9 @@ class TestNamedFamilies:
     def test_one_matrix_per_walk(self, monkeypatch, build):
         built = []
 
-        def counted(P):
+        def counted(P, **kwargs):
             built.append(P)
-            return StochasticMatrix(P)
+            return StochasticMatrix(P, **kwargs)
         monkeypatch.setattr(families, "StochasticMatrix", counted)
         build()
         assert len(built) == 1

@@ -1,0 +1,253 @@
+"""Declared abelian group walks (chain.StepLaw): the closed-form stationary
+law, metric and spectrum against the dense paths, the exact check of the
+declaration, and guards that the fast paths do no dense work.
+
+The dense oracle of a declared walk is the same matrix built without its
+declaration, which takes the LU solve, the all-pairs BFS and eigvalsh.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
+
+from cutoff_lab import chain
+from cutoff_lab.chain import (CSR_FRACTION, StepLaw, StochasticMatrix,
+                              _KernelRows, kernel_rows, poisson_weights)
+from cutoff_lab.entropy import mixing_time
+from cutoff_lab.errors import NotIrreducible, StepLawMismatch
+from cutoff_lab.families import parse_family_spec
+from cutoff_lab.spectral import relaxation_time
+
+DECLARING = ["hypercube:d=3", "hypercube:d=6", "hypercube:d=10",
+             "hypercube:d=4:lazy=0.5", "hypercube:d=10:lazy=0.3",
+             "cycle:n=2", "cycle:n=7", "cycle:n=200", "complete:n=12",
+             "cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1",
+             "cayley:Z6xZ4:gens=4,-4,1,-1,9,-9",
+             "cayley-random:Z2^8:d=12:seed=3",
+             "cayley-random:Z2^10:d=20:seed=1"]
+
+
+def undeclared(P):
+    return StochasticMatrix(P.entries)
+
+
+def assert_matches_dense(P):
+    """pi to 1e-15, the metric exactly and the spectrum to 1e-12 against
+    the undeclared copy of P.
+
+    pi is the uniform law exactly.  The LU pi's own error grows with n: it
+    is 3.1e-15 off the exact 1/1024 on hypercube:d=10, so past n = 256 the
+    bound on pi is 1e-15 n/256."""
+    D = undeclared(P)
+    assert P.step_law is not None and D.step_law is None
+    assert np.all(P.pi.probs == 1.0 / P.n)
+    assert (np.max(np.abs(P.pi.probs - D.pi.probs))
+            <= 1e-15 * max(1.0, P.n / 256))
+    assert np.array_equal(P.metric.dist, D.metric.dist)
+    assert P.metric.diameter == D.metric.diameter
+    assert P.metric.delta == D.metric.delta
+    got, want = relaxation_time(P), relaxation_time(D)
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-12
+    assert got.t_rel == pytest.approx(want.t_rel, rel=1e-11)
+
+
+def negation(factors):
+    """-g for every group element g, as mixed-radix indices."""
+    coords = np.unravel_index(np.arange(np.prod(factors)), factors)
+    return np.ravel_multi_index([(-c) % m for c, m in zip(coords, factors)],
+                                factors)
+
+
+def walk_matrix(law):
+    """The dense P(x, y) = mu(y - x) of a step law."""
+    n = law.mu.size
+    E = np.zeros((n, n))
+    for g in np.flatnonzero(law.mu):
+        E[np.arange(n), law.translate(g)] = law.mu[g]
+    return E
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("spec", DECLARING)
+    def test_matches_dense_paths(self, spec):
+        assert_matches_dense(parse_family_spec(spec).matrix)
+
+    def test_uniform_law_and_character_spectrum(self):
+        # hypercube:d=5: pi = 1/32 exactly; eigenvalues 1 - 2j/5 with
+        # multiplicity C(5, j).
+        P = parse_family_spec("hypercube:d=5").matrix
+        assert np.all(P.pi.probs == 1.0 / 32)
+        want = np.repeat(1.0 - 2.0 * np.arange(6) / 5, [1, 5, 10, 10, 5, 1])
+        assert np.allclose(relaxation_time(P).eigenvalues, want, atol=1e-15)
+
+    def test_asymmetric_step_law(self):
+        # The biased cycle: the reversibilization is the simple walk, whose
+        # spectrum cos(2 pi k/n) is the real part of the character sums.
+        n = 9
+        mu = np.zeros(n)
+        mu[1], mu[-1] = 0.7, 0.3
+        law = StepLaw((n,), mu)
+        P = StochasticMatrix(walk_matrix(law), step_law=law)
+        assert_matches_dense(P)
+        want = np.sort(np.cos(2 * np.pi * np.arange(n) / n))[::-1]
+        assert np.allclose(relaxation_time(P).eigenvalues, want, atol=1e-15)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.2, 1.0), st.booleans(),
+           st.booleans())
+    def test_random_step_laws(self, factors, seed, density, symmetric, lazy):
+        # Random step laws with symmetric support on small groups: the
+        # closed forms agree with the dense paths, or both refuse a
+        # disconnected walk.
+        factors = tuple(factors)
+        n = int(np.prod(factors))
+        rng = np.random.default_rng(seed)
+        neg = negation(factors)
+        w = rng.uniform(0.5, 1.5, n) * (rng.random(n) < density)
+        w[0] = rng.uniform(0.5, 1.5) if lazy else 0.0
+        if symmetric:
+            w = 0.5 * (w + w[neg])
+        else:
+            w = w * ((w > 0) & (w[neg] > 0))
+        if not w.any():
+            w[0] = 1.0
+        law = StepLaw(factors, w / w.sum())
+        P = StochasticMatrix(walk_matrix(law), step_law=law)
+        if not P.irreducible:
+            for get in (lambda M: M.pi, lambda M: M.metric):
+                with pytest.raises(NotIrreducible):
+                    get(P)
+                with pytest.raises(NotIrreducible):
+                    get(undeclared(P))
+            return
+        assert_matches_dense(P)
+
+
+class TestDeclarationCheck:
+    def test_entry_one_ulp_off_is_refused(self):
+        inst = parse_family_spec("hypercube:d=3:lazy=0.25")
+        law = inst.matrix.step_law
+        for x, y in [(2, 3), (5, 5)]:          # an edge and a holding entry
+            E = inst.matrix.entries.copy()
+            E[x, y] = np.nextafter(E[x, y], 1.0)
+            with pytest.raises(StepLawMismatch):
+                StochasticMatrix(E, step_law=law)
+
+    def test_extra_entry_is_refused(self):
+        inst = parse_family_spec("cycle:n=6")
+        E = inst.matrix.entries.copy()
+        E[0, 3] = 1e-300
+        with pytest.raises(StepLawMismatch):
+            StochasticMatrix(E, step_law=inst.matrix.step_law)
+
+    @pytest.mark.parametrize("factors, size", [
+        ((8,), 8), ((4, 2), 8), ((2, 4), 8), ((2, 2), 8), ((2, 2, 2), 5)])
+    def test_wrong_factors_are_refused(self, factors, size):
+        # Z2^3's step law on the unit vectors 1, 2, 4, declared on another
+        # group of order 8, on a group of order 4, or cut to 5 entries.
+        P = parse_family_spec("hypercube:d=3").matrix
+        mu = P.step_law.mu[:size]
+        with pytest.raises(StepLawMismatch):
+            StochasticMatrix(P.entries, step_law=StepLaw(factors, mu))
+
+    def test_declared_walk_builds_unchanged(self):
+        # The declaration does not alter the matrix: the lazy walk's entries
+        # are alpha I + (1 - alpha) P of the plain walk.
+        plain = parse_family_spec("hypercube:d=4").matrix.entries
+        lazy = parse_family_spec("hypercube:d=4:lazy=0.3").matrix.entries
+        assert np.array_equal(lazy, 0.3 * np.eye(16) + 0.7 * plain)
+
+    @pytest.mark.parametrize("spec", [
+        "bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1", "sym:k=4",
+        "perturb:theta=0.1:hypercube:d=3"])
+    def test_other_families_undeclared_and_dense(self, spec):
+        # Chains without a declaration take the dense paths, bit for bit:
+        # the LU solve for pi, all-pairs BFS, and eigvalsh of S.
+        P = parse_family_spec(spec).matrix
+        assert P.step_law is None
+        n = P.n
+        A = P.entries.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        assert np.array_equal(P.pi.probs, pi / pi.sum())
+        d = shortest_path(P.adjacency, method="D", unweighted=True,
+                          directed=False)
+        assert np.array_equal(P.metric.dist, d.astype(np.int64))
+        s = np.sqrt(P.pi.probs)
+        S = (s[:, None] * P.entries) / s[None, :]
+        want = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
+        assert np.array_equal(relaxation_time(P).eigenvalues, want)
+
+
+class TestFastPathGuards:
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=6", "cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1"])
+    def test_no_solve_and_no_eigenproblem(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra on a declared walk")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        inst = parse_family_spec(spec)
+        P = inst.matrix
+        assert relaxation_time(P).t_rel > 0
+        assert P.metric.diameter > 0
+        assert mixing_time(P, 0.25, starts=inst.starts) > 0
+
+    def test_bfs_from_one_source(self, monkeypatch):
+        sources = []
+        real = chain.shortest_path
+
+        def recorded(*args, **kwargs):
+            sources.append(kwargs.get("indices"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(chain, "shortest_path", recorded)
+        P = parse_family_spec("cayley-random:Z2^6:d=8:seed=2").matrix
+        P.metric
+        undeclared(P).metric
+        assert sources == [0, None]
+
+    def test_sparse_rows_never_touch_dense_entries(self):
+        class Refused(np.ndarray):
+            def __rmatmul__(self, other):
+                raise AssertionError("dense row product")
+            __matmul__ = __rmatmul__
+
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("dense entries read")
+        inst = parse_family_spec("hypercube:d=8")
+        P = inst.matrix
+        assert P._csr_transpose is not None
+        object.__setattr__(P, "entries", P.entries.view(Refused))
+        rows = kernel_rows(P, 3.0, [0, 5])
+        assert rows.shape == (2, 256)
+        assert mixing_time(P, 0.25, starts=inst.starts) > 0
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 48),
+           st.sampled_from([0.0, 0.02, 0.3]), st.booleans(),
+           st.lists(st.floats(0.0, 8.0), min_size=1, max_size=3))
+    def test_csr_rows_match_dense_rows(self, seed, n, chords, lazy, times):
+        # Start-set rows by P.row_times against the same series by dense
+        # row-vector products, on both sides of the density rule.
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < chords)
+        W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        W[np.arange(n), np.arange(n)] = 1.0 if lazy else 0.0
+        P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+        nnz = np.count_nonzero(P.entries)
+        assert (P._csr_transpose is not None) == (nnz <= CSR_FRACTION * n * n)
+        starts = [0, n // 2]
+        rows_at = _KernelRows(P, starts)
+        for t in times:
+            q = poisson_weights(t)
+            V = np.eye(n)[starts]
+            want = q[0] * V
+            for qk in q[1:]:
+                V = V @ P.entries
+                want += qk * V
+            assert np.max(np.abs(rows_at(t) - want)) <= 1e-15
