@@ -6,9 +6,9 @@ Poisson mixture of matrix powers with certified truncation error: row by row
 for a start set, and by scaling and squaring a short mixture for the full
 kernel.
 
-A random walk on an abelian group may declare its step law (StepLaw); the
-stationary law, the metric and the spectrum are then read off the law in
-closed form, and every other chain takes the dense paths.
+A random walk on an abelian group is declared by its step law
+(StochasticMatrix.walk); its stationary law and metric are then read off
+the law in closed form, and every other chain takes the dense paths.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -24,7 +24,10 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
                      NotIrreducible, SpecParseError, StateCapExceeded,
-                     StepLawMismatch, TimeOutOfRange, UnderflowRisk)
+                     TimeOutOfRange, UnderflowRisk)
+
+if TYPE_CHECKING:
+    from .families import StepLaw
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -43,48 +46,6 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StepLaw:
-    """Declares P(x, y) = mu(y - x) on Z_{m1} x ... x Z_{mk}, ``factors`` =
-    (m1, ..., mk).
-
-    States and group elements are mixed-radix indices, last factor fastest
-    (numpy's C order over ``factors``); laziness is part of mu(0).  The
-    Cayley families hand it to StochasticMatrix, which checks it against
-    the entries exactly.
-    """
-
-    factors: tuple
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(m) for m in self.factors))
-        object.__setattr__(self, "mu", _readonly(self.mu))
-
-    def translate(self, g: int) -> np.ndarray:
-        """x + g for every state x."""
-        shift = [-int(c) for c in np.unravel_index(g, self.factors)]
-        grid = np.arange(self.mu.size).reshape(self.factors)
-        return np.roll(grid, shift, axis=tuple(range(grid.ndim))).ravel()
-
-    def differences(self) -> np.ndarray:
-        """The (n, n) table of y - x: x ^ y when every factor is 2, else
-        accumulated one factor at a time (one n^2 temporary)."""
-        x = np.arange(self.mu.size, dtype=np.int32)
-        if set(self.factors) == {2}:
-            return np.bitwise_xor.outer(x, x)
-        out = np.zeros((x.size, x.size), dtype=np.int32)
-        weight = x.size
-        for m, c in zip(self.factors, np.unravel_index(x, self.factors)):
-            weight //= m
-            c = c.astype(np.int32)
-            d = c[None, :] - c[:, None]
-            d %= m
-            d *= weight
-            out += d
-        return out
-
-
-@dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic kernel P with its support-graph structure.
 
@@ -95,15 +56,13 @@ class StochasticMatrix:
     and ``metric`` are solved on first use and kept.  Construction does not
     reject broken rows; use :func:`validate` to obtain a diagnostics record.
 
-    ``step_law`` (internal, set by the abelian Cayley families) declares P
-    a group walk; construction checks every entry it implies, at (x, x + g)
-    for g in the support of mu, and that P has no other nonzero entry, and
-    raises StepLawMismatch otherwise.
+    ``step_law`` is the law of a walk declared by :meth:`walk`, and None
+    on every other matrix (``dataclasses.replace`` included).
     """
 
     entries: np.ndarray
     labels: Optional[tuple] = None
-    step_law: Optional[StepLaw] = field(default=None, repr=False,
+    step_law: Optional[StepLaw] = field(default=None, init=False, repr=False,
                                         compare=False)
 
     def __post_init__(self):
@@ -122,8 +81,6 @@ class StochasticMatrix:
             object.__setattr__(self, "labels", labels)
         xs, ys = np.nonzero(entries != 0)
         vals = entries[xs, ys]
-        if self.step_law is not None:
-            _check_step_law(entries, self.step_law, len(xs))
         # P^T in CSR, for row-vector products on a sparse support (rows of
         # P^T list x in increasing order).
         object.__setattr__(self, "_csr_transpose",
@@ -142,6 +99,14 @@ class StochasticMatrix:
         pattern = adj.astype(bool)
         object.__setattr__(self, "symmetric_support",
                            (pattern != pattern.T).nnz == 0)
+
+    @classmethod
+    def walk(cls, law: StepLaw) -> StochasticMatrix:
+        """The random walk P(x, y) = mu(y - x) of a step law
+        (families.StepLaw): entries from ``law.matrix()``, and the law."""
+        P = cls(law.matrix())
+        object.__setattr__(P, "step_law", law)
+        return P
 
     @property
     def n(self) -> int:
@@ -169,6 +134,12 @@ class StochasticMatrix:
         T = self._csr_transpose
         return v @ self.entries if T is None else T @ v
 
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """P X, for an observable or an (n, m) block of them, by the same
+        rule as :meth:`row_times` (the CSR copy read as P)."""
+        T = self._csr_transpose
+        return self.entries @ X if T is None else T.T @ X
+
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
 
@@ -187,24 +158,6 @@ class StochasticMatrix:
             return 0.0
         return float(np.max(np.abs(
             f[adj.indices] - np.repeat(f, np.diff(adj.indptr)))))
-
-
-def _check_step_law(entries: np.ndarray, law: StepLaw, nnz: int):
-    """P(x, y) = mu(y - x) exactly, for every x and y, given the count
-    ``nnz`` of nonzero entries: O(n |supp mu|) comparisons."""
-    n = entries.shape[0]
-    if math.prod(law.factors) != n or law.mu.shape != (n,):
-        raise StepLawMismatch(f"group {law.factors} with a step law of "
-                              f"{law.mu.size} entries on {n} states")
-    support = np.flatnonzero(law.mu)
-    if nnz != n * support.size:
-        raise StepLawMismatch(f"{nnz} nonzero entries where the step law "
-                              f"gives {n * support.size}")
-    xs = np.arange(n)
-    for g in support:
-        if np.any(entries[xs, law.translate(g)] != law.mu[g]):
-            raise StepLawMismatch(f"entries at (x, x + {g}) differ from "
-                                  f"mu({g}) = {law.mu[g]!r}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +277,7 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
     if law is not None:
-        d = d.astype(np.int64)[law.differences()]
+        d = d.astype(np.int64)[law.group.differences()]
     dist = _readonly(d, np.int64)
     delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
     return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)

@@ -171,27 +171,35 @@ def _check_valid(P: StochasticMatrix):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _analysis(inst: fam.ChainInstance, eps_list, eps_profile):
+    """One chain's analysis as (column, value) pairs: n, Delta, the
+    diameter, t_rel, the Ollivier and Bakry-Emery minima over the start
+    set, t_mix(eps) for each eps, and d* and V* at t_mix(eps_profile).
+    Returns (pairs, t_mix by eps)."""
+    P = inst.matrix
+    metric, starts = P.metric, inst.starts
+    tmix = {e: inst.t_mix(e) for e in eps_list}
+    olli = ollivier_curvature(P, starts=starts)
+    be = bakry_emery_curvature(P, samples=0, starts=starts)
+    prof = ent.entropy_profile(P, [tmix[eps_profile]], starts)
+    return ([("n", P.n), ("delta", metric.delta), ("diam", metric.diameter),
+             ("t_rel", inst.t_rel), ("kappa_ollivier", olli.ollivier_min),
+             ("kappa_bakry_emery", be.bakry_emery_min)]
+            + [(f"tmix_{_fmt(e)}", tmix[e]) for e in eps_list]
+            + [("d_star", prof.d_star[0]), ("v_star", prof.v_star[0])]), tmix
+
+
 def cmd_analyze(opts: Options) -> int:
     inst = opts.instance()
     P = inst.matrix
     _check_valid(P)
     out = opts.outdir()
     cache = opts.kernel_cache()
-    metric, pi, starts = P.metric, P.pi, inst.starts
-    tmix = {e: inst.t_mix(e) for e in opts.eps}
-    olli = ollivier_curvature(P, starts=starts)
-    be = bakry_emery_curvature(P, samples=0, starts=starts)
     eps0 = 0.25 if 0.25 in opts.eps else opts.eps[0]
-    prof = ent.entropy_profile(P, [tmix[eps0]], starts)
-    d0, v0 = prof.d_star[0], prof.v_star[0]
-    header = (["n", "delta", "diam", "t_rel", "kappa_ollivier",
-               "kappa_bakry_emery"]
-              + [f"tmix_{_fmt(e)}" for e in opts.eps]
-              + ["d_star", "v_star"])
-    row = ([P.n, metric.delta, metric.diameter, inst.t_rel,
-            olli.ollivier_min, be.bakry_emery_min]
-           + [tmix[e] for e in opts.eps] + [d0, v0])
+    cols, tmix = _analysis(inst, opts.eps, eps0)
+    header, row = zip(*cols)
     write_csv(os.path.join(out, "analysis.csv"), header, [row])
+    pi, starts = P.pi, inst.starts
 
     grid = _t_grid(opts, max(tmix.values()))
     # One power sequence for the whole grid (see _KernelRows).
@@ -209,9 +217,10 @@ def cmd_analyze(opts: Options) -> int:
         title=f"mixing profile ({inst.family}, n={P.n})",
         xlabel="t", ylabel="distance",
         vlines=[(f"tmix({_fmt(e)})", tmix[e]) for e in opts.eps])
+    col = dict(cols)
     print(f"analyze: n={P.n} t_rel={inst.t_rel:.6g} "
-          f"kappa_olli={olli.ollivier_min:.6g} "
-          f"kappa_be={be.bakry_emery_min:.6g}")
+          f"kappa_olli={col['kappa_ollivier']:.6g} "
+          f"kappa_be={col['kappa_bakry_emery']:.6g}")
     for e in opts.eps:
         print(f"  tmix({e}) = {tmix[e]:.6g}")
     return EXIT_OK
@@ -289,19 +298,14 @@ def scan_rows(opts: Options):
     eps_hi = max(opts.eps)
 
     def one(value, inst):
-        P = inst.matrix
-        metric, starts = P.metric, inst.starts
+        cols, tmix = _analysis(inst, opts.eps, eps_lo)
         t_rel = inst.t_rel
-        tmix = {e: inst.t_mix(e) for e in opts.eps}
-        olli = ollivier_curvature(P, starts=starts)
-        be = bakry_emery_curvature(P, samples=0, starts=starts)
-        prof = ent.entropy_profile(P, [tmix[eps_lo]], starts)
-        d0, v0 = prof.d_star[0], prof.v_star[0]
+        v0 = cols[-1][1]
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
         conc = ((1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
                 if tmix[eps_lo] > 0 else math.inf)
-        log_delta = math.log(metric.delta)
+        log_delta = math.log(inst.matrix.metric.delta)
         sparse = (tmix[eps_lo] / (t_rel * log_delta) ** 2
                   if log_delta > 0 else math.inf)
         th1_window = math.sqrt(tmix[0.25] if 0.25 in tmix else tmix[eps_lo]) \
@@ -310,20 +314,15 @@ def scan_rows(opts: Options):
             th2_bound = ent.cutoff_window_bound(inst, eps_lo).rhs
         else:
             th2_bound = math.nan
-        return ([value, P.n, metric.delta, metric.diameter, t_rel,
-                 olli.ollivier_min, be.bakry_emery_min]
-                + [tmix[e] for e in opts.eps]
-                + [window, ratio, d0, v0, conc, sparse, th1_window,
-                   th2_bound])
+        return ([("param", value)] + cols[:-2]
+                + [("window", window), ("ratio", ratio)] + cols[-2:]
+                + [("concentration_ratio", conc), ("sparse_condition", sparse),
+                   ("th1_window_scale", th1_window),
+                   ("th2_window_bound", th2_bound)])
 
-    rows = [one(value, inst) for value, inst in members]
-    header = (["param", "n", "delta", "diam", "t_rel", "kappa_ollivier",
-               "kappa_bakry_emery"]
-              + [f"tmix_{_fmt(e)}" for e in opts.eps]
-              + ["window", "ratio", "d_star", "v_star",
-                 "concentration_ratio", "sparse_condition",
-                 "th1_window_scale", "th2_window_bound"])
-    return header, rows
+    tables = [one(value, inst) for value, inst in members]
+    header = [c for c, _ in tables[0]]
+    return header, [[v for _, v in cols] for cols in tables]
 
 
 def cmd_scan(opts: Options) -> int:

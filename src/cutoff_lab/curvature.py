@@ -34,10 +34,10 @@ _LP_VARS = 1024
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Exact optimal transport plan for W1 with a dual certificate.
+    """Optimal transport plan for W1 with a dual potential.
 
-    ``plan`` is a sparse list of (x, y, mass) moves; ``dual_potential`` is a
-    1-Lipschitz Kantorovich potential f with <f, mu - nu> = value.
+    ``plan`` is a sparse list of (x, y, mass) moves; ``dual_potential`` is
+    a 1-Lipschitz f, so <f, mu - nu> <= W1(mu, nu).
     """
 
     plan: list
@@ -122,11 +122,11 @@ def _w1_restricted(pairs, dist: np.ndarray):
 
 def wasserstein1(mu: Distribution, nu: Distribution,
                  metric: MetricData) -> TransportPlan:
-    """Exact W1 between mu and nu w.r.t. the support-graph metric.
+    """W1 between mu and nu w.r.t. the support-graph metric, by an LP.
 
     The dual potential is extended to all states by the McShane formula
-    f(z) = min_j (dist(z, y_j) - v(y_j)), which is 1-Lipschitz and attains
-    the primal value, closing the duality gap exactly.
+    f(z) = min_j (dist(z, y_j) - v(y_j)), which is 1-Lipschitz, so
+    <f, mu - nu> is a lower bound on W1; it need not equal ``value``.
     """
     if mu.n != nu.n or mu.n != metric.dist.shape[0]:
         raise DimensionMismatch("mu, nu and metric must share the state set")

@@ -67,8 +67,3 @@ class TimeOutOfRange(CutoffLabError, OverflowError):
 
 class SpecParseError(CutoffLabError):
     """Malformed family spec or chain file."""
-
-
-
-class StepLawMismatch(CutoffLabError):
-    """A transition matrix contradicts the group step law declared with it."""

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .chain import StepLaw, StochasticMatrix
+from .chain import StochasticMatrix, _readonly
 from .entropy import mixing_time
-from .errors import (GenerationFailed, NotGenerating, NotSymmetricSet,
-                     SpecParseError, StateCapExceeded)
+from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
+                     NotSymmetricSet, SpecParseError, StateCapExceeded)
 from .spectral import relaxation_time
 
 STATE_CAP = 5000
@@ -63,13 +63,31 @@ class GroupSpec:
         coords = np.asarray(coords, dtype=np.int64)
         return coords @ self._weights()
 
-    def add(self, a, b):
-        f = np.array(self.factors, dtype=np.int64)
-        return self.encode((self.decode(a) + self.decode(b)) % f)
-
     def neg(self, a):
         f = np.array(self.factors, dtype=np.int64)
         return self.encode((-self.decode(a)) % f)
+
+    def translate(self, g) -> np.ndarray:
+        """x + g for every element x, by rolling the grid of elements over
+        ``factors`` (ten times faster than adding coordinates on Z2^11)."""
+        grid = np.arange(self.N).reshape(self.factors)
+        return np.roll(grid, -self.decode(g),
+                       axis=tuple(range(grid.ndim))).ravel()
+
+    def differences(self) -> np.ndarray:
+        """The (N, N) table of y - x: x ^ y when every factor is 2, else
+        accumulated one factor at a time (one N^2 temporary)."""
+        x = np.arange(self.N, dtype=np.int32)
+        if set(self.factors) == {2}:
+            return np.bitwise_xor.outer(x, x)
+        out = np.zeros((x.size, x.size), dtype=np.int32)
+        for m, w, c in zip(self.factors, self._weights().tolist(),
+                           self.decode(x).T.astype(np.int32)):
+            d = c[None, :] - c[:, None]
+            d %= m
+            d *= w
+            out += d
+        return out
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
@@ -86,6 +104,37 @@ class GroupSpec:
                 raise SpecParseError(f"bad group factor {part!r}") from exc
             factors.extend(_power(base, power))
         return GroupSpec(tuple(factors))
+
+
+@dataclass(frozen=True)
+class StepLaw:
+    """The step law mu of the random walk P(x, y) = mu(y - x) on
+    ``group``, laziness included in mu(0); StochasticMatrix.walk declares
+    the walk by it."""
+
+    group: GroupSpec
+    mu: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", _readonly(np.array(self.mu)))
+        if self.mu.shape != (self.group.N,):
+            raise DimensionMismatch(f"step law of shape {self.mu.shape} on "
+                                    f"the group {self.group.factors}")
+
+    def matrix(self) -> np.ndarray:
+        """The dense P(x, y) = mu(y - x), filled at (x, x + g) for each g
+        in the support of mu."""
+        N = self.group.N
+        P = np.zeros((N, N))
+        xs = np.arange(N)
+        for g in np.flatnonzero(self.mu):
+            P[xs, self.group.translate(g)] = self.mu[g]
+        return P
+
+    def characters(self) -> np.ndarray:
+        """Re sum_g mu(g) chi(g) for every character chi of the group:
+        ``Re fftn(mu)`` over its factors."""
+        return np.fft.fftn(self.mu.reshape(self.group.factors)).real.ravel()
 
 
 @dataclass(frozen=True)
@@ -147,7 +196,7 @@ def _generating(spec: GroupSpec, gens) -> bool:
     (weakly or strongly: on a finite group the two coincide)."""
     N = spec.N
     xs = np.arange(N)
-    ys = np.array([spec.add(xs, g) for g in gens], dtype=np.int64).ravel()
+    ys = np.array([spec.translate(g) for g in gens], dtype=np.int64).ravel()
     graph = csr_matrix((np.ones(len(ys)), (np.tile(xs, len(gens)), ys)),
                        shape=(N, N))
     n_comp, _ = connected_components(graph, directed=True, connection="weak")
@@ -158,8 +207,7 @@ def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
                  laziness: float = 0.0) -> ChainInstance:
     """P(x,y) = mu(y - x) with mu(g) = (1/|S|) #{s in S : s = g}, made
     alpha-lazy by mu <- alpha [g = 0] + (1 - alpha) mu if laziness > 0;
-    ``elems`` is a symmetric generating multiset of element indices.  The
-    matrix carries mu as its declared StepLaw."""
+    ``elems`` is a symmetric generating multiset of element indices."""
     N = spec.N
     _check_cap(N)
     mu = np.zeros(N)
@@ -168,13 +216,8 @@ def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
     if laziness > 0.0:
         mu *= 1.0 - laziness
         mu[0] += laziness
-    law = StepLaw(spec.factors, mu)
-    P = np.zeros((N, N))
-    xs = np.arange(N)
-    for g in np.flatnonzero(mu):
-        P[xs, law.translate(g)] = mu[g]
-    return ChainInstance(StochasticMatrix(P, step_law=law), family=family,
-                         params=params, transitive=True,
+    return ChainInstance(StochasticMatrix.walk(StepLaw(spec, mu)),
+                         family=family, params=params, transitive=True,
                          curvature_claim=CLAIM_ABELIAN)
 
 
@@ -282,6 +325,7 @@ def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
     holds when some state y of minimal pi has P(x,y) = 0 for some x != y,
     since then Q(x,y) = theta pi(y). Used to demonstrate why the log Delta
     term in the cutoff criterion cannot be dropped.
+    A declared walk stays one, of law (1-theta) mu + theta (1/n).
     """
     if not (0.0 <= theta <= 1.0):
         raise SpecParseError("theta must lie in [0,1]")
@@ -290,13 +334,18 @@ def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
     else:
         P, meta = inner, None
     pi = P.pi.probs
-    mixed = (1.0 - theta) * P.entries + theta * pi[None, :]
+    law = P.step_law
+    if law is not None:
+        Q = StochasticMatrix.walk(StepLaw(
+            law.group, (1.0 - theta) * law.mu + theta * (1.0 / P.n)))
+    else:
+        Q = StochasticMatrix((1.0 - theta) * P.entries + theta * pi[None, :])
     uniform_pi = np.allclose(pi, 1.0 / P.n, atol=1e-12)
     transitive = bool(meta.transitive and uniform_pi) if meta else False
     claim = CLAIM_UNKNOWN
     if meta and meta.curvature_claim == CLAIM_ABELIAN and uniform_pi:
         claim = CLAIM_ABELIAN      # still an abelian-group walk
-    return ChainInstance(StochasticMatrix(mixed), family="perturb",
+    return ChainInstance(Q, family="perturb",
                          params={"theta": theta,
                                  "inner": meta.family if meta else "matrix"},
                          transitive=transitive, curvature_claim=claim)

@@ -1,5 +1,6 @@
 """Adjoint, additive reversibilization, relaxation time and the carre du
-champ / Poincare inequality."""
+champ / Poincare inequality.  A declared group walk takes its spectrum
+from its step law's character sums, any other chain from eigvalsh."""
 
 from __future__ import annotations
 
@@ -66,8 +67,11 @@ def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def dirichlet_energy(P: StochasticMatrix, pi: Distribution, f: np.ndarray):
     """E_pi[Gamma(f,f)], the Dirichlet form of the reversibilization; one
-    value per column when ``f`` is an (n, m) block."""
-    return pi.probs @ gamma_form(P, f, f)
+    value per column when ``f`` is an (n, m) block.  As gamma_form, with
+    the products by P.apply (the CSR copy of a sparse P)."""
+    f = np.asarray(f, dtype=np.float64)
+    ff = f * f
+    return pi.probs @ (0.5 * (P.apply(ff) - 2.0 * f * P.apply(f) + ff))
 
 
 def relaxation_time(P: StochasticMatrix, seed: int = 0,
@@ -76,10 +80,10 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
     off the symmetric S = D^(1/2) K D^(-1/2) = (M + M^T)/2, with
     M = D^(1/2) P D^(-1/2) and D = diag(pi).
 
-    A declared group walk (chain.StepLaw) has uniform pi, and K is the walk
-    with step law (mu(g) + mu(-g))/2, whose eigenvalues are the real parts
-    of the character sums y(chi) = sum_g mu(g) chi(g): ``Re fftn(mu)``
-    over the group's factors, with no eigenproblem.  A priori, a radix-2
+    A declared group walk (families.StepLaw) has uniform pi, and K is the
+    walk with step law (mu(g) + mu(-g))/2, whose eigenvalues are the real
+    parts of the character sums y(chi) = sum_g mu(g) chi(g):
+    ``law.characters()``, with no eigenproblem.  A priori, a radix-2
     FFT on N = 2^k points (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed. 2002, Sec. 24.1, Thm 24.2) computes y within
     k eta / (1 - k eta) ||y||_2 in 2-norm, hence every eigenvalue within
@@ -98,8 +102,7 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
     p = pi.probs
     law = P.step_law
     if law is not None:
-        chars = np.fft.fftn(law.mu.reshape(law.factors)).real.ravel()
-        eigs = np.sort(chars)[::-1]
+        eigs = np.sort(law.characters())[::-1]
     else:
         s = np.sqrt(p)
         S = (s[:, None] * P.entries) / s[None, :]

@@ -25,6 +25,7 @@ from cutoff_lab.curvature import (_local_quadratic_forms,
                                   gamma2_form, generator_apply,
                                   ollivier_curvature, subcommutativity_check,
                                   wasserstein1)
+from cutoff_lab.entropy import mixing_time
 from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
                                DimensionMismatch, NotIrreducible)
 from cutoff_lab.families import (birth_death, complete_graph, cycle,
@@ -185,6 +186,22 @@ class TestWasserstein1:
         plan = wasserstein1(Distribution(mu), Distribution(nu), P.metric)
         assert plan.value == pytest.approx(
             float(np.abs(np.cumsum(mu - nu)).sum()), abs=1e-9)
+
+    def test_potential_pairing_lower_bounds_w1(self):
+        # The drifting 40-state birth-death chain at t_mix(1/4), on the
+        # kernel rows of each edge: the potential is 1-Lipschitz on every
+        # support edge, so its pairing is at most the exact W1 of a path,
+        # the L1 distance of the CDFs.  It need not equal the LP's value.
+        P = birth_death([0.35] * 39, [0.15] * 39).matrix
+        K = heat_kernel(P, mixing_time(P, 0.25))
+        edges = P.edges()
+        xs, ys = np.array(edges).T
+        for x, y in edges:
+            f = wasserstein1(Distribution(K[x]), Distribution(K[y]),
+                             P.metric).dual_potential
+            assert np.max(np.abs(f[xs] - f[ys])) <= 1.0 + 1e-12
+            d = K[x] - K[y]
+            assert f @ d <= np.abs(np.cumsum(d)).sum() + 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import settings
 from cutoff_lab import spectral
 from cutoff_lab.chain import Distribution, StochasticMatrix, stationary
 from cutoff_lab.errors import CertificateFailed, NotIrreducible
-from cutoff_lab.families import complete_graph, cycle, hypercube
+from cutoff_lab.families import (complete_graph, cycle, hypercube,
+                                 parse_family_spec)
 from cutoff_lab.spectral import (adjoint, dirichlet_energy, gamma_form,
                                  relaxation_time, reversibilization)
 from test_curvature import CHAINS, sparse_chain
@@ -172,6 +173,19 @@ class TestPoincare:
         for j in range(5):
             assert block[j] == pytest.approx(
                 dirichlet_energy(P, pi, F[:, j]), rel=1e-13)
+
+    @pytest.mark.parametrize("spec, sparse", [
+        ("hypercube:d=8", True), ("cayley-random:Z2^8:d=12:seed=3", True),
+        ("cycle:n=12", False)])
+    def test_energy_matches_gamma_form(self, spec, sparse):
+        # The energies multiply by the CSR copy of a sparse P, and agree
+        # with the dense carre du champ.
+        P = parse_family_spec(spec).matrix
+        assert (P._csr_transpose is not None) == sparse
+        F = np.random.default_rng(10).standard_normal((P.n, 50))
+        want = P.pi.probs @ gamma_form(P, F, F)
+        got = dirichlet_energy(P, P.pi, F)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
     def test_random_observables_certified(self):
         # relaxation_time itself raises if any certificate fails.

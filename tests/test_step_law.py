@@ -1,10 +1,13 @@
-"""Declared abelian group walks (chain.StepLaw): the closed-form stationary
-law, metric and spectrum against the dense paths, the exact check of the
-declaration, and guards that the fast paths do no dense work.
+"""Abelian group walks built from their step law (families.StepLaw,
+StochasticMatrix.walk): the entries the law builds, the closed-form
+stationary law, metric and spectrum against the dense paths, and guards
+that the fast paths do no dense work.
 
 The dense oracle of a declared walk is the same matrix built without its
 declaration, which takes the LU solve, the all-pairs BFS and eigvalsh.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,11 +16,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from cutoff_lab import chain
-from cutoff_lab.chain import (CSR_FRACTION, StepLaw, StochasticMatrix,
-                              _KernelRows, kernel_rows, poisson_weights)
+from cutoff_lab.chain import (CSR_FRACTION, StochasticMatrix, _KernelRows,
+                              kernel_rows, poisson_weights)
 from cutoff_lab.entropy import mixing_time
-from cutoff_lab.errors import NotIrreducible, StepLawMismatch
-from cutoff_lab.families import parse_family_spec
+from cutoff_lab.errors import DimensionMismatch, NotIrreducible
+from cutoff_lab.families import (GroupSpec, StepLaw, parse_family_spec,
+                                 perturb_toward_uniform)
 from cutoff_lab.spectral import relaxation_time
 
 DECLARING = ["hypercube:d=3", "hypercube:d=6", "hypercube:d=10",
@@ -60,12 +64,16 @@ def negation(factors):
                                 factors)
 
 
-def walk_matrix(law):
-    """The dense P(x, y) = mu(y - x) of a step law."""
-    n = law.mu.size
+def roll_matrix(factors, mu):
+    """P(x, y) = mu(y - x) with x + g found by rolling the grid of states
+    over ``factors`` (last factor fastest) by -g."""
+    n = mu.size
+    grid = np.arange(n).reshape(factors)
     E = np.zeros((n, n))
-    for g in np.flatnonzero(law.mu):
-        E[np.arange(n), law.translate(g)] = law.mu[g]
+    for g in np.flatnonzero(mu):
+        shift = [-int(c) for c in np.unravel_index(g, factors)]
+        ys = np.roll(grid, shift, axis=tuple(range(grid.ndim))).ravel()
+        E[np.arange(n), ys] = mu[g]
     return E
 
 
@@ -73,6 +81,33 @@ class TestClosedForms:
     @pytest.mark.parametrize("spec", DECLARING)
     def test_matches_dense_paths(self, spec):
         assert_matches_dense(parse_family_spec(spec).matrix)
+
+    @pytest.mark.parametrize("spec", DECLARING)
+    def test_law_builds_the_rolled_entries(self, spec):
+        P = parse_family_spec(spec).matrix
+        law = P.step_law
+        want = roll_matrix(law.group.factors, law.mu)
+        assert P.entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec, theta", [
+        ("hypercube:d=8", 0.05),
+        ("cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1", 0.3),
+        ("cycle:n=7", 1.0), ("hypercube:d=4:lazy=0.5", 0.0)])
+    def test_perturbed_walk_keeps_its_law(self, spec, theta):
+        # (1 - theta) P + theta Pi of a walk is the walk of (1 - theta) mu +
+        # theta/n: the matrix formula's entries bit for bit, pi = 1/n
+        # exactly, and every nontrivial eigenvalue scaled by 1 - theta.
+        inst = parse_family_spec(spec)
+        n = inst.matrix.n
+        Q = perturb_toward_uniform(inst, theta).matrix
+        assert Q.step_law is not None
+        want = ((1.0 - theta) * inst.matrix.entries
+                + theta * np.full(n, 1.0 / n)[None, :])
+        assert Q.entries.tobytes() == want.tobytes()
+        assert np.all(Q.pi.probs == 1.0 / n)
+        lambda2 = relaxation_time(inst.matrix).lambda2
+        assert relaxation_time(Q).t_rel == pytest.approx(
+            1.0 / (1.0 - (1.0 - theta) * lambda2), rel=1e-12)
 
     def test_uniform_law_and_character_spectrum(self):
         # hypercube:d=5: pi = 1/32 exactly; eigenvalues 1 - 2j/5 with
@@ -88,8 +123,7 @@ class TestClosedForms:
         n = 9
         mu = np.zeros(n)
         mu[1], mu[-1] = 0.7, 0.3
-        law = StepLaw((n,), mu)
-        P = StochasticMatrix(walk_matrix(law), step_law=law)
+        P = StochasticMatrix.walk(StepLaw(GroupSpec((n,)), mu))
         assert_matches_dense(P)
         want = np.sort(np.cos(2 * np.pi * np.arange(n) / n))[::-1]
         assert np.allclose(relaxation_time(P).eigenvalues, want, atol=1e-15)
@@ -114,8 +148,7 @@ class TestClosedForms:
             w = w * ((w > 0) & (w[neg] > 0))
         if not w.any():
             w[0] = 1.0
-        law = StepLaw(factors, w / w.sum())
-        P = StochasticMatrix(walk_matrix(law), step_law=law)
+        P = StochasticMatrix.walk(StepLaw(GroupSpec(factors), w / w.sum()))
         if not P.irreducible:
             for get in (lambda M: M.pi, lambda M: M.metric):
                 with pytest.raises(NotIrreducible):
@@ -127,31 +160,26 @@ class TestClosedForms:
 
 
 class TestDeclarationCheck:
-    def test_entry_one_ulp_off_is_refused(self):
-        inst = parse_family_spec("hypercube:d=3:lazy=0.25")
-        law = inst.matrix.step_law
-        for x, y in [(2, 3), (5, 5)]:          # an edge and a holding entry
-            E = inst.matrix.entries.copy()
-            E[x, y] = np.nextafter(E[x, y], 1.0)
-            with pytest.raises(StepLawMismatch):
-                StochasticMatrix(E, step_law=law)
+    def test_only_walk_declares(self):
+        P = parse_family_spec("cycle:n=6").matrix
+        with pytest.raises(TypeError):
+            StochasticMatrix(P.entries, step_law=P.step_law)
 
-    def test_extra_entry_is_refused(self):
-        inst = parse_family_spec("cycle:n=6")
-        E = inst.matrix.entries.copy()
-        E[0, 3] = 1e-300
-        with pytest.raises(StepLawMismatch):
-            StochasticMatrix(E, step_law=inst.matrix.step_law)
+    def test_replace_drops_the_law(self):
+        # New entries are a new matrix: it takes the dense paths.
+        P = parse_family_spec("hypercube:d=3:lazy=0.25").matrix
+        Q = dataclasses.replace(P, entries=P.entries.copy())
+        assert P.step_law is not None and Q.step_law is None
+        assert np.array_equal(Q.entries, P.entries)
 
-    @pytest.mark.parametrize("factors, size", [
-        ((8,), 8), ((4, 2), 8), ((2, 4), 8), ((2, 2), 8), ((2, 2, 2), 5)])
-    def test_wrong_factors_are_refused(self, factors, size):
-        # Z2^3's step law on the unit vectors 1, 2, 4, declared on another
-        # group of order 8, on a group of order 4, or cut to 5 entries.
-        P = parse_family_spec("hypercube:d=3").matrix
-        mu = P.step_law.mu[:size]
-        with pytest.raises(StepLawMismatch):
-            StochasticMatrix(P.entries, step_law=StepLaw(factors, mu))
+    @pytest.mark.parametrize("factors, size", [((2, 2), 8), ((2, 2, 2), 5)],
+                             ids=["Z2xZ2-8", "Z2xZ2xZ2-5"])
+    def test_wrong_size_is_refused(self, factors, size):
+        # Z2^3's step law on the unit vectors 1, 2, 4, on a group of order
+        # 4, or cut to 5 entries.
+        mu = parse_family_spec("hypercube:d=3").matrix.step_law.mu[:size]
+        with pytest.raises(DimensionMismatch):
+            StepLaw(GroupSpec(factors), mu)
 
     def test_declared_walk_builds_unchanged(self):
         # The declaration does not alter the matrix: the lazy walk's entries
@@ -162,7 +190,7 @@ class TestDeclarationCheck:
 
     @pytest.mark.parametrize("spec", [
         "bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1", "sym:k=4",
-        "perturb:theta=0.1:hypercube:d=3"])
+        "perturb:theta=0.1:bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1"])
     def test_other_families_undeclared_and_dense(self, spec):
         # Chains without a declaration take the dense paths, bit for bit:
         # the LU solve for pi, all-pairs BFS, and eigvalsh of S.
