@@ -291,6 +291,14 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
 # remain valid Distributions (sum to 1 within 1e-12) without renormalizing.
 _MASS_TOL = 1e-13
 _POWERS_CAP = 2 ** 24          # floats (128 MiB) in a start set's powers
+# Dyadic rungs P_{2^i} of the full-kernel time engine (see _KernelRows):
+# from a Poisson base at 2^_RUNG_LOW, below every bisection step at t >= 1,
+# up to 2^_RUNG_HIGH, the top of a search's doubling.
+_RUNG_LOW = -16
+_RUNG_HIGH = 64
+# Rungs kept below the top one: a search's bisection steps are no finer than
+# 2^-15 of its top (see entropy._first_time), so older rungs are dropped.
+_RUNG_WINDOW = 16
 
 
 def _poisson_pmf(t: float, tol: float,
@@ -361,9 +369,35 @@ class _KernelRows:
     extended on demand by P.row_times (a CSR product on a sparse support),
     and weights it by poisson_weights(t) for each t: a search over t pays
     the products of its largest t once, and each row equals the one-shot
-    series bit for bit.  It holds K(t) > t times |starts| n floats while it lives, at
-    most _POWERS_CAP.  Full kernels are squared afresh at each t (see
-    heat_kernel), since their powers would cost K n^2 floats.
+    series bit for bit.  It holds K(t) > t times |starts| n floats while it
+    lives, at most _POWERS_CAP.
+
+    Full kernels come from one time engine: t is answered from the largest
+    kernel K_{t0} held at some t/2 <= t0 < t, where t - t0 is exact (else
+    the identity at t0 = 0), times one factor P_{t-t0}, at one product:
+
+    - a power-of-two factor is a dyadic rung P_{2^i}, squared up on demand
+      from one Poisson base at s = 2^_RUNG_LOW; only the _RUNG_WINDOW
+      highest rungs are kept, and a lower one is climbed to again;
+    - any other factor is built by scaling and squaring (see _squared) and
+      kept by its length, reused only for an exactly equal step (the
+      steps of an increasing grid);
+    - with nothing held below a non-dyadic t, the kernel is the one-shot
+      heat_kernel(P, t), bit for bit.
+
+    So a doubling step of a search is one squaring, a bisection step one
+    product K_lo P_delta, and a grid point one product.  Only the kernels
+    at t0 and t are held after each answer, and everything lives only as
+    long as this object.  Where a window of rungs would not fit in _POWERS_CAP
+    floats beside the steps, a power-of-two factor is built as a step.
+
+    Each held kernel carries the mass d its rows miss, d <- d_a + K_a d_b
+    for K_a K_b, and rows are rescaled to sum to 1 - d after each product
+    (see heat_kernel).  The one-shot kernel misses at most _MASS_TOL/2, and
+    rung and step factors of length s at most s _MASS_TOL 2^-65, so every
+    kernel up to t = 2^_RUNG_HIGH misses at most _MASS_TOL, which each
+    returned kernel is checked against.  Other times, and calls with
+    ``min_terms``, go to heat_kernel.
     """
 
     def __init__(self, P: StochasticMatrix,
@@ -371,6 +405,10 @@ class _KernelRows:
         self._P = P
         self._powers = None
         if starts is None:
+            self._held = []        # (t, K_t, d), increasing t; at most two
+            self._rungs = []       # (P_{2^i}, d), i = _RUNG_LOW + index;
+            #                        None below the window
+            self._steps = {}       # delta -> (P_delta, d)
             return
         if len(starts) == 0:
             raise DimensionMismatch("need at least one start state")
@@ -386,7 +424,9 @@ class _KernelRows:
         """The rows at t, one per start; ``min_terms`` as in
         poisson_weights and heat_kernel."""
         if self._powers is None:
-            return heat_kernel(self._P, t, min_terms=min_terms)
+            if min_terms or not 0.0 < t <= math.ldexp(1.0, _RUNG_HIGH):
+                return heat_kernel(self._P, t, min_terms=min_terms)
+            return self._kernel(t)
         if t * len(self._powers) * self._P.n > _POWERS_CAP:
             raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
                                    f"over {_POWERS_CAP} floats of powers")
@@ -401,6 +441,65 @@ class _KernelRows:
                 f"heat-kernel row sums off by {drift}: P is not stochastic")
         return rows
 
+    def _kernel(self, t: float) -> np.ndarray:
+        """P_t for 0 < t <= 2^_RUNG_HIGH from the time engine."""
+        held = [h for h in self._held if h[0] <= t]
+        if held and held[-1][0] == t:
+            self._held = held
+            return held[-1][1]
+        # t - t0 is exact for t/2 <= t0 <= t (Sterbenz), so the answer is
+        # P_t itself; a kernel farther below is no base.
+        base = held[-1:] if held and held[-1][0] >= 0.5 * t else []
+        t0, K0, d0 = base[0] if base else (0.0, None, None)
+        delta = t - t0
+        m, e = math.frexp(delta)
+        F = self._rung(e - 1) if m == 0.5 else None
+        if F is None and K0 is None:
+            F = _squared(self._P, t, _MASS_TOL / 2)
+        elif F is None:
+            F = self._steps.get(delta)
+            if F is None:
+                if not self._room(1):
+                    self._steps.clear()
+                F = self._steps[delta] = _squared(
+                    self._P, delta, math.ldexp(delta * _MASS_TOL, -65))
+        if K0 is None:
+            K, d = F
+        elif K0 is F[0] and self._rung(e) is not None:
+            # Doubling a rung: K_{2 t0} is the next rung, one squaring.
+            K, d = self._rung(e)
+        else:
+            K, d = _product((K0, d0), F)
+        _check_missed(K, t)
+        K.setflags(write=False)
+        self._held = base + [(t, K, d)]
+        return K
+
+    def _rung(self, i: int):
+        """(P_{2^i}, d) squared up from the base on demand; None for i
+        outside [_RUNG_LOW, _RUNG_HIGH] or past _POWERS_CAP floats kept."""
+        k = i - _RUNG_LOW
+        rungs = self._rungs
+        if not (0 <= k <= _RUNG_HIGH - _RUNG_LOW and self._room(0)):
+            return None
+        if k < len(rungs) and rungs[k] is None:
+            rungs.clear()               # below the window: climb again
+        if not rungs:
+            s = math.ldexp(1.0, _RUNG_LOW)
+            rungs.append(_squared(self._P, s,
+                                  math.ldexp(s * _MASS_TOL, -65)))
+        while len(rungs) <= k:
+            rungs.append(_product(rungs[-1], rungs[-1]))
+            if len(rungs) > _RUNG_WINDOW:
+                rungs[-1 - _RUNG_WINDOW] = None
+        return rungs[k]
+
+    def _room(self, steps: int) -> bool:
+        """Whether a full window of rungs, the steps and ``steps`` more,
+        and two held kernels fit in _POWERS_CAP floats."""
+        kept = _RUNG_WINDOW + len(self._steps) + steps + 2
+        return kept * self._P.n ** 2 <= _POWERS_CAP
+
 
 def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
                     min_terms: int = 0) -> Distribution:
@@ -414,6 +513,52 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
     return Distribution(_KernelRows(P, [o])(t, min_terms=min_terms)[0])
 
 
+def _rescaled(A: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A with its rows rescaled in place to sum to 1 - d; a rescaling
+    beyond ROW_SUM_TOL raises CertificateFailed."""
+    scale = (1.0 - d) / A.sum(axis=1)
+    drift = float(np.max(np.abs(scale - 1.0)))
+    if drift > ROW_SUM_TOL:
+        raise CertificateFailed(
+            f"heat-kernel row sums off by {drift}: P is not stochastic")
+    A *= scale[:, None]
+    return A
+
+
+def _product(a, b):
+    """K_a K_b of two kernels (K, d) with the missed mass d_a + K_a d_b."""
+    (A, dA), (B, dB) = a, b
+    d = dA + A @ dB
+    return _rescaled(A @ B, d), d
+
+
+def _check_missed(A: np.ndarray, t: float):
+    """Refuse a kernel A at time t with a row missing over _MASS_TOL."""
+    missed = 1.0 - float(A.sum(axis=1).min())
+    if missed > _MASS_TOL:
+        raise CertificateFailed(
+            f"heat-kernel rows miss {missed} of their mass at t={t}")
+
+
+def _squared(P: StochasticMatrix, t: float, budget: float,
+             min_terms: int = 0):
+    """(P_t, d) for t > 0 by scaling and squaring, each row missing the
+    mass d <= ``budget``: P_t = (P_s)^(2^j) with j = max(0,
+    ceil(log2(2t))), so s = t/2^j <= 1/2, and the base P_s the Poisson
+    mixture cut where its tail is below budget/2^j (see heat_kernel)."""
+    # j = ceil(log2(2t)) exactly, from t = m 2^e with 1/2 <= m < 1.
+    m, e = math.frexp(t)
+    j = max(0, e if m == 0.5 else e + 1)
+    q, tail = _poisson_pmf(math.ldexp(t, -j), math.ldexp(budget, -j),
+                           min_terms)
+    A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ P.entries))
+    d = np.full(P.n, tail)
+    K = (_rescaled(A, d), d)
+    for _ in range(j):
+        K = _product(K, K)
+    return K
+
+
 def heat_kernel(P: StochasticMatrix, t: float, *,
                 min_terms: int = 0) -> np.ndarray:
     """Full heat-kernel matrix; row x is the law P_t(x, .).
@@ -423,7 +568,9 @@ def heat_kernel(P: StochasticMatrix, t: float, *,
     len(q) - 1 + j matrix products and with no upper limit on t.  The base
     P_s is the Poisson mixture with weights q (see _poisson_pmf) cut where
     its tail is below _MASS_TOL/2^(j+1), and at no fewer than
-    ``min_terms`` terms, undivided, so far entries stay accurate.
+    ``min_terms`` terms, undivided, so far entries stay accurate.  This is
+    the one-shot kernel; the times of a search or a grid share products
+    through _KernelRows.
 
     Truncation only loses mass, and a squaring at most doubles the loss,
     so each row misses at most _MASS_TOL/2.  A squaring also doubles any
@@ -436,27 +583,8 @@ def heat_kernel(P: StochasticMatrix, t: float, *,
     """
     if t == 0.0:
         return np.eye(P.n)
-    # j = ceil(log2(2t)) exactly, from t = m 2^e with 1/2 <= m < 1.
-    m, e = math.frexp(t)
-    j = max(0, e if m == 0.5 else e + 1)
-    q, tail = _poisson_pmf(math.ldexp(t, -j),
-                           math.ldexp(_MASS_TOL, -(j + 1)), min_terms)
-    A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ P.entries))
-    d = np.full(P.n, tail)
-    for step in range(j + 1):
-        if step:
-            d = d + A @ d
-            A = A @ A
-        scale = (1.0 - d) / A.sum(axis=1)
-        drift = float(np.max(np.abs(scale - 1.0)))
-        if drift > ROW_SUM_TOL:
-            raise CertificateFailed(
-                f"heat-kernel row sums off by {drift}: P is not stochastic")
-        A *= scale[:, None]
-    missed = 1.0 - float(A.sum(axis=1).min())
-    if missed > _MASS_TOL:
-        raise CertificateFailed(
-            f"heat-kernel rows miss {missed} of their mass at t={t}")
+    A, _ = _squared(P, t, _MASS_TOL / 2, min_terms)
+    _check_missed(A, t)
     return A
 
 

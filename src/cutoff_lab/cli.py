@@ -240,15 +240,19 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
     kappa_cert = max(olli.ollivier_min, be.bakry_emery_min)
     verdicts = []
     t_half = inst.t_mix(0.5)
+    d_half = ent.d_star_at(P, t_half, starts=inst.starts)
     for e in eps_list:
-        verdicts.append(ent.entropic_upper_bound(inst, t_half, e))
-        # Entropic lower bound on the entropy-worst kernel row at tmix(1-e).
+        verdicts.append(ent.entropic_upper_bound(inst, t_half, e,
+                                                 d_star=d_half))
+        # Entropic lower bound on the entropy-worst kernel row at tmix(1-e);
+        # the window bound reads V* at the same time from the same rows.
         rows = kernel_rows(P, inst.t_mix(1.0 - e), inst.starts)
-        worst = rows[np.argmax(ent._row_entropies(rows, pi)[0])]
+        kl, var = ent._row_entropies(rows, pi)
         verdicts.append(ent.entropic_lower_bound_check(
-            Distribution(worst), pi, e))
+            Distribution(rows[np.argmax(kl)]), pi, e))
         if e < 0.5:
-            verdicts.append(ent.cutoff_window_bound(inst, e))
+            verdicts.append(ent.cutoff_window_bound(
+                inst, e, v_star=float(var.max())))
         verdicts.append(ent.diameter_bound_check(inst, e))
     t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
     verdicts.append(ent.log_gradient_bound_check(inst, t_log))

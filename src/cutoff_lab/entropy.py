@@ -107,8 +107,9 @@ def varentropy(mu, pi) -> float:
 # ---------------------------------------------------------------------------
 
 def _row_tvs(rows: np.ndarray, pi: Distribution) -> np.ndarray:
-    """||row - pi||_TV for each row."""
-    return 0.5 * np.abs(rows - pi.probs[None, :]).sum(axis=1)
+    """||row - pi||_TV for each row (one temporary the size of ``rows``)."""
+    dev = rows - pi.probs[None, :]
+    return 0.5 * np.abs(dev, out=dev).sum(axis=1)
 
 
 def worst_tv(P: StochasticMatrix, t: float,
@@ -152,8 +153,9 @@ def mixing_time(P: StochasticMatrix, eps: float, *,
 
     Uses monotonicity of the worst-case TV in t; the answer is within
     1e-4 times the bracket scale of the true crossing (see _first_time).
-    A start set keeps one power sequence for the whole search; full
-    kernels are squared afresh at each t (see chain._KernelRows).
+    A start set keeps one power sequence for the whole search; over full
+    kernels each doubling step is one squaring of a dyadic rung and each
+    bisection step one product K_lo P_delta (see chain._KernelRows).
     """
     check_eps(eps)
     if not P.irreducible:
@@ -196,13 +198,15 @@ def v_star_at(P, t, starts=None, pi=None) -> float:
 # Inequality verdicts
 # ---------------------------------------------------------------------------
 
-def entropic_upper_bound(inst: ChainInstance, t: float,
-                         eps: float) -> InequalityVerdict:
-    """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t))."""
+def entropic_upper_bound(inst: ChainInstance, t: float, eps: float, *,
+                         d_star: Optional[float] = None) -> InequalityVerdict:
+    """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t)); ``d_star`` is
+    d*_KL(t) when the caller already has it."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     lhs = inst.t_mix(eps)
-    d = d_star_at(inst.matrix, t, starts=inst.starts)
+    d = (d_star_at(inst.matrix, t, starts=inst.starts) if d_star is None
+         else d_star)
     rhs = t + (inst.t_rel / eps) * (1.0 + d)
     return make_verdict("entropic-upper-bound", lhs, rhs, eps=eps, t=t)
 
@@ -222,14 +226,17 @@ def entropic_lower_bound_check(mu, pi, eps: float) -> InequalityVerdict:
                         vacuous=False)
 
 
-def cutoff_window_bound(inst: ChainInstance,
-                        eps: float) -> InequalityVerdict:
-    """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps))))."""
+def cutoff_window_bound(inst: ChainInstance, eps: float, *,
+                        v_star: Optional[float] = None) -> InequalityVerdict:
+    """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps)))).
+
+    ``v_star`` is V*(t_mix(1-eps)) when the caller already has it."""
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
     t_hi = inst.t_mix(eps)
     t_lo = inst.t_mix(1.0 - eps)
-    v = v_star_at(inst.matrix, t_lo, starts=inst.starts)
+    v = (v_star_at(inst.matrix, t_lo, starts=inst.starts) if v_star is None
+         else v_star)
     lhs = t_hi - t_lo
     rhs = (2.0 * inst.t_rel / eps ** 2) * (1.0 + math.sqrt(v))
     return make_verdict("cutoff-window-bound", lhs, rhs, eps=eps,

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .chain import StochasticMatrix, _readonly
+from .chain import CSR_FRACTION, StochasticMatrix, _readonly
 from .entropy import mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
                      NotSymmetricSet, SpecParseError, StateCapExceeded)
@@ -122,12 +122,16 @@ class StepLaw:
                                     f"the group {self.group.factors}")
 
     def matrix(self) -> np.ndarray:
-        """The dense P(x, y) = mu(y - x), filled at (x, x + g) for each g
-        in the support of mu."""
+        """The dense P(x, y) = mu(y - x): gathered from the table of
+        differences when mu charges more than CSR_FRACTION of the group,
+        else filled at (x, x + g) for each g in the support of mu."""
         N = self.group.N
+        support = np.flatnonzero(self.mu)
+        if support.size > CSR_FRACTION * N:
+            return self.mu[self.group.differences()]
         P = np.zeros((N, N))
         xs = np.arange(N)
-        for g in np.flatnonzero(self.mu):
+        for g in support:
             P[xs, self.group.translate(g)] = self.mu[g]
         return P
 

@@ -4,9 +4,13 @@ heat kernel and the chain file format.
 Frozen oracle values are derived in comments next to each assertion.
 """
 
+import importlib.util
 import math
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cutoff_lab import chain
+from cutoff_lab import chain, cli, entropy
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               heat_kernel_apply, heat_kernel_row, kernel_rows,
                               load_chain_file, metric_data, poisson_weights,
@@ -24,7 +28,9 @@ from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
                                SpecParseError, StateCapExceeded,
                                TimeOutOfRange, UnderflowRisk)
 from cutoff_lab.families import birth_death, complete_graph, cycle, hypercube
-from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at, worst_tv
+from cutoff_lab.entropy import (EPS_GRID, cutoff_time_equation, d_star_at,
+                                mixing_time, mixing_profile, v_star_at,
+                                worst_tv)
 from cutoff_lab.spectral import relaxation_time
 from test_curvature import sparse_chain
 
@@ -606,6 +612,165 @@ class TestSquaredKernel:
         P = StochasticMatrix(0.9 * cycle_matrix(5).entries)
         with pytest.raises(CertificateFailed):
             heat_kernel(P, 3.0)
+
+
+def bd(p, q, states=40):
+    return birth_death([p] * (states - 1), [q] * (states - 1)).matrix
+
+
+def random_reversible(seed, n):
+    """The benchmark's seeded random reversible chain (perfbench/
+    workloads.py, which needs only numpy), loaded without writing bytecode
+    next to the benchmark's sources."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = flag
+    W = module.random_chain_weights(seed, n)
+    return StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+
+
+def squared_afresh_tmix(P, eps):
+    """mixing_time's doubling and bisection with every full kernel squared
+    afresh by heat_kernel."""
+    def below(t):
+        return entropy._row_tvs(heat_kernel(P, t), P.pi).max() <= eps
+    return 0.0 if below(0.0) else entropy._first_time(below)
+
+
+class TestTimeEngine:
+    """_KernelRows(P, None) answers each t from a kernel it holds times one
+    dyadic rung or grid step: searches agree with kernels squared afresh,
+    grids stay within the mass certificate, and each answer costs one
+    product."""
+
+    @staticmethod
+    def assert_certified(K, P, t):
+        # Against the one-shot kernel: a row l1 error of at most twice the
+        # mass either may miss, and no row missing more than _MASS_TOL.
+        assert 1.0 - K.sum(axis=1).min() <= chain._MASS_TOL
+        assert (np.abs(K - heat_kernel(P, t)).sum(axis=1).max()
+                <= 2 * chain._MASS_TOL)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bd(0.35, 0.15), lambda: bd(0.3, 0.3),
+        lambda: random_reversible(1, 64), lambda: random_reversible(2, 64),
+        lambda: random_reversible(3, 64)],
+        ids=["bd-drift", "bd-symmetric", "random-1", "random-2", "random-3"])
+    def test_search_matches_squared_afresh(self, make):
+        P = make()
+        for eps in EPS_GRID:
+            assert mixing_time(P, eps) == squared_afresh_tmix(P, eps)
+
+    def test_cutoff_time_equation_unchanged(self):
+        # The root of d* = c (1 + sqrt(V*)) on the drifting bd chain, as
+        # found with every kernel squared afresh.
+        P = bd(0.35, 0.15)
+
+        def below(t):
+            kl, var = entropy._row_entropies(heat_kernel(P, t), P.pi)
+            return kl.max() - (1.0 + math.sqrt(var.max())) < 0.0
+        assert cutoff_time_equation(P) == entropy._first_time(below) \
+            == 136.5546875
+
+    def test_long_grid(self):
+        # 1000 points up to t = 2000 (11 distinct float steps) on the
+        # symmetric bd chain, whose t_rel is about 541: each point is one
+        # product past the first.
+        P = bd(0.3, 0.3)
+        rows = chain._KernelRows(P, None)
+        for t in np.linspace(0.0, 2000.0, 1000):
+            self.assert_certified(rows(t), P, t)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.booleans(),
+           st.floats(0.0, 50.0), st.floats(0.0, 3000.0), st.integers(1, 40),
+           st.sampled_from(["grid", "search", "shuffled"]))
+    def test_random_reversible_chains(self, seed, n, lazy, a, b, steps,
+                                      order):
+        # Any sequence of times: an increasing grid, the times a search
+        # asks, or the grid in a seeded shuffle (kernels above t dropped).
+        P = sparse_chain(seed, n, True, lazy)
+        rows = chain._KernelRows(P, None)
+        grid = np.linspace(min(a, b), max(a, b), steps)
+        if order == "shuffled":
+            np.random.default_rng(seed).shuffle(grid)
+        if order == "search":
+            def below(t):
+                self.assert_certified(rows(t), P, t)
+                return t >= b
+            entropy._first_time(below)
+            return
+        for t in grid:
+            self.assert_certified(rows(t), P, t)
+
+    def test_mass_is_carried(self, monkeypatch):
+        # With the kernel tolerance raised to 1e-8 the first grid kernel
+        # (the one-shot heat_kernel) misses up to 5e-9 per row: every
+        # later kernel misses at least that much row by row, since a row
+        # of P_t P_h misses d_t + P_t d_h, and stays certified.
+        monkeypatch.setattr(chain, "_MASS_TOL", 1e-8)
+        P = bd(0.3, 0.3)
+        rows = chain._KernelRows(P, None)
+        grid = np.linspace(0.0, 500.0, 101)
+        first = 1.0 - rows(grid[1]).sum(axis=1)
+        assert first.min() > 1e-10
+        for t in grid[2:]:
+            K = rows(t)
+            assert np.all(1.0 - K.sum(axis=1) >= first - 1e-15)
+            self.assert_certified(K, P, t)
+
+    def test_returned_kernels_are_read_only(self):
+        rows = chain._KernelRows(bd(0.3, 0.3, 6), None)
+        for t in (1.0, 1.5, 1.5, 3.7):
+            with pytest.raises(ValueError):
+                rows(t)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("make", [lambda: bd(0.35, 0.15),
+                                      lambda: random_reversible(1, 64)],
+                             ids=["bd-drift", "random-1"])
+    def test_search_squares_no_kernel_afresh(self, monkeypatch, make):
+        # One Poisson base for the whole search: heat_kernel is not called,
+        # and _squared builds only the base of the dyadic rungs.
+        P = make()
+        calls = Counter()
+        for name in ("heat_kernel", "_squared"):
+            def counted(*args, _real=getattr(chain, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(chain, name, counted)
+        for eps in (0.05, 0.5, 0.95):
+            calls.clear()
+            mixing_time(P, eps)
+            assert calls["heat_kernel"] <= 1 and calls["_squared"] <= 1
+
+    @pytest.mark.parametrize("make", [lambda: bd(0.35, 0.15),
+                                      lambda: bd(0.3, 0.3),
+                                      lambda: random_reversible(1, 64)],
+                             ids=["bd-drift", "bd-symmetric", "random-1"])
+    def test_auto_grid_builds_one_factor_per_step(self, monkeypatch, make):
+        # analyze's 25-point grid to 1.5 t_mix(0.05): the first point past
+        # 0 is the one-shot kernel, and every later one reuses the factor
+        # of its step once the step has been seen.
+        P = make()
+        grid = cli._t_grid(SimpleNamespace(tgrid="auto"),
+                           mixing_time(P, 0.05))
+        built = []
+        real = chain._squared
+
+        def counted(P, t, *args):
+            built.append(t)
+            return real(P, t, *args)
+        monkeypatch.setattr(chain, "_squared", counted)
+        mixing_profile(P, grid)
+        steps = set(np.diff(grid[1:]).tolist())
+        assert built[0] == grid[1]
+        assert len(set(built[1:])) == len(built[1:]) <= len(steps)
 
 
 # ---------------------------------------------------------------------------

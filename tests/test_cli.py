@@ -115,6 +115,32 @@ class TestVerify:
         P = inst.matrix
         assert P.pi is P.pi
 
+    def test_suite_reads_each_entropy_once(self, monkeypatch):
+        # d*(t_mix(1/2)) is computed once for every entropic upper bound,
+        # and each window bound reads V*(t_mix(1 - eps)) from the rows of
+        # the entropic lower bound: the verdicts equal those computed
+        # afresh.  V* at t_mix(eps) is still read by the varentropy checks.
+        from cutoff_lab import entropy as ent
+        calls = Counter()
+        for name in ("d_star_at", "v_star_at"):
+            def counted(*args, _real=getattr(ent, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ent, name, counted)
+        inst = families.birth_death([0.35] * 9, [0.15] * 9)
+        eps = [0.1, 0.25, 0.75]
+        suite = verdict_suite(inst, eps, n_f=5, semigroup_checks=False)
+        assert calls == {"d_star_at": 1, "v_star_at": len(eps)}
+        monkeypatch.undo()
+        t_half = inst.t_mix(0.5)
+        upper = [v for v in suite if v.name == "entropic-upper-bound"]
+        window = [v for v in suite if v.name == "cutoff-window-bound"]
+        assert upper == [ent.entropic_upper_bound(inst, t_half, e)
+                         for e in eps]
+        assert window == [ent.cutoff_window_bound(inst, e)
+                          for e in eps if e < 0.5]
+
     def test_transitive_curvature_from_start_vertex(self, tmp_path):
         # hypercube:d=6 is vertex-transitive: its curvature minima and W1
         # contraction are read at the edges of vertex 0 (and the reported

@@ -109,6 +109,22 @@ class TestClosedForms:
         assert relaxation_time(Q).t_rel == pytest.approx(
             1.0 / (1.0 - (1.0 - theta) * lambda2), rel=1e-12)
 
+    @pytest.mark.parametrize("spec", ["hypercube:d=8", "cycle:n=101"])
+    def test_full_support_law_is_gathered(self, monkeypatch, spec):
+        # A perturbed walk's law charges every element, past CSR_FRACTION
+        # of the group: its matrix is mu gathered at the table of
+        # differences, with no translate per element, and equals the
+        # rolled entries bit for bit.
+        law = perturb_toward_uniform(parse_family_spec(spec), 0.05) \
+            .matrix.step_law
+        assert np.count_nonzero(law.mu) > CSR_FRACTION * law.group.N
+        want = roll_matrix(law.group.factors, law.mu)
+
+        def refused(self, g):
+            raise AssertionError("translate called on a full-support law")
+        monkeypatch.setattr(GroupSpec, "translate", refused)
+        assert law.matrix().tobytes() == want.tobytes()
+
     def test_uniform_law_and_character_spectrum(self):
         # hypercube:d=5: pi = 1/32 exactly; eigenvalues 1 - 2j/5 with
         # multiplicity C(5, j).
