@@ -27,6 +27,12 @@ from .spectral import gamma_form
 from .verdicts import VERDICT_TOL, InequalityVerdict, make_verdict
 
 DUALITY_TOL = 1e-8
+# Slack kept below the tree bound before contraction_check skips an edge's
+# LP.  A returned LP value v is within DUALITY_TOL of its dual objective
+# <b, y>, and <b, y> exceeds W1 by at most HiGHS's 1e-7 dual feasibility
+# tolerance times the transported mass 1, so v <= W1 + 1.1e-7 <= U + 1.1e-7
+# for the tree bound U >= W1; 1e-6 leaves 9x headroom over that.
+_SCREEN_MARGIN = 1e-6
 # Transport variables per shared LP in ollivier_curvature: large enough to
 # amortize the solver set-up, small enough that a batch stays cheap.
 _LP_VARS = 1024
@@ -138,6 +144,34 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     return TransportPlan(plan=plan, value=value, dual_potential=potential)
 
 
+def _tree_w1_bounds(P: StochasticMatrix, K: np.ndarray, pairs) -> np.ndarray:
+    """Upper bounds U >= W1(K[x], K[y]) for each (x, y) of ``pairs``: W1 for
+    the metric of a BFS spanning tree from state 0, which dominates the
+    graph metric.
+
+    The parent of v is its first out-neighbour one step closer to 0 in
+    ``P.metric.dist``.  On a tree W1 is the sum over tree edges (v, parent)
+    of |mass of mu - nu on the root side of the edge|, outside the subtree
+    of v, so U is one product of the row differences with the (n, n - 1)
+    root-side indicator.  On a path this is sum |cumsum(mu - nu)|, exact.
+    """
+    depth = P.metric.dist[0]
+    adj = P.adjacency
+    src = np.repeat(np.arange(P.n), np.diff(adj.indptr))
+    closer = depth[adj.indices] == depth[src] - 1
+    kids, first = np.unique(src[closer], return_index=True)
+    parent = np.zeros(P.n, dtype=np.int64)
+    parent[kids] = adj.indices[closer][first]
+    # root_side[w, v] = 0 when v is w or one of its ancestors below 0.
+    root_side = np.ones((P.n, P.n))
+    w, v = np.arange(P.n), np.arange(P.n)
+    while np.any(v):
+        root_side[w, v] = 0.0
+        v = parent[v]
+    xs, ys = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.abs((K[xs] - K[ys]) @ root_side[:, 1:]).sum(axis=1)
+
+
 def _vertices(P: StochasticMatrix, starts) -> list:
     """The vertices of ``starts``; every vertex when it is None."""
     if starts is None:
@@ -221,9 +255,10 @@ def _local_quadratic_forms(P: StochasticMatrix, x: int):
     term 1/2 P(x,x) G_x of 1/2 L Gamma(x) is not in A, so on a lazy chain
     kappa(x) is the exact infimum minus P(x,x)/2, a lower bound.
     """
-    adj = P.adjacency
-    n1 = adj.indices[adj.indptr[x]:adj.indptr[x + 1]]
-    ball = np.unique(np.concatenate(([x], n1, adj[n1].indices)))
+    ind, ptr = P.adjacency.indices, P.adjacency.indptr
+    n1 = ind[ptr[x]:ptr[x + 1]]
+    ball = np.unique(np.concatenate(
+        [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1]))
     ix = int(np.searchsorted(ball, x))
     S = P.entries[np.ix_(ball, ball)]
     W = S - np.diag(np.diag(S))
@@ -326,10 +361,15 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
                       starts=None) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip on
     random Lipschitz-normalized f, plus the W1 form on adjacent pairs on
-    chains of at most 128 states (one dense LP per edge is too slow above):
-    every edge, or the edges with an endpoint in ``starts``, which on a
-    vertex-transitive chain attain the worst W1 (an automorphism of P also
-    preserves P_t and the metric)."""
+    chains of at most 128 states: every edge, or the edges with an endpoint
+    in ``starts``, which on a vertex-transitive chain attain the worst W1
+    (an automorphism of P also preserves P_t and the metric).
+
+    Each edge's W1 is first bounded above by the spanning-tree bound of
+    _tree_w1_bounds; the edge's dense LP runs only when that bound, less
+    _SCREEN_MARGIN, leaves the edge able to be the worst verdict, so the
+    report is the one every LP would give and a skipped edge is certified
+    by the bound."""
     dist = P.metric.dist
     edges = _edges_at(P, starts)
     rng = np.random.default_rng(seed)
@@ -357,8 +397,14 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
             # t = 0.5): a later edge must be worse by more than VERDICT_TOL,
             # so the first of tied edges is reported.  The edges at vertex 0
             # come first in P.edges(), so a start set [0] reports the same
-            # edge as the full list.
-            for (x, y) in edges:
+            # edge as the full list.  An edge whose LP value v <= U + margin
+            # would still leave more slack than the worst so far is skipped:
+            # its LP could not replace the worst under that rule.
+            bounds = _tree_w1_bounds(P, K, edges)
+            for (x, y), bound in zip(edges, bounds):
+                if (worst is not None
+                        and decay - bound - _SCREEN_MARGIN > worst.slack):
+                    continue
                 [(value, *_)] = _w1_restricted([(K[x], K[y])], dist)
                 cand = make_verdict("w1-contraction", value, decay,
                                     t=t, kappa=kappa, edge=(x, y))

@@ -152,6 +152,29 @@ class TestVerify:
         w1 = [dict(zip(header, r)) for r in rows if r[0] == "w1-contraction"]
         assert w1 and "edge=(0/1)" in w1[0]["context"].split(";")
 
+    def test_contraction_lps_screened_on_birth_death(self, tmp_path,
+                                                     monkeypatch):
+        # The benchmark's 40-state drifting chain: the spanning-tree bound
+        # (the path's CDF distance) rules out every edge at t_mix(1/4) and
+        # some at t = 0.5, so at most 40 of its 79 W1 LPs run (one is
+        # Ollivier's shared LP), and the reported edge and value stay.
+        calls = []
+        real = curvature._w1_restricted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(curvature, "_w1_restricted", counted)
+        spec = f"bd:p={','.join(['0.35'] * 39)};q={','.join(['0.15'] * 39)}"
+        out = tmp_path / "out"
+        assert main(["verify", "--spec", spec, "--out", str(out)]) == EXIT_OK
+        assert len(calls) <= 40
+        header, rows = read_csv(out / "verdicts.csv")
+        [w1] = [dict(zip(header, r)) for r in rows
+                if r[0] == "w1-contraction"]
+        assert "edge=(33/34)" in w1["context"].split(";")
+        assert float(w1["lhs"]) == pytest.approx(0.99999987416, abs=1e-10)
+
     def test_other_chains_use_every_edge(self, monkeypatch):
         # A birth-death chain is not vertex-transitive: no start set, so the
         # curvature reports cover every edge and every vertex.

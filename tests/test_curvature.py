@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cutoff_lab import curvature
@@ -391,6 +391,15 @@ class TestBakryEmery:
             assert np.allclose(A[np.ix_(far, far)], np.diag(a), rtol=0,
                                atol=1e-15)
 
+    @settings(max_examples=20)
+    @CHAINS
+    def test_ball_is_the_support_two_ball(self, seed, n, symmetric, lazy):
+        P = sparse_chain(seed, n, symmetric, lazy)
+        step = np.eye(n) + (P.entries > 0)
+        for x in range(n):
+            _, _, ball = _local_quadratic_forms(P, x)
+            assert list(ball) == list(np.nonzero((step @ step)[x])[0])
+
     def test_two_ball_locality(self):
         # Perturbing transition rates outside the 2-ball of x leaves
         # kappa(x) unchanged.
@@ -520,6 +529,157 @@ class TestSemigroupChecks:
         v = contraction_check(cycle(n).matrix, 0.0, [t], n_f=5, seed=0)
         assert v.name == "w1-contraction"
         assert v.context["edge"] == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Spanning-tree W1 bounds and the contraction check's LP screen
+# ---------------------------------------------------------------------------
+
+def ring_chain(seed, n, lazy):
+    """Reversible chain on a ring plus n // 4 random chords, with random
+    symmetric weights; a lazy chain holds with probability 0.1-0.6."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n))
+    W[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 1.5, n)
+    u, v = rng.integers(0, n, (2, n // 4))
+    W[u, v] = rng.uniform(0.5, 1.5, n // 4)
+    W[np.arange(n), np.arange(n)] = 0.0
+    W = W + W.T
+    P = W / W.sum(axis=1, keepdims=True)
+    if lazy:
+        hold = rng.uniform(0.1, 0.6, n)
+        P = np.diag(hold) + (1.0 - hold)[:, None] * P
+    return StochasticMatrix(P)
+
+
+def bd40(p, q):
+    return birth_death([p] * 39, [q] * 39)
+
+
+def unscreened(*args, **kwargs):
+    """contraction_check with every edge's LP run."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(curvature, "_SCREEN_MARGIN", math.inf)
+        return contraction_check(*args, **kwargs)
+
+
+def assert_same_verdict(a, b):
+    assert (a.name, a.context) == (b.name, b.context)
+    assert (a.lhs, a.rhs) == (b.lhs, b.rhs)
+
+
+class TestTreeBounds:
+    @pytest.mark.parametrize("p, q", [(0.35, 0.15), (0.3, 0.3)])
+    def test_path_is_the_cdf_formula(self, p, q):
+        # The BFS tree of a path is the path, whose W1 is the l1 distance
+        # of the CDFs.
+        inst = bd40(p, q)
+        P = inst.matrix
+        for t in (0.5, inst.t_mix(0.25)):
+            K = heat_kernel(P, t)
+            bounds = curvature._tree_w1_bounds(P, K, P.edges())
+            exact = [np.abs(np.cumsum(K[x] - K[y])).sum()
+                     for x, y in P.edges()]
+            np.testing.assert_allclose(bounds, exact, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        "cycle:n=7", "cycle:n=12", "hypercube:d=4", "complete:n=6",
+        "bd:p=0.3,0.2,0.4;q=0.1,0.3,0.2"])
+    def test_point_masses_give_tree_distances(self, spec):
+        # From the root a BFS tree keeps graph distances, and elsewhere a
+        # tree path is no shorter than a graph path.
+        P = parse_family_spec(spec).matrix
+        dist = P.metric.dist
+        pairs = list(itertools.combinations(range(P.n), 2))
+        bounds = curvature._tree_w1_bounds(P, np.eye(P.n), pairs)
+        assert np.all(bounds >= [dist[x, y] for x, y in pairs])
+        assert list(bounds[:P.n - 1]) == list(dist[0, 1:])
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.booleans(),
+           st.sampled_from([0.5, 2.0, 20.0]))
+    def test_bound_dominates_lp(self, seed, n, lazy, t):
+        P = sparse_chain(seed, n, True, lazy)
+        K = heat_kernel(P, t)
+        bounds = curvature._tree_w1_bounds(P, K, P.edges())
+        for (x, y), bound in zip(P.edges(), bounds):
+            [(value, *_)] = curvature._w1_restricted([(K[x], K[y])],
+                                                     P.metric.dist)
+            assert bound >= value - 1e-12
+
+    @pytest.mark.parametrize("n", [5, 8, 13, 32])
+    def test_bound_dominates_cycle_closed_form(self, n):
+        # On a cycle W1 = sum |F - median F| with F the cumulative sums of
+        # mu - nu around it.
+        P = cycle(n).matrix
+        for t in (0.5, 2.0, 20.0):
+            K = heat_kernel(P, t)
+            bounds = curvature._tree_w1_bounds(P, K, P.edges())
+            for (x, y), bound in zip(P.edges(), bounds):
+                F = np.cumsum(K[x] - K[y])
+                assert bound >= np.abs(F - np.median(F)).sum() - 1e-14
+
+
+class TestContractionScreen:
+    @pytest.mark.parametrize("p, q", [(0.35, 0.15), (0.3, 0.3)])
+    def test_birth_death_verdicts_unchanged(self, p, q):
+        inst = bd40(p, q)
+        grid = [0.5, inst.t_mix(0.25)]
+        args = (inst.matrix, ollivier_curvature(inst.matrix).ollivier_min,
+                grid)
+        assert_same_verdict(contraction_check(*args, n_f=20),
+                            unscreened(*args, n_f=20))
+
+    @pytest.mark.parametrize("spec", [
+        "cycle:n=32", "complete:n=12", "hypercube:d=6",
+        "hypercube:d=4:lazy=0.5"])
+    def test_transitive_verdicts_unchanged(self, spec):
+        inst = parse_family_spec(spec)
+        P, starts = inst.matrix, inst.starts
+        args = (P, ollivier_curvature(P, starts).ollivier_min,
+                [0.5, inst.t_mix(0.25)])
+        assert_same_verdict(
+            contraction_check(*args, n_f=20, starts=starts),
+            unscreened(*args, n_f=20, starts=starts))
+
+    def test_inflated_kappa_verdict_unchanged(self):
+        args = (cycle(8).matrix, 1.5, [2.0])
+        assert_same_verdict(contraction_check(*args, n_f=20, seed=0),
+                            unscreened(*args, n_f=20, seed=0))
+
+    @settings(max_examples=10)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30), st.booleans(),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    def test_random_chain_verdicts_unchanged(self, seed, n, lazy, kappa):
+        P = ring_chain(seed, n, lazy)
+        args = (P, kappa, [0.5, 4.0])
+        try:
+            full = unscreened(*args, n_f=5)
+        except CertificateFailed:
+            # HiGHS can call the transport LP of far-reaching rows
+            # infeasible (ROADMAP D13); the screen may skip that LP.
+            reject()
+        assert_same_verdict(contraction_check(*args, n_f=5), full)
+
+    def test_lp_above_the_bound_within_contract_still_runs(self,
+                                                          monkeypatch):
+        # A solver may return up to DUALITY_TOL plus its 1e-7 dual
+        # tolerance above W1 <= U.  Stub every bound at 0.99 and let each
+        # later LP overshoot it by more, within that allowance: each then
+        # replaces the worst, so no LP may be skipped.
+        P = cycle(8).matrix
+        edges = P.edges()
+        monkeypatch.setattr(curvature, "_tree_w1_bounds",
+                            lambda P, K, pairs: np.full(len(pairs), 0.99))
+        calls = []
+
+        def overshoot(pairs, dist):
+            calls.append(1)
+            return [(0.99 + 1e-7 * len(calls) / len(edges),)]
+        monkeypatch.setattr(curvature, "_w1_restricted", overshoot)
+        v = contraction_check(P, 0.0, [1.0], n_f=0)
+        assert len(calls) == len(edges)
+        assert v.context["edge"] == edges[-1]
 
 
 # ---------------------------------------------------------------------------
