@@ -1,9 +1,9 @@
 """Content-addressed cache for heat-kernel rows.
 
-Keys are a cryptographic digest of the matrix shape and raw float64
-bytes, the time and the start set; hits return bit-identical arrays.
-Entries cached under an older key (with a tolerance, or the entries
-printed to 17 significant digits) simply miss and are recomputed.
+Keys are a cryptographic digest of the matrix shape and CSR bytes, the
+time and the start set; hits return bit-identical arrays.  Entries cached
+under an older key (dense bytes, a tolerance, or 17-digit entries) simply
+miss and are recomputed.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ log = logging.getLogger(__name__)
 
 
 def matrix_digest(P: StochasticMatrix) -> str:
-    # The entries are read-only float64, so their bytes identify them.
-    h = hashlib.sha256(repr(P.entries.shape).encode("ascii"))
-    h.update(P.entries.tobytes())
-    return h.hexdigest()
+    # P's CSR is read-only and canonical (sorted, no stored zeros), so its
+    # shape and array bytes identify it.
+    A = P.csr
+    return hashlib.sha256(b"".join([repr(A.shape).encode("ascii"),
+                                    A.indptr.tobytes(), A.indices.tobytes(),
+                                    A.data.tobytes()])).hexdigest()
 
 
 class HeatKernelCache:

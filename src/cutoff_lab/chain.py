@@ -6,15 +6,16 @@ Poisson mixture of matrix powers with certified truncation error: row by row
 for a start set, and by scaling and squaring a short mixture for the full
 kernel.
 
-A random walk on an abelian group is declared by its step law
-(StochasticMatrix.walk); its stationary law and metric are then read off
-the law in closed form, and every other chain takes the dense paths.
+P is held once, as CSR.  A random walk on an abelian group is declared by
+its step law (StochasticMatrix.walk); its stationary law and metric are
+then read off the law in closed form, and every other chain takes the
+dense paths, which build the dense P on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -31,12 +32,6 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-# Row-vector products v P go through a CSR copy of P^T when P has at most
-# this fraction of n^2 nonzero entries.  Measured on one core (CSR product
-# time over dense gemv time): 1.0 at n = 256, 0.4 at n = 512, 0.27 at
-# n = 1024 and 0.17 at n = 2048 at this density; at full density the CSR
-# product is 3-5 times slower.
-CSR_FRACTION = 0.1
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -45,53 +40,53 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """Row-stochastic kernel P with its support-graph structure.
+    """Row-stochastic kernel P, held once as the read-only CSR matrix
+    ``csr``, with its support-graph structure.
 
-    Immutable after construction.  ``adjacency`` is the off-diagonal
-    support graph, held once as a read-only CSR matrix (int32 indices, data
-    P(x, y)); ``irreducible`` and ``symmetric_support`` are read from it at
-    construction (exact zero threshold: entries are exact inputs).  ``pi``
-    and ``metric`` are solved on first use and kept.  Construction does not
-    reject broken rows; use :func:`validate` to obtain a diagnostics record.
+    ``kernel``, a dense array or a scipy sparse matrix (StepLaw.matrix's
+    canonical CSR is not re-sorted), is consumed into ``csr``: sorted, no
+    stored zeros.  Products go through ``csr``; the dense ``entries`` is
+    built from it on first use.  ``adjacency`` is the off-diagonal support
+    graph (int32 indices, data P(x, y)), read by ``irreducible`` and
+    ``symmetric_support``.  ``pi`` and ``metric`` are solved on first use
+    and kept.  Construction does not reject broken rows; see validate.
 
     ``step_law`` is the law of a walk declared by :meth:`walk`, and None
     on every other matrix (``dataclasses.replace`` included).
     """
 
-    entries: np.ndarray
+    kernel: InitVar[object]
     labels: Optional[tuple] = None
-    step_law: Optional[StepLaw] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    step_law: Optional[StepLaw] = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got {entries.shape}")
-        if entries.shape[0] < 2:
-            raise DimensionMismatch("need at least 2 states")
-        if not np.all(np.isfinite(entries)):
+    def __post_init__(self, kernel):
+        shape = np.shape(kernel)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+            raise DimensionMismatch(f"expected n x n with n >= 2, got {shape}")
+        n = shape[0]
+        A = csr_matrix(kernel, dtype=np.float64, copy=True)
+        A.sum_duplicates()              # a no-op on a canonical kernel
+        A.eliminate_zeros()
+        if not np.all(np.isfinite(A.data)):
             raise ValueError("non-finite entries in transition matrix")
-        object.__setattr__(self, "entries", _readonly(entries))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
-            if len(labels) != entries.shape[0]:
+            if len(labels) != n:
                 raise DimensionMismatch("label count does not match state count")
             object.__setattr__(self, "labels", labels)
-        xs, ys = np.nonzero(entries != 0)
-        vals = entries[xs, ys]
-        # P^T in CSR, for row-vector products on a sparse support (rows of
-        # P^T list x in increasing order).
-        object.__setattr__(self, "_csr_transpose",
-                           csr_matrix((vals, (ys, xs)), shape=entries.shape)
-                           if len(xs) <= CSR_FRACTION * entries.size
-                           else None)
-        edge = (xs != ys) & (vals > 0)
-        adj = csr_matrix((vals[edge], (xs[edge], ys[edge])),
-                         shape=entries.shape)
-        for a in (adj.data, adj.indices, adj.indptr):
+        edge = ((A.indices != np.repeat(np.arange(n), np.diff(A.indptr)))
+                & (A.data > 0))
+        adj = csr_matrix((A.data[edge], A.indices[edge],
+                          np.append(0, np.cumsum(edge))[A.indptr]),
+                         shape=A.shape)
+        for a in (A.data, A.indices, A.indptr, adj.data, adj.indices,
+                  adj.indptr):
             a.setflags(write=False)
+        object.__setattr__(self, "csr", A)
+        # The same arrays read as P^T (CSC), for row-vector products.
+        object.__setattr__(self, "_transpose", A.T)
         object.__setattr__(self, "adjacency", adj)
         n_comp, _ = connected_components(adj, directed=True,
                                          connection="strong")
@@ -103,19 +98,20 @@ class StochasticMatrix:
     @classmethod
     def walk(cls, law: StepLaw) -> StochasticMatrix:
         """The random walk P(x, y) = mu(y - x) of a step law
-        (families.StepLaw): entries from ``law.matrix()``, and the law."""
+        (families.StepLaw): the CSR of ``law.matrix()``, and the law."""
         P = cls(law.matrix())
         object.__setattr__(P, "step_law", law)
         return P
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.csr.shape[0]
 
-    @property
-    def support(self) -> np.ndarray:
-        """Positive-entry pattern, diagonal included (a fresh n x n array)."""
-        return self.entries > 0
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense P, read-only, built from ``csr`` on first use (full
+        kernels, the LU pi, eigvalsh, gamma_form, chain files)."""
+        return _readonly(self.csr.toarray())
 
     @cached_property
     def pi(self) -> Distribution:
@@ -128,17 +124,12 @@ class StochasticMatrix:
         return _support_metric(self)
 
     def row_times(self, v: np.ndarray) -> np.ndarray:
-        """Row-vector product v P: by the CSR copy of P^T kept for a
-        support of at most CSR_FRACTION n^2 entries, by the dense
-        ``entries`` otherwise."""
-        T = self._csr_transpose
-        return v @ self.entries if T is None else T @ v
+        """Row-vector product v P, by ``csr`` read as P^T."""
+        return self._transpose @ v
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """P X, for an observable or an (n, m) block of them, by the same
-        rule as :meth:`row_times` (the CSR copy read as P)."""
-        T = self._csr_transpose
-        return self.entries @ X if T is None else T.T @ X
+        """P X, for an observable or an (n, m) block of them, by ``csr``."""
+        return self.csr @ X
 
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
@@ -206,12 +197,17 @@ class ValidationReport:
 
 
 def validate(P: StochasticMatrix) -> ValidationReport:
-    """Pure diagnostics: row sums, positivity, irreducibility, support symmetry."""
-    E = P.entries
+    """Pure diagnostics from ``P.csr``: row sums (bit for bit those of
+    ``P.entries``, 2^20 floats at a time), positivity, irreducibility,
+    support symmetry."""
+    A = P.csr
+    step = max(1, 2 ** 20 // P.n)
+    sums = np.concatenate([A[i:i + step].toarray().sum(axis=1)
+                           for i in range(0, P.n, step)])
     return ValidationReport(
         n=P.n,
-        row_sum_residual=float(np.max(np.abs(E.sum(axis=1) - 1.0))),
-        min_entry=float(E.min()),
+        row_sum_residual=float(np.max(np.abs(sums - 1.0))),
+        min_entry=float(A.min()),
         irreducible=P.irreducible,
         symmetric_support=P.symmetric_support,
         nondegenerate=P.n >= 3,
@@ -264,10 +260,10 @@ def metric_data(P: StochasticMatrix) -> MetricData:
 def _support_metric(P: StochasticMatrix) -> MetricData:
     """BFS distance on the support graph, diameter and sparsity.
 
-    A declared group walk takes one BFS from 0 and d(x, y) = d(0, y - x),
-    translation being a graph automorphism; every other chain takes a BFS
-    from each state.  The support is symmetric, so the directed search
-    gives the undirected distances."""
+    A declared group walk takes one BFS from 0 and d(x, y) = d(0, x - y),
+    translation and negation being automorphisms of its symmetric support;
+    every other chain takes a BFS from each state.  The support is
+    symmetric, so the directed search gives the undirected distances."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
     adj = P.adjacency
@@ -277,7 +273,7 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
     if law is not None:
-        d = d.astype(np.int64)[law.group.differences()]
+        d = d.astype(np.int64)[law.group.sums(law.group.neg(np.arange(P.n)))]
     dist = _readonly(d, np.int64)
     delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
     return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)
@@ -366,11 +362,10 @@ class _KernelRows:
     every row (the full kernel) when ``starts`` is None.
 
     For a start set it keeps one power sequence v_k = e_o P^k per start,
-    extended on demand by P.row_times (a CSR product on a sparse support),
-    and weights it by poisson_weights(t) for each t: a search over t pays
-    the products of its largest t once, and each row equals the one-shot
-    series bit for bit.  It holds K(t) > t times |starts| n floats while it
-    lives, at most _POWERS_CAP.
+    extended on demand by P.row_times, and weights it by poisson_weights(t)
+    for each t: a search over t pays the products of its largest t once,
+    and each row equals the one-shot series bit for bit.  It holds K(t) > t
+    times |starts| n floats while it lives, at most _POWERS_CAP.
 
     Full kernels come from one time engine: t is answered from the largest
     kernel K_{t0} held at some t/2 <= t0 < t, where t - t0 is exact (else
@@ -601,7 +596,7 @@ def heat_kernel_apply(P: StochasticMatrix, f: np.ndarray,
     if f.shape[0] != P.n:
         raise DimensionMismatch("observable length does not match state count")
     q = poisson_weights(t)
-    return _poisson_series(q, _iterates(f, lambda x: P.entries @ x))
+    return _poisson_series(q, _iterates(f, P.apply))
 
 
 # ---------------------------------------------------------------------------

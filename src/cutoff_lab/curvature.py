@@ -156,12 +156,11 @@ def _tree_w1_bounds(P: StochasticMatrix, K: np.ndarray, pairs) -> np.ndarray:
     root-side indicator.  On a path this is sum |cumsum(mu - nu)|, exact.
     """
     depth = P.metric.dist[0]
-    adj = P.adjacency
-    src = np.repeat(np.arange(P.n), np.diff(adj.indptr))
-    closer = depth[adj.indices] == depth[src] - 1
-    kids, first = np.unique(src[closer], return_index=True)
+    adj = P.adjacency.tocoo()
+    closer = depth[adj.col] == depth[adj.row] - 1
+    kids, first = np.unique(adj.row[closer], return_index=True)
     parent = np.zeros(P.n, dtype=np.int64)
-    parent[kids] = adj.indices[closer][first]
+    parent[kids] = adj.col[closer][first]
     # root_side[w, v] = 0 when v is w or one of its ancestors below 0.
     root_side = np.ones((P.n, P.n))
     w, v = np.arange(P.n), np.arange(P.n)
@@ -205,10 +204,12 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     if not P.irreducible:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
     dist = P.metric.dist
-    E = P.entries
-    sizes = np.diff(P.adjacency.indptr) + (np.diagonal(E) > 0)
+    edges = _edges_at(P, starts)
+    ends = np.unique(edges)
+    E = dict(zip(ends.tolist(), P.csr[ends].toarray()))     # rows P(x, .)
+    sizes = np.diff(P.adjacency.indptr) + (P.csr.diagonal() > 0)
     batches, n_vars = [[]], 0
-    for (x, y) in _edges_at(P, starts):
+    for (x, y) in edges:
         size = int(sizes[x] * sizes[y])
         if batches[-1] and n_vars + size > _LP_VARS:
             batches.append([])
@@ -242,6 +243,20 @@ def gamma2_form(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
     return 0.5 * generator_apply(P, g) - gamma_form(P, f, generator_apply(P, f))
 
 
+def _ball_block(P: StochasticMatrix, ball: np.ndarray) -> np.ndarray:
+    """The dense P[ball, ball] for sorted ``ball``, from its CSR rows."""
+    ptr, ind = P.csr.indptr, P.csr.indices
+    counts = ptr[ball + 1] - ptr[ball]
+    at = np.repeat(ptr[ball] - np.cumsum(counts) + counts, counts) \
+        + np.arange(counts.sum())
+    j = np.searchsorted(ball, ind[at])
+    hit = ball[np.minimum(j, len(ball) - 1)] == ind[at]
+    S = np.zeros((len(ball), len(ball)))
+    rows = np.repeat(np.arange(len(ball)), counts)
+    S[rows[hit], j[hit]] = P.csr.data[at[hit]]
+    return S
+
+
 def _local_quadratic_forms(P: StochasticMatrix, x: int):
     """Matrices (A, B, ball) of the local forms Gamma2(.,.)(x) and
     Gamma(.,.)(x) for observables restricted to the 2-ball of x.
@@ -260,7 +275,7 @@ def _local_quadratic_forms(P: StochasticMatrix, x: int):
     ball = np.unique(np.concatenate(
         [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1]))
     ix = int(np.searchsorted(ball, x))
-    S = P.entries[np.ix_(ball, ball)]
+    S = _ball_block(P, ball)
     W = S - np.diag(np.diag(S))
     dL = S - np.eye(len(ball))
     dL -= dL[ix]                         # rows L_y - L_x

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .chain import CSR_FRACTION, StochasticMatrix, _readonly
+from .chain import StochasticMatrix, _readonly
 from .entropy import mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
                      NotSymmetricSet, SpecParseError, StateCapExceeded)
@@ -67,26 +67,18 @@ class GroupSpec:
         f = np.array(self.factors, dtype=np.int64)
         return self.encode((-self.decode(a)) % f)
 
-    def translate(self, g) -> np.ndarray:
-        """x + g for every element x, by rolling the grid of elements over
-        ``factors`` (ten times faster than adding coordinates on Z2^11)."""
-        grid = np.arange(self.N).reshape(self.factors)
-        return np.roll(grid, -self.decode(g),
-                       axis=tuple(range(grid.ndim))).ravel()
-
-    def differences(self) -> np.ndarray:
-        """The (N, N) table of y - x: x ^ y when every factor is 2, else
-        accumulated one factor at a time (one N^2 temporary)."""
+    def sums(self, gs) -> np.ndarray:
+        """The (N, len(gs)) table of x + g for every element x and g in
+        ``gs``: x ^ g when every factor is 2, else one factor at a time."""
         x = np.arange(self.N, dtype=np.int32)
+        gs = np.asarray(gs, dtype=np.int32)
         if set(self.factors) == {2}:
-            return np.bitwise_xor.outer(x, x)
-        out = np.zeros((x.size, x.size), dtype=np.int32)
-        for m, w, c in zip(self.factors, self._weights().tolist(),
-                           self.decode(x).T.astype(np.int32)):
-            d = c[None, :] - c[:, None]
-            d %= m
-            d *= w
-            out += d
+            return np.bitwise_xor.outer(x, gs)
+        out = np.zeros((x.size, gs.size), dtype=np.int32)
+        for m, w, c, d in zip(self.factors, self._weights().tolist(),
+                              self.decode(x).T.astype(np.int32),
+                              self.decode(gs).T.astype(np.int32)):
+            out += (c[:, None] + d) % m * w
         return out
 
     @staticmethod
@@ -121,19 +113,16 @@ class StepLaw:
             raise DimensionMismatch(f"step law of shape {self.mu.shape} on "
                                     f"the group {self.group.factors}")
 
-    def matrix(self) -> np.ndarray:
-        """The dense P(x, y) = mu(y - x): gathered from the table of
-        differences when mu charges more than CSR_FRACTION of the group,
-        else filled at (x, x + g) for each g in the support of mu."""
-        N = self.group.N
+    def matrix(self) -> csr_matrix:
+        """The walk P(x, y) = mu(y - x) as CSR: mu(g) at (x, x + g) for g
+        in the support of mu, from one (N, |supp mu|) table of x + g."""
         support = np.flatnonzero(self.mu)
-        if support.size > CSR_FRACTION * N:
-            return self.mu[self.group.differences()]
-        P = np.zeros((N, N))
-        xs = np.arange(N)
-        for g in support:
-            P[xs, self.group.translate(g)] = self.mu[g]
-        return P
+        ys = self.group.sums(support)
+        order = np.argsort(ys, axis=1)
+        N, k = ys.shape
+        return csr_matrix((self.mu[support][order].ravel(),
+                           np.take_along_axis(ys, order, axis=1).ravel(),
+                           np.arange(N + 1) * k), shape=(N, N))
 
     def characters(self) -> np.ndarray:
         """Re sum_g mu(g) chi(g) for every character chi of the group:
@@ -196,14 +185,11 @@ def _power(base: int, power: int) -> tuple:
 
 
 def _generating(spec: GroupSpec, gens) -> bool:
-    """S generates G exactly when the Cayley graph Cay(G, S) is connected
-    (weakly or strongly: on a finite group the two coincide)."""
-    N = spec.N
-    xs = np.arange(N)
-    ys = np.array([spec.translate(g) for g in gens], dtype=np.int64).ravel()
-    graph = csr_matrix((np.ones(len(ys)), (np.tile(xs, len(gens)), ys)),
-                       shape=(N, N))
-    n_comp, _ = connected_components(graph, directed=True, connection="weak")
+    """S generates G exactly when Cay(G, S), the support of its walk, is
+    connected (weakly or strongly: on a finite group the two coincide)."""
+    walk = StepLaw(spec, np.bincount(np.asarray(gens, dtype=np.int64),
+                                     minlength=spec.N)).matrix()
+    n_comp, _ = connected_components(walk, directed=True, connection="weak")
     return n_comp == 1
 
 

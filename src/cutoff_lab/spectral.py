@@ -68,7 +68,7 @@ def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def dirichlet_energy(P: StochasticMatrix, pi: Distribution, f: np.ndarray):
     """E_pi[Gamma(f,f)], the Dirichlet form of the reversibilization; one
     value per column when ``f`` is an (n, m) block.  As gamma_form, with
-    the products by P.apply (the CSR copy of a sparse P)."""
+    the products by P.apply (P's CSR)."""
     f = np.asarray(f, dtype=np.float64)
     ff = f * f
     return pi.probs @ (0.5 * (P.apply(ff) - 2.0 * f * P.apply(f) + ff))

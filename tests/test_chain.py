@@ -229,7 +229,7 @@ class TestSupportGraph:
            st.booleans())
     def test_matches_brute_force(self, seed, n, symmetric, lazy):
         P = sparse_chain(seed, n, symmetric, lazy)
-        adj = P.support & ~np.eye(n, dtype=bool)
+        adj = (P.entries > 0) & ~np.eye(n, dtype=bool)
         pairs = [(x, y) for x in range(n) for y in range(n) if adj[x, y]]
         assert P.adjacency.indices.dtype == np.int32
         assert not P.adjacency.data.flags.writeable

@@ -48,7 +48,7 @@ class TestGroupSpec:
 
     def test_add_and_neg(self):
         spec = GroupSpec((5,))
-        assert int(spec.translate(4)[3]) == 2
+        assert int(spec.sums([4])[3, 0]) == 2
         assert int(spec.neg(2)) == 3
         assert int(spec.neg(0)) == 0
 
@@ -238,9 +238,9 @@ class TestNamedFamilies:
         built = []
 
         class Counted(StochasticMatrix):
-            def __post_init__(self):
+            def __post_init__(self, kernel):
                 built.append(self)
-                super().__post_init__()
+                super().__post_init__(kernel)
         monkeypatch.setattr(families, "StochasticMatrix", Counted)
         build()
         assert len(built) == 1

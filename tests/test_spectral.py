@@ -174,14 +174,12 @@ class TestPoincare:
             assert block[j] == pytest.approx(
                 dirichlet_energy(P, pi, F[:, j]), rel=1e-13)
 
-    @pytest.mark.parametrize("spec, sparse", [
-        ("hypercube:d=8", True), ("cayley-random:Z2^8:d=12:seed=3", True),
-        ("cycle:n=12", False)])
-    def test_energy_matches_gamma_form(self, spec, sparse):
-        # The energies multiply by the CSR copy of a sparse P, and agree
-        # with the dense carre du champ.
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=8", "cayley-random:Z2^8:d=12:seed=3", "cycle:n=12"])
+    def test_energy_matches_gamma_form(self, spec):
+        # The energies multiply by P's CSR, and agree with the dense carre
+        # du champ.
         P = parse_family_spec(spec).matrix
-        assert (P._csr_transpose is not None) == sparse
         F = np.random.default_rng(10).standard_normal((P.n, 50))
         want = P.pi.probs @ gamma_form(P, F, F)
         got = dirichlet_energy(P, P.pi, F)

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from cutoff_lab import chain
-from cutoff_lab.chain import (CSR_FRACTION, StochasticMatrix, _KernelRows,
-                              kernel_rows, poisson_weights)
-from cutoff_lab.entropy import mixing_time
+from cutoff_lab import chain, cli
+from cutoff_lab.chain import (StochasticMatrix, _KernelRows, kernel_rows,
+                              metric_data, poisson_weights, stationary)
+from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at
 from cutoff_lab.errors import DimensionMismatch, NotIrreducible
 from cutoff_lab.families import (GroupSpec, StepLaw, parse_family_spec,
                                  perturb_toward_uniform)
@@ -109,21 +109,22 @@ class TestClosedForms:
         assert relaxation_time(Q).t_rel == pytest.approx(
             1.0 / (1.0 - (1.0 - theta) * lambda2), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", ["hypercube:d=8", "cycle:n=101"])
-    def test_full_support_law_is_gathered(self, monkeypatch, spec):
-        # A perturbed walk's law charges every element, past CSR_FRACTION
-        # of the group: its matrix is mu gathered at the table of
-        # differences, with no translate per element, and equals the
-        # rolled entries bit for bit.
-        law = perturb_toward_uniform(parse_family_spec(spec), 0.05) \
-            .matrix.step_law
-        assert np.count_nonzero(law.mu) > CSR_FRACTION * law.group.N
-        want = roll_matrix(law.group.factors, law.mu)
-
-        def refused(self, g):
-            raise AssertionError("translate called on a full-support law")
-        monkeypatch.setattr(GroupSpec, "translate", refused)
-        assert law.matrix().tobytes() == want.tobytes()
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=8", "cycle:n=101", "cycle:n=7",
+        "cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1"])
+    def test_full_support_law_is_gathered(self, spec):
+        # The law's CSR is mu gathered at the table of x + g, rows sorted:
+        # the rolled entries bit for bit, on the walk's sparse law and on
+        # its perturbation, whose law charges every element.
+        inst = parse_family_spec(spec)
+        for law in (inst.matrix.step_law,
+                    perturb_toward_uniform(inst, 0.05).matrix.step_law):
+            A = law.matrix()
+            assert A.nnz == np.count_nonzero(law.mu) * law.group.N
+            assert A.has_sorted_indices
+            want = roll_matrix(law.group.factors, law.mu)
+            assert A.toarray().tobytes() == want.tobytes()
+        assert np.count_nonzero(law.mu) == law.group.N
 
     def test_uniform_law_and_character_spectrum(self):
         # hypercube:d=5: pi = 1/32 exactly; eigenvalues 1 - 2j/5 with
@@ -184,7 +185,7 @@ class TestDeclarationCheck:
     def test_replace_drops_the_law(self):
         # New entries are a new matrix: it takes the dense paths.
         P = parse_family_spec("hypercube:d=3:lazy=0.25").matrix
-        Q = dataclasses.replace(P, entries=P.entries.copy())
+        Q = dataclasses.replace(P, kernel=P.entries.copy())
         assert P.step_law is not None and Q.step_law is None
         assert np.array_equal(Q.entries, P.entries)
 
@@ -265,26 +266,50 @@ class TestFastPathGuards:
                 raise AssertionError("dense entries read")
         inst = parse_family_spec("hypercube:d=8")
         P = inst.matrix
-        assert P._csr_transpose is not None
         object.__setattr__(P, "entries", P.entries.view(Refused))
         rows = kernel_rows(P, 3.0, [0, 5])
         assert rows.shape == (2, 256)
         assert mixing_time(P, 0.25, starts=inst.starts) > 0
 
+    def test_declared_walk_builds_no_dense_matrix(self, monkeypatch,
+                                                  tmp_path):
+        # A declared walk's pipeline (pi, metric, t_rel, two searches, d*
+        # and V*) and the analyze command read only P's CSR: the dense
+        # entries are never built.
+        inst = parse_family_spec("hypercube:d=11")
+        P = inst.matrix
+        stationary(P)
+        metric_data(P)
+        relaxation_time(P)
+        t25 = mixing_time(P, 0.25, starts=inst.starts)
+        assert mixing_time(P, 0.75, starts=inst.starts) < t25
+        d_star_at(P, t25, starts=inst.starts)
+        v_star_at(P, t25, starts=inst.starts)
+        assert "entries" not in vars(P)
+
+        built = []
+
+        def recorded(text):
+            built.append(parse_family_spec(text))
+            return built[-1]
+        monkeypatch.setattr(cli.fam, "parse_family_spec", recorded)
+        assert cli.main(["analyze", "--spec", "hypercube:d=8",
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        [inst] = built
+        assert "entries" not in vars(inst.matrix)
+
     @settings(max_examples=60)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 48),
-           st.sampled_from([0.0, 0.02, 0.3]), st.booleans(),
+           st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.booleans(),
            st.lists(st.floats(0.0, 8.0), min_size=1, max_size=3))
     def test_csr_rows_match_dense_rows(self, seed, n, chords, lazy, times):
         # Start-set rows by P.row_times against the same series by dense
-        # row-vector products, on both sides of the density rule.
+        # row-vector products, from a ring up to full support.
         rng = np.random.default_rng(seed)
         W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < chords)
         W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
         W[np.arange(n), np.arange(n)] = 1.0 if lazy else 0.0
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
-        nnz = np.count_nonzero(P.entries)
-        assert (P._csr_transpose is not None) == (nnz <= CSR_FRACTION * n * n)
         starts = [0, n // 2]
         rows_at = _KernelRows(P, starts)
         for t in times:
