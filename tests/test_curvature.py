@@ -1,5 +1,5 @@
-"""Curvature module: exact W1 with duality certificates, Ollivier edge
-curvature, and the Bakry-Emery vertex eigenproblem.
+"""Curvature module: W1 transport LPs with duality certificates, Ollivier
+edge curvature, and the Bakry-Emery vertex eigenproblem.
 
 The independent W1 oracle enumerates integer-valued Kantorovich potentials:
 for integer costs the dual LP has an integral optimum (the constraint
@@ -9,12 +9,14 @@ one pin f(0) = 0 with |f| <= diameter.
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csr_matrix
 
 from cutoff_lab import curvature
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
@@ -276,10 +278,17 @@ class TestOllivier:
         assert len(calls) <= 8
 
     def test_failed_lp_is_a_certificate_failure(self, monkeypatch):
-        monkeypatch.setattr(curvature, "linprog", lambda *a, **k:
-                            SimpleNamespace(success=False, message="stub"))
-        with pytest.raises(CertificateFailed, match="stub"):
+        # A non-optimal solve is retried once at a 1e-9 primal feasibility
+        # tolerance; a second one names HiGHS's model status.
+        tols = []
+
+        def infeasible(c, index, b, primal_tol=None):
+            tols.append(primal_tol)
+            return highs.HighsModelStatus.kInfeasible, None, None
+        monkeypatch.setattr(curvature, "linprog", infeasible)
+        with pytest.raises(CertificateFailed, match="kInfeasible"):
             ollivier_curvature(cycle(6).matrix)
+        assert tols == [None, 1e-9]
 
     def test_duality_gap_is_a_certificate_failure(self, monkeypatch):
         monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)
@@ -294,6 +303,82 @@ class TestOllivier:
             ollivier_curvature(asym)
         with pytest.raises(NotIrreducible):
             ollivier_curvature(StochasticMatrix(np.eye(3)))
+
+
+# ---------------------------------------------------------------------------
+# Transport LPs through HiGHS's own binding
+# ---------------------------------------------------------------------------
+
+def captured_lps(monkeypatch, run):
+    """The (c, index, b) of every transport LP that ``run()`` solves."""
+    lps = []
+    solve = curvature.linprog
+
+    def capture(c, index, b, primal_tol=None):
+        lps.append((c, index, b))
+        return solve(c, index, b, primal_tol)
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "linprog", capture)
+        run()
+    return lps
+
+
+def ollivier_lps(monkeypatch, P):
+    return captured_lps(monkeypatch, lambda: ollivier_curvature(P))
+
+
+def contraction_lps(monkeypatch, P):
+    # Every edge's LP on the t = 0.5 kernel rows, as contraction_check
+    # solves it when the tree bound does not screen the edge out.
+    K = heat_kernel(P, 0.5)
+    return captured_lps(monkeypatch, lambda: [
+        curvature._w1_restricted([(K[x], K[y])], P.metric.dist)
+        for x, y in P.edges()])
+
+
+class TestDirectHighs:
+    """curvature.linprog must return scipy linprog's HiGHS solution bit for
+    bit.  It drives the binding that scipy bundles, which is private, so a
+    scipy upgrade that changes the binding fails here first."""
+
+    @pytest.mark.parametrize("lps, tol", [
+        (lambda mp: ollivier_lps(mp, hypercube(4).matrix), None),
+        (lambda mp: ollivier_lps(mp, cycle(10).matrix), None),
+        (lambda mp: ollivier_lps(mp, bd40(0.35, 0.15).matrix), None),
+        (lambda mp: ollivier_lps(mp, sparse_chain(3, 24, True, True)), None),
+        (lambda mp: contraction_lps(mp, bd40(0.35, 0.15).matrix), None),
+        (lambda mp: contraction_lps(mp, bd40(0.35, 0.15).matrix), 1e-9),
+    ], ids=["hypercube4", "cycle10", "bd40", "sparse24", "bd40-kernel",
+            "bd40-kernel-tol"])
+    def test_solution_equals_scipy_linprog(self, monkeypatch, lps, tol):
+        cases = lps(monkeypatch)
+        assert cases
+        options = {} if tol is None else {"primal_feasibility_tolerance": tol}
+        for c, index, b in cases:
+            n = len(c)
+            cols = np.repeat(np.arange(n), 2)
+            A = csr_matrix((np.ones(2 * n), (index, cols)), shape=(len(b), n))
+            ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
+                          method="highs", options=options)
+            status, x, duals = curvature.linprog(c, index, b, tol)
+            assert ref.success and status == highs.HighsModelStatus.kOptimal
+            assert np.array_equal(x, ref.x)
+            assert np.array_equal(duals, ref.eqlin.marginals)
+
+    def test_scipy_linprog_is_never_called(self, monkeypatch):
+        import scipy.optimize
+        import scipy.optimize._linprog
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy's linprog was called")
+        monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+        monkeypatch.setattr(scipy.optimize._linprog, "_linprog_highs",
+                            forbidden)
+        P = cycle(8).matrix
+        assert ollivier_curvature(P).ollivier_min == pytest.approx(0.0,
+                                                                   abs=1e-9)
+        v = contraction_check(P, 0.0, [0.5], n_f=2)
+        assert v.name == "w1-contraction"
 
 
 # ---------------------------------------------------------------------------
