@@ -21,7 +21,7 @@ from .families import (ChainInstance, GroupSpec, abelian_cayley, birth_death,
                        complete_graph, conjugacy_walk, cycle, hypercube,
                        parse_family_range, parse_family_spec,
                        perturb_toward_uniform, random_abelian_cayley)
-from .spectral import (SpectralReport, adjoint, dirichlet_energy, gamma_form,
+from .spectral import (SpectralReport, dirichlet_energy, gamma_form,
                        relaxation_time, reversibilization)
 from .verdicts import InequalityVerdict, make_verdict
 

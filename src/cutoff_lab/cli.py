@@ -34,7 +34,7 @@ EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
 DEFAULTS = {
     "spec": None,
     "chain-file": None,
-    "eps": "0.05,0.1,0.25,0.5,0.75,0.9,0.95",
+    "eps": ",".join(map(str, ent.EPS_GRID)),
     "tgrid": "auto",
     "seed": "0",
     "out": "out",
@@ -180,7 +180,7 @@ def _analysis(inst: fam.ChainInstance, eps_list, eps_profile):
     metric, starts = P.metric, inst.starts
     tmix = {e: inst.t_mix(e) for e in eps_list}
     olli = ollivier_curvature(P, starts=starts)
-    be = bakry_emery_curvature(P, samples=0, starts=starts)
+    be = bakry_emery_curvature(P, starts=starts)
     prof = ent.entropy_profile(P, [tmix[eps_profile]], starts)
     return ([("n", P.n), ("delta", metric.delta), ("diam", metric.diameter),
              ("t_rel", inst.t_rel), ("kappa_ollivier", olli.ollivier_min),
@@ -236,7 +236,7 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
     P = inst.matrix
     pi = P.pi
     olli = ollivier_curvature(P, starts=inst.starts)
-    be = bakry_emery_curvature(P, samples=0, starts=inst.starts)
+    be = bakry_emery_curvature(P, starts=inst.starts)
     kappa_cert = max(olli.ollivier_min, be.bakry_emery_min)
     verdicts = []
     t_half = inst.t_mix(0.5)
@@ -358,7 +358,7 @@ def cmd_curvature(opts: Options) -> int:
     _check_valid(P)
     # A per-edge and per-vertex table: every edge and vertex, not ``starts``.
     olli = ollivier_curvature(P)
-    be = bakry_emery_curvature(P, samples=0)
+    be = bakry_emery_curvature(P)
     rows = [["edge", x, y, k] for (x, y), k in sorted(olli.ollivier_edges.items())]
     rows += [["vertex", x, "", k]
              for x, k in sorted(be.bakry_emery_vertices.items())]

@@ -337,7 +337,7 @@ def _local_quadratic_forms(P: StochasticMatrix, x: int):
     return A, B, ball
 
 
-def bakry_emery_vertex(P: StochasticMatrix, x: int, *, forms=None):
+def bakry_emery_vertex(P: StochasticMatrix, x: int):
     """Exact kappa(x) = inf_f Gamma2(f,f)(x) / Gamma(f,f)(x), plus a
     minimizing observable (length n, supported on the 2-ball).
 
@@ -348,10 +348,8 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int, *, forms=None):
     f_far = -A_fn f_near / a and the Schur complement
     S = A_nn - A_nf diag(a)^-1 A_fn, so
     kappa(x) = lambda_min(D^-1/2 S D^-1/2) and f_near = D^-1/2 v.
-    ``forms`` is _local_quadratic_forms(P, x) when the caller already
-    holds it.
     """
-    A, _, ball = _local_quadratic_forms(P, x) if forms is None else forms
+    A, _, ball = _local_quadratic_forms(P, x)
     adj = P.adjacency
     lo, hi = adj.indptr[x], adj.indptr[x + 1]
     if lo == hi:
@@ -371,40 +369,22 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int, *, forms=None):
     return float(evals[0]), f
 
 
-def bakry_emery_curvature(P: StochasticMatrix, samples: int = 1000,
-                          seed: int = 0, starts=None) -> CurvatureReport:
-    """Per-vertex Bakry-Emery curvature with random-sampling validation, at
+def bakry_emery_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
+    """Per-vertex Bakry-Emery curvature kappa(x) of bakry_emery_vertex, at
     every vertex or at the vertices of ``starts`` (on a vertex-transitive
-    chain, kappa(x) is the same at every x).
-
-    For each vertex, ``samples`` random local observables must have Rayleigh
-    quotient >= kappa(x) - 1e-8 whenever Gamma(f,f)(x) > 1e-12.
+    chain, kappa(x) is the same at every x); global value is the minimum.
     """
     if not P.irreducible:
         raise NotIrreducible("Bakry-Emery curvature requires irreducibility")
-    rng = np.random.default_rng(seed)
-    kappas = {}
-    for x in _vertices(P, starts):
-        A, B, ball = forms = _local_quadratic_forms(P, x)
-        kappa, _ = bakry_emery_vertex(P, x, forms=forms)
-        kappas[x] = kappa
-        if samples > 0:
-            F = rng.standard_normal((len(ball), samples))
-            num = np.einsum("im,ij,jm->m", F, A, F)
-            den = np.einsum("im,ij,jm->m", F, B, F)
-            ok = den > 1e-12
-            if np.any(num[ok] / den[ok] < kappa - 1e-8):
-                raise CertificateFailed(
-                    f"sampled Rayleigh quotient below kappa({x})={kappa}")
+    kappas = {x: bakry_emery_vertex(P, x)[0] for x in _vertices(P, starts)}
     return CurvatureReport(bakry_emery_vertices=kappas,
                            bakry_emery_min=min(kappas.values()))
 
 
-def full_curvature_report(P: StochasticMatrix, samples: int = 1000,
-                          seed: int = 0) -> CurvatureReport:
+def full_curvature_report(P: StochasticMatrix) -> CurvatureReport:
     """Both curvature notions in one report."""
     olli = ollivier_curvature(P)
-    be = bakry_emery_curvature(P, samples=samples, seed=seed)
+    be = bakry_emery_curvature(P)
     return CurvatureReport(ollivier_edges=olli.ollivier_edges,
                            ollivier_min=olli.ollivier_min,
                            bakry_emery_vertices=be.bakry_emery_vertices,

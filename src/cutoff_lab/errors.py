@@ -34,7 +34,7 @@ class HypothesisViolation(CutoffLabError):
 
 
 class CertificateFailed(CutoffLabError):
-    """A transport LP, Poincare or Bakry-Emery sampling certificate failed."""
+    """A transport LP or Poincare certificate failed."""
 
 
 class CurvatureHypothesisFailed(CutoffLabError):

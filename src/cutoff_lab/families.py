@@ -306,7 +306,8 @@ def birth_death(p, q) -> ChainInstance:
                          else CLAIM_UNKNOWN)
 
 
-def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
+def perturb_toward_uniform(inner: ChainInstance,
+                           theta: float) -> ChainInstance:
     """Replace P with (1-theta) P + theta Pi, Pi having every row pi.
 
     Preserves pi exactly. For theta > 0 every off-diagonal entry is at
@@ -319,10 +320,7 @@ def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
     """
     if not (0.0 <= theta <= 1.0):
         raise SpecParseError("theta must lie in [0,1]")
-    if isinstance(inner, ChainInstance):
-        P, meta = inner.matrix, inner
-    else:
-        P, meta = inner, None
+    P = inner.matrix
     pi = P.pi.probs
     law = P.step_law
     if law is not None:
@@ -331,14 +329,13 @@ def perturb_toward_uniform(inner, theta: float) -> ChainInstance:
     else:
         Q = StochasticMatrix((1.0 - theta) * P.entries + theta * pi[None, :])
     uniform_pi = np.allclose(pi, 1.0 / P.n, atol=1e-12)
-    transitive = bool(meta.transitive and uniform_pi) if meta else False
     claim = CLAIM_UNKNOWN
-    if meta and meta.curvature_claim == CLAIM_ABELIAN and uniform_pi:
+    if inner.curvature_claim == CLAIM_ABELIAN and uniform_pi:
         claim = CLAIM_ABELIAN      # still an abelian-group walk
     return ChainInstance(Q, family="perturb",
-                         params={"theta": theta,
-                                 "inner": meta.family if meta else "matrix"},
-                         transitive=transitive, curvature_claim=claim)
+                         params={"theta": theta, "inner": inner.family},
+                         transitive=bool(inner.transitive and uniform_pi),
+                         curvature_claim=claim)
 
 
 def _cycle_type(perm) -> tuple:

@@ -1,5 +1,5 @@
-"""Adjoint, additive reversibilization, relaxation time and the carre du
-champ / Poincare inequality.  A declared group walk takes its spectrum
+"""Additive reversibilization, relaxation time and the carre du champ /
+Poincare inequality.  A declared group walk takes its spectrum
 from its step law's character sums, any other chain from eigvalsh."""
 
 from __future__ import annotations
@@ -8,10 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix
+from .chain import StochasticMatrix
 from .errors import CertificateFailed, DimensionMismatch, NotIrreducible
 
 POINCARE_SLACK = 1e-9
+# Standard-normal observables, drawn from default_rng(0), on which
+# relaxation_time certifies the Poincare inequality.
+POINCARE_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -29,26 +32,12 @@ class SpectralReport:
     eigenvalues: np.ndarray
 
 
-def adjoint(P: StochasticMatrix, pi: Distribution | None = None) -> StochasticMatrix:
-    """Adjoint kernel P*(x,y) = pi(y) P(y,x) / pi(x); pi defaults to P.pi."""
-    if pi is None:
-        pi = P.pi
-    p = pi.probs
-    if p.shape[0] != P.n:
-        raise DimensionMismatch("pi length does not match chain")
-    if np.any(p <= 0):
-        raise ValueError("pi must be fully supported")
+def reversibilization(P: StochasticMatrix) -> StochasticMatrix:
+    """Additive reversibilization K = (P + P*)/2, with the adjoint
+    P*(x,y) = pi(y) P(y,x) / pi(x) for pi = P.pi; reversible w.r.t. pi."""
+    p = P.pi.probs
     star = (P.entries.T * p[None, :]) / p[:, None]
-    return StochasticMatrix(star, labels=P.labels)
-
-
-def reversibilization(P: StochasticMatrix,
-                      pi: Distribution | None = None) -> StochasticMatrix:
-    """Additive reversibilization K = (P + P*)/2; reversible w.r.t. pi."""
-    if pi is None:
-        pi = P.pi
-    K = 0.5 * (P.entries + adjoint(P, pi).entries)
-    return StochasticMatrix(K, labels=P.labels)
+    return StochasticMatrix(0.5 * (P.entries + star), labels=P.labels)
 
 
 def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -65,17 +54,16 @@ def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * (E @ (f * g) - f * (E @ g) - g * (E @ f) + f * g)
 
 
-def dirichlet_energy(P: StochasticMatrix, pi: Distribution, f: np.ndarray):
-    """E_pi[Gamma(f,f)], the Dirichlet form of the reversibilization; one
-    value per column when ``f`` is an (n, m) block.  As gamma_form, with
-    the products by P.apply (P's CSR)."""
+def dirichlet_energy(P: StochasticMatrix, f: np.ndarray):
+    """E_pi[Gamma(f,f)] for pi = P.pi, the Dirichlet form of the
+    reversibilization; one value per column when ``f`` is an (n, m) block.
+    As gamma_form, with the products by P.apply (P's CSR)."""
     f = np.asarray(f, dtype=np.float64)
     ff = f * f
-    return pi.probs @ (0.5 * (P.apply(ff) - 2.0 * f * P.apply(f) + ff))
+    return P.pi.probs @ (0.5 * (P.apply(ff) - 2.0 * f * P.apply(f) + ff))
 
 
-def relaxation_time(P: StochasticMatrix, seed: int = 0,
-                    n_certificates: int = 50) -> SpectralReport:
+def relaxation_time(P: StochasticMatrix) -> SpectralReport:
     """Relaxation time from the spectrum of the reversibilization K, read
     off the symmetric S = D^(1/2) K D^(-1/2) = (M + M^T)/2, with
     M = D^(1/2) P D^(-1/2) and D = diag(pi).
@@ -94,12 +82,11 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
     transforms, whose bounds have the same form.
 
     Also certifies the Poincare inequality Var(f) <= t_rel E[Gamma(f,f)]
-    on ``n_certificates`` seeded standard-normal observables.
+    on the POINCARE_SAMPLES observables, up to POINCARE_SLACK.
     """
     if not P.irreducible:
         raise NotIrreducible("relaxation time requires an irreducible chain")
-    pi = P.pi
-    p = pi.probs
+    p = P.pi.probs
     law = P.step_law
     if law is not None:
         eigs = np.sort(law.characters())[::-1]
@@ -113,9 +100,9 @@ def relaxation_time(P: StochasticMatrix, seed: int = 0,
     if gap <= 0:
         raise NotIrreducible("zero spectral gap (chain not irreducible?)")
     t_rel = 1.0 / gap
-    F = np.random.default_rng(seed).standard_normal((n_certificates, P.n)).T
+    F = np.random.default_rng(0).standard_normal((POINCARE_SAMPLES, P.n)).T
     var = p @ (F - p @ F) ** 2
-    excess = var - t_rel * dirichlet_energy(P, pi, F)
+    excess = var - t_rel * dirichlet_energy(P, F)
     bad = np.flatnonzero(excess > POINCARE_SLACK)
     if bad.size:
         i = bad[0]

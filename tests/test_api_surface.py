@@ -1,0 +1,29 @@
+"""Parameter names of the public functions that have exactly one
+configuration in use, so a new knob on any of them shows up as an edit
+here."""
+
+import inspect
+
+import pytest
+
+import cutoff_lab
+from cutoff_lab import curvature, families, spectral
+
+
+@pytest.mark.parametrize("fn,params", [
+    (curvature.bakry_emery_curvature, ["P", "starts"]),
+    (curvature.bakry_emery_vertex, ["P", "x"]),
+    (curvature.full_curvature_report, ["P"]),
+    (spectral.relaxation_time, ["P"]),
+    (spectral.reversibilization, ["P"]),
+    (spectral.dirichlet_energy, ["P", "f"]),
+    (families.perturb_toward_uniform, ["inner", "theta"]),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_parameter_names(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
+
+
+def test_adjoint_not_exported():
+    # P's adjoint is formed inside reversibilization, from P.pi.
+    assert not hasattr(cutoff_lab, "adjoint")
+    assert not hasattr(spectral, "adjoint")

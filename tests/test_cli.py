@@ -451,6 +451,13 @@ class TestOptions:
         assert main(["analyze", "--spec", "cycle:n=8", "--config",
                      str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SPEC
 
+    def test_default_eps_is_the_grid(self):
+        # The default --eps is built from EPS_GRID, and its string (hence
+        # the default CSV headers) is unchanged.
+        assert cli.DEFAULTS["eps"] == "0.05,0.1,0.25,0.5,0.75,0.9,0.95"
+        args = cli.build_parser().parse_args(["analyze", "--spec", "cycle:n=8"])
+        assert tuple(cli.Options(args).eps) == EPS_GRID
+
     def test_load_config_parses(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\neps=0.1,0.9\nthreads=2\n")

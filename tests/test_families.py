@@ -261,6 +261,8 @@ class TestPerturbation:
         assert np.allclose(stationary(pert.matrix).probs,
                            stationary(inst.matrix).probs, atol=1e-10)
         assert pert.curvature_claim == CLAIM_UNKNOWN
+        assert pert.params == {"theta": 0.3, "inner": "bd"}
+        assert not pert.transitive
 
     def test_theta_bounds(self):
         inst = cycle(5)
@@ -270,11 +272,6 @@ class TestPerturbation:
             perturb_toward_uniform(inst, -0.1)
         with pytest.raises(SpecParseError):
             perturb_toward_uniform(inst, 1.1)
-
-    def test_accepts_raw_matrix(self):
-        pert = perturb_toward_uniform(cycle(5).matrix, 0.5)
-        assert pert.family == "perturb"
-        assert not pert.transitive     # no metadata to inherit
 
 
 class TestSpecGrammar:
