@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, triu
@@ -175,11 +175,20 @@ class Distribution:
 
 @dataclass(frozen=True)
 class MetricData:
-    """Graph distance on the support graph, diameter and sparsity Delta."""
+    """Graph distance on the support graph, diameter and sparsity Delta.
 
-    dist: np.ndarray       # (n, n) integer distances
+    ``dist`` is built by ``build`` on first read and kept, so a pipeline
+    that reads only ``diameter`` and ``delta`` never holds the n x n
+    table."""
+
     diameter: int
     delta: float           # max over adjacent pairs of 1/P(x,y)
+    build: Callable[[], np.ndarray] = field(compare=False, repr=False)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """(n, n) integer distances, read-only."""
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -260,10 +269,11 @@ def metric_data(P: StochasticMatrix) -> MetricData:
 def _support_metric(P: StochasticMatrix) -> MetricData:
     """BFS distance on the support graph, diameter and sparsity.
 
-    A declared group walk takes one BFS from 0 and d(x, y) = d(0, x - y),
-    translation and negation being automorphisms of its symmetric support;
-    every other chain takes a BFS from each state.  The support is
-    symmetric, so the directed search gives the undirected distances."""
+    A declared group walk takes one BFS from 0, which gives the diameter,
+    and builds d(x, y) = d(0, x - y) from that row only when ``dist`` is
+    read, translation and negation being automorphisms of its symmetric
+    support; every other chain takes a BFS from each state.  The support
+    is symmetric, so the directed search gives the undirected distances."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
     adj = P.adjacency
@@ -272,11 +282,13 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
                       indices=None if law is None else 0)
     if np.any(np.isinf(d)):
         raise NotIrreducible("support graph is disconnected")
-    if law is not None:
-        d = d.astype(np.int64)[law.group.sums(law.group.neg(np.arange(P.n)))]
-    dist = _readonly(d, np.int64)
     delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
-    return MetricData(dist=dist, diameter=int(dist.max()), delta=delta)
+    if law is None:
+        dist = _readonly(d, np.int64)
+        return MetricData(int(dist.max()), delta, lambda: dist)
+    d0, group, n = d.astype(np.int64), law.group, P.n
+    return MetricData(int(d0.max()), delta, lambda: _readonly(
+        d0[group.sums(group.neg(np.arange(n)))], np.int64))
 
 
 # ---------------------------------------------------------------------------

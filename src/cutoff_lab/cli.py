@@ -19,8 +19,8 @@ from . import entropy as ent
 from . import families as fam
 from . import svg
 from .cache import HeatKernelCache
-from .chain import (Distribution, StochasticMatrix, _KernelRows, kernel_rows,
-                    load_chain_file, save_chain_file, validate)
+from .chain import (Distribution, StochasticMatrix, _KernelRows, heat_kernel,
+                    kernel_rows, load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
 from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
@@ -256,20 +256,25 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
         verdicts.append(ent.diameter_bound_check(inst, e))
     t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
     verdicts.append(ent.log_gradient_bound_check(inst, t_log))
-    kappa_cc = max(0.0, kappa_cert)
-    if kappa_cert >= -KAPPA_SLACK:
+    concentration = kappa_cert >= -KAPPA_SLACK
+    t_sweep = [1.0, inst.t_mix(0.25)] if concentration else []
+    t_grid = [0.5, inst.t_mix(0.25)] if semigroup_checks else []
+    # One full kernel per distinct time, shared by the checks that read it.
+    kernels = {t: heat_kernel(P, t) for t in dict.fromkeys(t_sweep + t_grid)}
+    if concentration:
         verdicts.append(ent.local_concentration_sweep(
-            P, [1.0, inst.t_mix(0.25)], kappa_cc, n_f=n_f, seed=seed))
+            P, [(t, kernels[t]) for t in t_sweep], max(0.0, kappa_cert),
+            n_f=n_f, seed=seed))
         for e in eps_list:
             verdicts.extend(ent.varentropy_bound_check(
                 inst, e, kappa=kappa_cert))
     if semigroup_checks:
-        t_grid = [0.5, inst.t_mix(0.25)]
+        grid = [(t, kernels[t]) for t in t_grid]
         verdicts.append(contraction_check(
-            P, olli.ollivier_min, t_grid, seed=seed, n_f=min(n_f, 20),
+            P, olli.ollivier_min, grid, seed=seed, n_f=min(n_f, 20),
             starts=inst.starts))
         verdicts.append(subcommutativity_check(
-            P, be.bakry_emery_min, t_grid, seed=seed, n_f=min(n_f, 20)))
+            P, be.bakry_emery_min, grid, seed=seed, n_f=min(n_f, 20)))
     return verdicts
 
 

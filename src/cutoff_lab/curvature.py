@@ -2,6 +2,12 @@
 checked against its dual objective to DUALITY_TOL, and Bakry-Emery
 curvature via one Schur complement per vertex.
 
+The LPs go to the HiGHS binding that scipy bundles,
+``scipy.optimize._highspy._core``, which this module loads at import as
+that one extension module: scipy.optimize's package init (linprog, shgo,
+scipy.spatial, scipy.special) is never run for it.  If scipy moves or
+renames the binding, importing this module raises ImportError.
+
 The LP value is HiGHS's (see ``linprog``), not exact W1: HiGHS works to its
 feasibility tolerances, and on a drifting birth-death chain its value was
 measured up to 2.2e-5 relative below W1 (ROADMAP D13).
@@ -18,18 +24,46 @@ the 1-sphere whose least eigenvalue is the infimum.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
 
-from .chain import Distribution, MetricData, StochasticMatrix, heat_kernel
+from .chain import Distribution, MetricData, StochasticMatrix
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
                      NotIrreducible)
 from .spectral import gamma_form
 from .verdicts import VERDICT_TOL, InequalityVerdict, make_verdict
+
+
+def _load_highs():
+    """scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``,
+    loaded as that one extension module, without scipy.optimize's package
+    init.  It goes into ``sys.modules`` under its real name before it is
+    executed, so a later ``import scipy.optimize`` reuses it (pybind11
+    cannot register its types twice); one already there is reused."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    # find_spec imports the parent package, scipy, and not scipy.optimize.
+    [optimize] = importlib.util.find_spec(
+        "scipy.optimize").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(optimize, "_highspy")])
+    if spec is None:
+        raise ImportError(f"no module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
 
 DUALITY_TOL = 1e-8
 # Slack kept below the tree bound before contraction_check skips an edge's
@@ -395,11 +429,12 @@ def full_curvature_report(P: StochasticMatrix) -> CurvatureReport:
 # Semigroup-level checks
 # ---------------------------------------------------------------------------
 
-def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
+def contraction_check(P: StochasticMatrix, kappa: float, kernels,
                       seed: int = 0, n_f: int = 100,
                       starts=None) -> InequalityVerdict:
-    """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip on
-    random Lipschitz-normalized f, plus the W1 form on adjacent pairs on
+    """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip at each
+    (t, K = heat_kernel(P, t)) of ``kernels``, on n_f random
+    Lipschitz-normalized f per t, plus the W1 form on adjacent pairs on
     chains of at most 128 states: every edge, or the edges with an endpoint
     in ``starts``, which on a vertex-transitive chain attain the worst W1
     (an automorphism of P also preserves P_t and the metric).
@@ -413,8 +448,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
     edges = _edges_at(P, starts)
     rng = np.random.default_rng(seed)
     worst = None
-    for t in t_grid:
-        K = heat_kernel(P, t)
+    for t, K in kernels:
         decay = float(np.exp(-kappa * t))
         for _ in range(n_f):
             f = rng.standard_normal(P.n)
@@ -452,13 +486,13 @@ def contraction_check(P: StochasticMatrix, kappa: float, t_grid,
     return worst
 
 
-def subcommutativity_check(P: StochasticMatrix, kappa: float, t_grid,
+def subcommutativity_check(P: StochasticMatrix, kappa: float, kernels,
                            seed: int = 0, n_f: int = 100) -> InequalityVerdict:
-    """Pointwise Gamma(P_t f, P_t f) <= e^{-2 kappa t} P_t Gamma(f,f)."""
+    """Pointwise Gamma(P_t f, P_t f) <= e^{-2 kappa t} P_t Gamma(f,f) at each
+    (t, K = heat_kernel(P, t)) of ``kernels``, on n_f random f per t."""
     rng = np.random.default_rng(seed)
     worst = None
-    for t in t_grid:
-        K = heat_kernel(P, t)
+    for t, K in kernels:
         decay = float(np.exp(-2.0 * kappa * t))
         for _ in range(n_f):
             f = rng.standard_normal(P.n)

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .chain import (_MASS_TOL, Distribution, StochasticMatrix, _KernelRows,
-                    _poisson_pmf, heat_kernel, heat_kernel_apply, kernel_rows)
+                    _poisson_pmf, heat_kernel_apply, kernel_rows)
 from .errors import (CurvatureHypothesisFailed, DimensionMismatch,
                      EpsilonOutOfRange, HypothesisViolation, NoCrossing,
                      NotIrreducible, UnderflowRisk, UnsupportedState)
@@ -347,23 +347,23 @@ def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
     return _concentration_verdict(P, f, var, t, kappa)
 
 
-def local_concentration_sweep(P: StochasticMatrix, t_list, kappa: float,
+def local_concentration_sweep(P: StochasticMatrix, kernels, kappa: float,
                               n_f: int = 100,
                               seed: int = 0) -> InequalityVerdict:
     """Worst verdict over random Lipschitz observables and times.
 
     The verdict of a loop of local_concentration_check over the same
     observables (n_f standard normal draws per t, in order; the first of
-    equal slacks wins), with P_t applied to all of them through one full
-    kernel per t.
+    equal slacks wins), with P_t applied to all of them through the full
+    kernel K of each (t, K = heat_kernel(P, t)) of ``kernels``.
     """
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
     rng = np.random.default_rng(seed)
     worst = None
-    for t in t_list:
+    for t, K in kernels:
         F = rng.standard_normal((n_f, P.n))
-        moments = np.concatenate([F * F, F]) @ heat_kernel(P, t).T
+        moments = np.concatenate([F * F, F]) @ K.T
         var = moments[:n_f] - moments[n_f:] ** 2
         for f, var_f in zip(F, var):
             v = _concentration_verdict(P, f, var_f, t, kappa)

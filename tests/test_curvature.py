@@ -9,6 +9,9 @@ one pin f(0) = 0 with |f| <= diameter.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +39,11 @@ from cutoff_lab.families import (birth_death, complete_graph, cycle,
 from cutoff_lab.spectral import gamma_form
 
 FLIP = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def kernels(P, times):
+    """The (t, P_t) pairs the semigroup checks take."""
+    return [(t, heat_kernel(P, t)) for t in times]
 
 
 def w1_exhaustive(mu, nu, dist):
@@ -377,8 +385,43 @@ class TestDirectHighs:
         P = cycle(8).matrix
         assert ollivier_curvature(P).ollivier_min == pytest.approx(0.0,
                                                                    abs=1e-9)
-        v = contraction_check(P, 0.0, [0.5], n_f=2)
+        v = contraction_check(P, 0.0, kernels(P, [0.5]), n_f=2)
         assert v.name == "w1-contraction"
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this cutoff_lab."""
+    src = os.path.dirname(os.path.dirname(curvature.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestHighsImport:
+    """The binding is loaded as one extension module, not through
+    scipy.optimize's package init, and it is the module scipy.optimize
+    itself uses in either import order."""
+
+    def test_import_leaves_scipy_optimize_out(self):
+        run_python("import sys, cutoff_lab, cutoff_lab.cli\n"
+                   "assert 'scipy.optimize' not in sys.modules, 'imported'\n"
+                   "assert 'scipy.optimize._highspy._core' in sys.modules\n")
+
+    @pytest.mark.parametrize("first", ["cutoff_lab", "scipy.optimize"])
+    def test_one_binding_in_either_order(self, first):
+        run_python(f"""
+import importlib, sys
+importlib.import_module({first!r})
+import scipy.optimize
+from cutoff_lab import curvature
+from scipy.optimize._highspy import _core
+assert _core is curvature.highs
+assert sys.modules["scipy.optimize._highspy._core"] is curvature.highs
+res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                             method="highs")
+assert res.success and list(res.x) == [1.0, 0.0]
+""")
 
 
 # ---------------------------------------------------------------------------
@@ -636,20 +679,22 @@ class TestSemigroupChecks:
     def test_contraction_on_lazy_hypercube(self):
         P = hypercube(3, laziness=0.5).matrix
         kappa = ollivier_curvature(P).ollivier_min
-        v = contraction_check(P, kappa, [0.5, 2.0], n_f=20, seed=0)
+        v = contraction_check(P, kappa, kernels(P, [0.5, 2.0]), n_f=20,
+                              seed=0)
         assert v.passed
 
     def test_subcommutativity_on_hypercube(self):
         P = hypercube(3).matrix
         kappa = bakry_emery_curvature(P).bakry_emery_min
-        v = subcommutativity_check(P, kappa, [0.5, 2.0], n_f=20, seed=0)
+        v = subcommutativity_check(P, kappa, kernels(P, [0.5, 2.0]), n_f=20,
+                                   seed=0)
         assert v.passed
 
     def test_inflated_kappa_fails(self):
         # A deliberately wrong (too large) curvature constant must be
         # caught by the contraction check.
         P = cycle(8).matrix
-        v = contraction_check(P, 1.5, [2.0], n_f=20, seed=0)
+        v = contraction_check(P, 1.5, kernels(P, [2.0]), n_f=20, seed=0)
         assert not v.passed
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -657,7 +702,8 @@ class TestSemigroupChecks:
     def test_tied_edges_report_the_first(self, n, t):
         # A rotation maps every edge of the cycle onto every other, so their
         # W1 contractions tie; rounding must not pick the reported edge.
-        v = contraction_check(cycle(n).matrix, 0.0, [t], n_f=5, seed=0)
+        P = cycle(n).matrix
+        v = contraction_check(P, 0.0, kernels(P, [t]), n_f=5, seed=0)
         assert v.name == "w1-contraction"
         assert v.context["edge"] == (0, 1)
 
@@ -757,7 +803,7 @@ class TestContractionScreen:
         inst = bd40(p, q)
         grid = [0.5, inst.t_mix(0.25)]
         args = (inst.matrix, ollivier_curvature(inst.matrix).ollivier_min,
-                grid)
+                kernels(inst.matrix, grid))
         assert_same_verdict(contraction_check(*args, n_f=20),
                             unscreened(*args, n_f=20))
 
@@ -768,13 +814,14 @@ class TestContractionScreen:
         inst = parse_family_spec(spec)
         P, starts = inst.matrix, inst.starts
         args = (P, ollivier_curvature(P, starts).ollivier_min,
-                [0.5, inst.t_mix(0.25)])
+                kernels(P, [0.5, inst.t_mix(0.25)]))
         assert_same_verdict(
             contraction_check(*args, n_f=20, starts=starts),
             unscreened(*args, n_f=20, starts=starts))
 
     def test_inflated_kappa_verdict_unchanged(self):
-        args = (cycle(8).matrix, 1.5, [2.0])
+        P = cycle(8).matrix
+        args = (P, 1.5, kernels(P, [2.0]))
         assert_same_verdict(contraction_check(*args, n_f=20, seed=0),
                             unscreened(*args, n_f=20, seed=0))
 
@@ -783,7 +830,7 @@ class TestContractionScreen:
            st.sampled_from([0.0, 0.05, 0.5]))
     def test_random_chain_verdicts_unchanged(self, seed, n, lazy, kappa):
         P = ring_chain(seed, n, lazy)
-        args = (P, kappa, [0.5, 4.0])
+        args = (P, kappa, kernels(P, [0.5, 4.0]))
         try:
             full = unscreened(*args, n_f=5)
         except CertificateFailed:
@@ -808,7 +855,7 @@ class TestContractionScreen:
             calls.append(1)
             return [(0.99 + 1e-7 * len(calls) / len(edges),)]
         monkeypatch.setattr(curvature, "_w1_restricted", overshoot)
-        v = contraction_check(P, 0.0, [1.0], n_f=0)
+        v = contraction_check(P, 0.0, kernels(P, [1.0]), n_f=0)
         assert len(calls) == len(edges)
         assert v.context["edge"] == edges[-1]
 
@@ -843,8 +890,8 @@ class TestStartSets:
         assert be.bakry_emery_min == pytest.approx(be_all.bakry_emery_min,
                                                    abs=1e-12)
         kappa = olli_all.ollivier_min
-        full = contraction_check(P, kappa, [1.0], n_f=2, seed=0)
-        fast = contraction_check(P, kappa, [1.0], n_f=2, seed=0,
+        full = contraction_check(P, kappa, kernels(P, [1.0]), n_f=2, seed=0)
+        fast = contraction_check(P, kappa, kernels(P, [1.0]), n_f=2, seed=0,
                                  starts=starts)
         assert (fast.name, fast.context) == (full.name, full.context)
         assert fast.lhs == pytest.approx(full.lhs, abs=1e-12)

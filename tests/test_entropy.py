@@ -29,7 +29,7 @@ from cutoff_lab.errors import (CurvatureHypothesisFailed, DimensionMismatch,
                                NoCrossing, UnsupportedState)
 from cutoff_lab.families import (birth_death, complete_graph, cycle,
                                  hypercube, parse_family_spec)
-from test_curvature import CHAINS, sparse_chain
+from test_curvature import CHAINS, kernels, sparse_chain
 
 
 def complete_tmix(n, eps):
@@ -355,7 +355,8 @@ class TestInequalityChecks:
 
     def test_local_concentration_sweep(self):
         P = hypercube(3).matrix
-        v = local_concentration_sweep(P, [0.5, 2.0], 0.0, n_f=25, seed=1)
+        v = local_concentration_sweep(P, kernels(P, [0.5, 2.0]), 0.0, n_f=25,
+                                      seed=1)
         assert v.passed
 
     @CHAINS
@@ -374,8 +375,8 @@ class TestInequalityChecks:
                 if loop is None or v.slack < loop.slack:
                     loop, var = v, (heat_kernel_apply(P, f * f, t)
                                     - heat_kernel_apply(P, f, t) ** 2)
-        sweep = local_concentration_sweep(P, times, kappa, n_f=n_f,
-                                          seed=seed)
+        sweep = local_concentration_sweep(P, kernels(P, times), kappa,
+                                          n_f=n_f, seed=seed)
         assert sweep.lhs == pytest.approx(loop.lhs, rel=1e-12, abs=1e-12)
         assert sweep.rhs == pytest.approx(loop.rhs, rel=1e-12, abs=1e-12)
         # Same state, unless the variance ties there (the flip chain on two

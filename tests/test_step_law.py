@@ -298,6 +298,38 @@ class TestFastPathGuards:
         [inst] = built
         assert "entries" not in vars(inst.matrix)
 
+    @pytest.mark.parametrize("spec", ["hypercube:d=11",
+                                      "cayley-random:Z2^10:d=20:seed=1"])
+    def test_pipeline_builds_no_distance_table(self, spec):
+        # The pipeline reads the diameter (the BFS row's maximum) and Delta
+        # (from the adjacency), never the n x n distance table.
+        inst = parse_family_spec(spec)
+        P = inst.matrix
+        stationary(P)
+        metric = metric_data(P)
+        relaxation_time(P)
+        t25 = mixing_time(P, 0.25, starts=inst.starts)
+        d_star_at(P, t25, starts=inst.starts)
+        v_star_at(P, t25, starts=inst.starts)
+        assert metric.diameter > 0 and metric.delta > 1.0
+        assert "dist" not in vars(P.metric)
+
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=6", "cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1",
+        "cycle:n=7"])
+    def test_distance_table_built_on_read(self, spec):
+        # Read, the table is the all-pairs BFS of the undeclared copy, with
+        # its dtype and read-only flag, and it is built once.
+        P = parse_family_spec(spec).matrix
+        metric = P.metric
+        assert "dist" not in vars(metric)
+        want = undeclared(P).metric.dist
+        dist = metric.dist
+        assert dist.dtype == want.dtype == np.int64
+        assert not dist.flags.writeable and not want.flags.writeable
+        assert np.array_equal(dist, want)
+        assert metric.dist is dist and metric.diameter == dist.max()
+
     @settings(max_examples=60)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 48),
            st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.booleans(),
