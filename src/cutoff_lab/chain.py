@@ -6,32 +6,65 @@ Poisson mixture of matrix powers with certified truncation error: row by row
 for a start set, and by scaling and squaring a short mixture for the full
 kernel.
 
-P is held once, as CSR.  A random walk on an abelian group is declared by
-its step law (StochasticMatrix.walk); its stationary law and metric are
-then read off the law in closed form, and every other chain takes the
-dense paths, which build the dense P on first use.
+P is held once, in the lab's own read-only CSR form.  Products with it go
+to the kernels of scipy's sparsetools, loaded as that one extension module
+(scipy.sparse itself is never imported), and every graph search is one
+numpy BFS.  A random walk on an abelian group is declared by its step law
+(StochasticMatrix.walk); its stationary law and metric are then read off
+the law in closed form, and every other chain takes the dense paths, which
+build the dense P on first use.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, triu
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
                      NotIrreducible, SpecParseError, StateCapExceeded,
                      TimeOutOfRange, UnderflowRisk)
 
 if TYPE_CHECKING:
-    from .families import StepLaw
+    from .families import GroupSpec, StepLaw
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# (source, neighbour) pairs a BFS level expands at a time.
+_BFS_CHUNK = 2 ** 20
+
+
+def _load_bundled(name: str):
+    """The extension module ``name`` that scipy bundles, loaded as that one
+    module: the init of the package that holds it (scipy.sparse,
+    scipy.optimize) is never run.  It goes into ``sys.modules`` under its
+    real name before it is executed, so a later import of that package
+    reuses it (pybind11 cannot register its types twice); one already there
+    is reused.  If scipy moves or renames it, this raises ImportError."""
+    if name in sys.modules:
+        return sys.modules[name]
+    top, package, *path = name.split(".")
+    # find_spec imports the top package, scipy, and not the subpackage.
+    [where] = importlib.util.find_spec(
+        f"{top}.{package}").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(where, *path[:-1])])
+    if spec is None:
+        raise ImportError(f"no module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_bundled("scipy.sparse._sparsetools")
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -41,17 +74,151 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Row-stochastic kernel P, held once as the read-only CSR matrix
-    ``csr``, with its support-graph structure.
+class CSR:
+    """A read-only n x n matrix in canonical compressed sparse rows: row x
+    holds the columns ``indices[indptr[x]:indptr[x + 1]]``, sorted, and the
+    values ``data`` there, none of them zero; int32 ``indptr`` and
+    ``indices``, float64 ``data``.  Its makers (StochasticMatrix,
+    StepLaw.matrix) build it so; the holder only casts the arrays to these
+    dtypes and sets them read-only.
 
-    ``kernel``, a dense array or a scipy sparse matrix (StepLaw.matrix's
-    canonical CSR is not re-sorted), is consumed into ``csr``: sorted, no
-    stored zeros.  Products go through ``csr``; the dense ``entries`` is
-    built from it on first use.  ``adjacency`` is the off-diagonal support
-    graph (int32 indices, data P(x, y)), read by ``irreducible`` and
-    ``symmetric_support``.  ``pi`` and ``metric`` are solved on first use
-    and kept.  Construction does not reject broken rows; see validate.
+    ``scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=A.shape)``
+    is the same matrix as a scipy array.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int32), ("indices", np.int32),
+                            ("data", np.float64)):
+            object.__setattr__(self, name, _readonly(getattr(self, name),
+                                                     dtype))
+
+    @property
+    def shape(self) -> tuple:
+        n = len(self.indptr) - 1
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def row(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32),
+                         np.diff(self.indptr))
+
+    def gather(self, xs: np.ndarray):
+        """(at, counts): the positions in ``indices`` and ``data`` of the
+        entries of rows ``xs``, row after row, and each row's count."""
+        lo = self.indptr[xs]
+        counts = self.indptr[xs + 1] - lo
+        at = np.repeat(lo - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        return at, counts
+
+    def dense_rows(self, xs: np.ndarray) -> np.ndarray:
+        """The rows ``xs`` as a dense (len(xs), n) block."""
+        at, counts = self.gather(xs)
+        out = np.zeros((len(xs), self.shape[1]))
+        out[np.repeat(np.arange(len(xs)), counts), self.indices[at]] = \
+            self.data[at]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.dense_rows(np.arange(self.shape[0]))
+
+    def transpose(self) -> CSR:
+        """A^T, by sparsetools' csr_tocsc, a counting sort, so each row of
+        A^T comes out sorted."""
+        n = self.shape[0]
+        out = (np.empty(n + 1, np.int32), np.empty(self.nnz, np.int32),
+               np.empty(self.nnz))
+        _sparsetools.csr_tocsc(n, n, self.indptr, self.indices, self.data,
+                               *out)
+        return CSR(*out)
+
+
+def _matvec(fmt: str, A: CSR, X) -> np.ndarray:
+    """A X (``fmt`` "csr") or A^T X ("csc": A's arrays read as the CSC of
+    A^T) for a vector or an (n, m) block X, by the sparsetools kernel that
+    scipy.sparse's ``@`` calls for it, so bit for bit that product.  X is
+    read as contiguous float64, as the kernel reads it."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n = A.shape[0]
+    if X.ndim not in (1, 2) or X.shape[0] != n:
+        raise DimensionMismatch(f"cannot multiply {A.shape} by {X.shape}")
+    if X.ndim == 1 or X.shape[1] == 1:
+        out = np.zeros(n)
+        getattr(_sparsetools, fmt + "_matvec")(
+            n, n, A.indptr, A.indices, A.data, X.ravel(), out)
+        return out.reshape(X.shape)
+    out = np.zeros(X.shape)
+    getattr(_sparsetools, fmt + "_matvecs")(
+        n, n, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+    return out
+
+
+def _bfs(A: CSR, sources) -> np.ndarray:
+    """Hop distances along the support of A from each of ``sources``: one
+    int64 row per source, -1 at the states it does not reach.
+
+    Level-synchronous over (source, state) pairs, every source at once,
+    each pair held as its index into the flattened table, and the
+    neighbours of each state read from one table padded to the largest
+    degree.  A level expands at most about _BFS_CHUNK pairs at a time.  A
+    pair reached twice is kept once without a sort: each new pair writes
+    its position into its still negative table entry, and only the pair
+    whose position stuck is kept.  The search stops as soon as every pair
+    is reached."""
+    n = A.shape[0]
+    deg = np.diff(A.indptr)
+    width = max(1, int(deg.max()))
+    # Row x lists the neighbours of x, then x itself as padding: a pair is
+    # reached before it is expanded, so the padding is never new.
+    nbr = np.repeat(np.arange(n, dtype=np.int32)[:, None], width, axis=1)
+    nbr[np.arange(width) < deg[:, None]] = A.indices
+    sources = np.asarray(sources, dtype=np.int64)
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    front = np.arange(sources.size) * n + sources
+    dist.put(front, 0)
+    left = dist.size - front.size
+    level = 0
+    while front.size and left:
+        level += 1
+        found = []
+        parts = front.size * width // _BFS_CHUNK
+        for part in np.array_split(front, parts + 1) if parts else [front]:
+            x = part % n
+            p = ((part - x)[:, None] + nbr.take(x, axis=0)).ravel()
+            p = p.compress(dist.take(p) < 0)
+            stamp = np.arange(-2, -2 - p.size, -1)
+            dist.put(p, stamp)
+            p = p.compress(dist.take(p) == stamp)
+            dist.put(p, level)
+            found.append(p)
+        front = np.concatenate(found)
+        left -= front.size
+    return dist.reshape(sources.size, n)
+
+
+@dataclass(frozen=True, eq=False)
+class StochasticMatrix:
+    """Row-stochastic kernel P, held once as the read-only CSR ``csr``,
+    with its support-graph structure.
+
+    ``kernel``, a dense array or a canonical CSR (StepLaw.matrix's, taken
+    as it is), is consumed into ``csr``: sorted, no stored zeros.
+    Products go through ``csr``; the dense ``entries`` is built from it on
+    first use.  ``adjacency`` is the off-diagonal support graph (data
+    P(x, y)), read by ``symmetric_support``, the metric and the curvature;
+    ``irreducible`` is read off one BFS from state 0 (two when the support
+    is not symmetric: 0 must also be reached from every state).  ``pi``
+    and ``metric`` are solved on first use and kept.  Construction does
+    not reject broken rows; see validate.
 
     ``step_law`` is the law of a walk declared by :meth:`walk`, and None
     on every other matrix (``dataclasses.replace`` included).
@@ -66,9 +233,13 @@ class StochasticMatrix:
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
             raise DimensionMismatch(f"expected n x n with n >= 2, got {shape}")
         n = shape[0]
-        A = csr_matrix(kernel, dtype=np.float64, copy=True)
-        A.sum_duplicates()              # a no-op on a canonical kernel
-        A.eliminate_zeros()
+        if isinstance(kernel, CSR):
+            A = kernel
+        else:
+            dense = np.asarray(kernel, dtype=np.float64)
+            rows, cols = np.nonzero(dense)
+            A = CSR(np.searchsorted(rows, np.arange(n + 1)), cols,
+                    dense[rows, cols])
         if not np.all(np.isfinite(A.data)):
             raise ValueError("non-finite entries in transition matrix")
         if self.labels is not None:
@@ -76,24 +247,20 @@ class StochasticMatrix:
             if len(labels) != n:
                 raise DimensionMismatch("label count does not match state count")
             object.__setattr__(self, "labels", labels)
-        edge = ((A.indices != np.repeat(np.arange(n), np.diff(A.indptr)))
-                & (A.data > 0))
-        adj = csr_matrix((A.data[edge], A.indices[edge],
-                          np.append(0, np.cumsum(edge))[A.indptr]),
-                         shape=A.shape)
-        for a in (A.data, A.indices, A.indptr, adj.data, adj.indices,
-                  adj.indptr):
-            a.setflags(write=False)
+        edge = (A.indices != A.row) & (A.data > 0)
+        adj = CSR(np.append(0, np.cumsum(edge))[A.indptr], A.indices[edge],
+                  A.data[edge])
+        back = adj.transpose()
+        symmetric = (np.array_equal(back.indptr, adj.indptr)
+                     and np.array_equal(back.indices, adj.indices))
+        depth = _readonly(_bfs(adj, [0])[0], np.int64)
         object.__setattr__(self, "csr", A)
-        # The same arrays read as P^T (CSC), for row-vector products.
-        object.__setattr__(self, "_transpose", A.T)
         object.__setattr__(self, "adjacency", adj)
-        n_comp, _ = connected_components(adj, directed=True,
-                                         connection="strong")
-        object.__setattr__(self, "irreducible", bool(n_comp == 1))
-        pattern = adj.astype(bool)
-        object.__setattr__(self, "symmetric_support",
-                           (pattern != pattern.T).nnz == 0)
+        object.__setattr__(self, "symmetric_support", symmetric)
+        object.__setattr__(self, "irreducible", bool(
+            depth.min() >= 0 and (symmetric or _bfs(back, [0]).min() >= 0)))
+        # Hop distances from state 0: a declared walk's metric row.
+        object.__setattr__(self, "_depth", depth)
 
     @classmethod
     def walk(cls, law: StepLaw) -> StochasticMatrix:
@@ -124,12 +291,12 @@ class StochasticMatrix:
         return _support_metric(self)
 
     def row_times(self, v: np.ndarray) -> np.ndarray:
-        """Row-vector product v P, by ``csr`` read as P^T."""
-        return self._transpose @ v
+        """Row-vector product v P, by ``csr`` read as the CSC of P^T."""
+        return _matvec("csc", self.csr, v)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """P X, for an observable or an (n, m) block of them, by ``csr``."""
-        return self.csr @ X
+        return _matvec("csr", self.csr, X)
 
     def edges(self):
         """Off-diagonal support edges as ordered pairs (x, y) with x < y.
@@ -138,8 +305,10 @@ class StochasticMatrix:
         """
         if not self.symmetric_support:
             raise AsymmetricSupport("edge list needs symmetric support")
-        upper = triu(self.adjacency, k=1, format="coo")
-        return list(zip(upper.row.tolist(), upper.col.tolist()))
+        adj = self.adjacency
+        row = adj.row
+        upper = adj.indices > row
+        return list(zip(row[upper].tolist(), adj.indices[upper].tolist()))
 
     def lip_norm(self, f: np.ndarray) -> float:
         """Edge-Lipschitz seminorm max |f(x) - f(y)| over the off-diagonal
@@ -147,8 +316,7 @@ class StochasticMatrix:
         adj = self.adjacency
         if adj.nnz == 0:
             return 0.0
-        return float(np.max(np.abs(
-            f[adj.indices] - np.repeat(f, np.diff(adj.indptr)))))
+        return float(np.max(np.abs(f[adj.indices] - f[adj.row])))
 
 
 @dataclass(frozen=True)
@@ -177,18 +345,37 @@ class Distribution:
 class MetricData:
     """Graph distance on the support graph, diameter and sparsity Delta.
 
-    ``dist`` is built by ``build`` on first read and kept, so a pipeline
-    that reads only ``diameter`` and ``delta`` never holds the n x n
-    table."""
+    ``rows`` holds BFS rows of hop distances: d(x, .) for every x, or, on a
+    walk declared on ``group``, d(0, .) only, from which d(x, y) =
+    d(0, x - y).  ``block`` reads the distances between two sets of states
+    from them; ``dist``, the n x n table, is built on first read and kept,
+    so a declared walk that reads only blocks, the diameter and Delta never
+    holds it."""
 
     diameter: int
     delta: float           # max over adjacent pairs of 1/P(x,y)
-    build: Callable[[], np.ndarray] = field(compare=False, repr=False)
+    rows: np.ndarray = field(compare=False, repr=False)
+    group: Optional[GroupSpec] = field(default=None, compare=False,
+                                       repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
+
+    def block(self, xs, ys) -> np.ndarray:
+        """(len(xs), len(ys)) int64 distances d(x, y), x in xs, y in ys."""
+        if self.group is None:
+            return self.rows[np.ix_(xs, ys)]
+        g = self.group
+        return self.rows[0][g.sums(g.neg(ys), xs)]
 
     @cached_property
     def dist(self) -> np.ndarray:
         """(n, n) integer distances, read-only."""
-        return self.build()
+        if self.group is None:
+            return self.rows
+        every = np.arange(self.n)
+        return _readonly(self.block(every, every), np.int64)
 
 
 @dataclass(frozen=True)
@@ -209,17 +396,19 @@ def validate(P: StochasticMatrix) -> ValidationReport:
     """Pure diagnostics from ``P.csr``: row sums (bit for bit those of
     ``P.entries``, 2^20 floats at a time), positivity, irreducibility,
     support symmetry."""
-    A = P.csr
-    step = max(1, 2 ** 20 // P.n)
-    sums = np.concatenate([A[i:i + step].toarray().sum(axis=1)
-                           for i in range(0, P.n, step)])
+    A, n = P.csr, P.n
+    step = max(1, 2 ** 20 // n)
+    sums = np.concatenate([A.dense_rows(np.arange(i, min(i + step, n)))
+                           .sum(axis=1) for i in range(0, n, step)])
     return ValidationReport(
-        n=P.n,
+        n=n,
         row_sum_residual=float(np.max(np.abs(sums - 1.0))),
-        min_entry=float(A.min()),
+        # The entries not stored are zeros.
+        min_entry=float(np.min(A.data, initial=0.0 if A.nnz < n * n
+                               else np.inf)),
         irreducible=P.irreducible,
         symmetric_support=P.symmetric_support,
-        nondegenerate=P.n >= 3,
+        nondegenerate=n >= 3,
     )
 
 
@@ -269,26 +458,21 @@ def metric_data(P: StochasticMatrix) -> MetricData:
 def _support_metric(P: StochasticMatrix) -> MetricData:
     """BFS distance on the support graph, diameter and sparsity.
 
-    A declared group walk takes one BFS from 0, which gives the diameter,
-    and builds d(x, y) = d(0, x - y) from that row only when ``dist`` is
-    read, translation and negation being automorphisms of its symmetric
-    support; every other chain takes a BFS from each state.  The support
-    is symmetric, so the directed search gives the undirected distances."""
+    A declared group walk keeps the BFS row from 0 that P already holds,
+    which gives the diameter, and reads d(x, y) = d(0, x - y) from it,
+    translation and negation being automorphisms of its symmetric support;
+    every other chain takes a BFS from each state.  The support is
+    symmetric, so the directed search gives the undirected distances."""
     if not P.symmetric_support:
         raise AsymmetricSupport("graph metric requires symmetric support")
     adj = P.adjacency
     law = P.step_law
-    d = shortest_path(adj, method="D", unweighted=True,
-                      indices=None if law is None else 0)
-    if np.any(np.isinf(d)):
+    rows = _bfs(adj, np.arange(P.n)) if law is None else P._depth[None]
+    if rows.min() < 0:
         raise NotIrreducible("support graph is disconnected")
     delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
-    if law is None:
-        dist = _readonly(d, np.int64)
-        return MetricData(int(dist.max()), delta, lambda: dist)
-    d0, group, n = d.astype(np.int64), law.group, P.n
-    return MetricData(int(d0.max()), delta, lambda: _readonly(
-        d0[group.sums(group.neg(np.arange(n)))], np.int64))
+    return MetricData(int(rows.max()), delta, _readonly(rows, np.int64),
+                      None if law is None else law.group)
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,7 @@ def cmd_analyze(opts: Options) -> int:
     return EXIT_OK
 
 
-def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
-                  semigroup_checks=True):
+def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100):
     """All proved-inequality verdicts for one instance.
 
     Returns a list of InequalityVerdict.  Semigroup-level checks
@@ -258,7 +257,7 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
     verdicts.append(ent.log_gradient_bound_check(inst, t_log))
     concentration = kappa_cert >= -KAPPA_SLACK
     t_sweep = [1.0, inst.t_mix(0.25)] if concentration else []
-    t_grid = [0.5, inst.t_mix(0.25)] if semigroup_checks else []
+    t_grid = [0.5, inst.t_mix(0.25)]
     # One full kernel per distinct time, shared by the checks that read it.
     kernels = {t: heat_kernel(P, t) for t in dict.fromkeys(t_sweep + t_grid)}
     if concentration:
@@ -268,13 +267,12 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0, n_f=100,
         for e in eps_list:
             verdicts.extend(ent.varentropy_bound_check(
                 inst, e, kappa=kappa_cert))
-    if semigroup_checks:
-        grid = [(t, kernels[t]) for t in t_grid]
-        verdicts.append(contraction_check(
-            P, olli.ollivier_min, grid, seed=seed, n_f=min(n_f, 20),
-            starts=inst.starts))
-        verdicts.append(subcommutativity_check(
-            P, be.bakry_emery_min, grid, seed=seed, n_f=min(n_f, 20)))
+    grid = [(t, kernels[t]) for t in t_grid]
+    verdicts.append(contraction_check(
+        P, olli.ollivier_min, grid, seed=seed, n_f=min(n_f, 20),
+        starts=inst.starts))
+    verdicts.append(subcommutativity_check(
+        P, be.bakry_emery_min, grid, seed=seed, n_f=min(n_f, 20)))
     return verdicts
 
 

@@ -4,9 +4,10 @@ curvature via one Schur complement per vertex.
 
 The LPs go to the HiGHS binding that scipy bundles,
 ``scipy.optimize._highspy._core``, which this module loads at import as
-that one extension module: scipy.optimize's package init (linprog, shgo,
-scipy.spatial, scipy.special) is never run for it.  If scipy moves or
-renames the binding, importing this module raises ImportError.
+that one extension module (chain._load_bundled): scipy.optimize's package
+init (linprog, shgo, scipy.spatial, scipy.special) is never run for it.  If
+scipy moves or renames the binding, importing this module raises
+ImportError.
 
 The LP value is HiGHS's (see ``linprog``), not exact W1: HiGHS works to its
 feasibility tolerances, and on a drifting birth-death chain its value was
@@ -24,46 +25,23 @@ the 1-sphere whose least eigenvalue is the infimum.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  (lazy in numpy 2: load it at import)
 
-from .chain import Distribution, MetricData, StochasticMatrix
+from .chain import Distribution, MetricData, StochasticMatrix, _load_bundled
 from .errors import (AsymmetricSupport, CertificateFailed, DimensionMismatch,
                      NotIrreducible)
 from .spectral import gamma_form
 from .verdicts import VERDICT_TOL, InequalityVerdict, make_verdict
 
 
-def _load_highs():
-    """scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``,
-    loaded as that one extension module, without scipy.optimize's package
-    init.  It goes into ``sys.modules`` under its real name before it is
-    executed, so a later ``import scipy.optimize`` reuses it (pybind11
-    cannot register its types twice); one already there is reused."""
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    # find_spec imports the parent package, scipy, and not scipy.optimize.
-    [optimize] = importlib.util.find_spec(
-        "scipy.optimize").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(optimize, "_highspy")])
-    if spec is None:
-        raise ImportError(f"no module named {name!r}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-highs = _load_highs()
+highs = _load_bundled("scipy.optimize._highspy._core")
+# Sorted sets of states come from np.bincount: np.unique without
+# return_index, and np.setdiff1d, import numpy.ma on first use (16 ms).
 
 DUALITY_TOL = 1e-8
 # Slack kept below the tree bound before contraction_check skips an edge's
@@ -155,7 +133,7 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     return status, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _w1_restricted(pairs, dist: np.ndarray):
+def _w1_restricted(pairs, metric: MetricData):
     """Solve the transportation LPs of several (mu, nu) pairs together, as
     one block-diagonal LP on their restricted supports.
 
@@ -164,7 +142,8 @@ def _w1_restricted(pairs, dist: np.ndarray):
     (value, plan, dual_u, dual_v, sup_mu, sup_nu) per pair, where ``plan``
     is the m x k optimal transport matrix, ``value`` the sequential sum of
     cost times plan, and the duals satisfy u_i + v_j <= dist(i,j) and
-    mu.u + nu.v = value within DUALITY_TOL.
+    mu.u + nu.v = value within DUALITY_TOL.  The costs are the metric's
+    block on sup_mu x sup_nu.
     """
     blocks, costs, index, marginals = [], [], [], []
     n_rows = n_vars = 0
@@ -172,7 +151,7 @@ def _w1_restricted(pairs, dist: np.ndarray):
         sup_mu = np.nonzero(mu > 0)[0]
         sup_nu = np.nonzero(nu > 0)[0]
         m, k = len(sup_mu), len(sup_nu)
-        costs.append(dist[np.ix_(sup_mu, sup_nu)].astype(np.float64).ravel())
+        costs.append(metric.block(sup_mu, sup_nu).astype(np.float64).ravel())
         index.append(np.stack([n_rows + np.repeat(np.arange(m), k),
                                n_rows + m + np.tile(np.arange(k), m)],
                               axis=1).ravel())
@@ -212,13 +191,14 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     f(z) = min_j (dist(z, y_j) - v(y_j)), which is 1-Lipschitz, so
     <f, mu - nu> is a lower bound on W1; it need not equal ``value``.
     """
-    if mu.n != nu.n or mu.n != metric.dist.shape[0]:
+    if mu.n != nu.n or mu.n != metric.n:
         raise DimensionMismatch("mu, nu and metric must share the state set")
     [(value, x, _, v, sup_mu, sup_nu)] = _w1_restricted(
-        [(mu.probs, nu.probs)], metric.dist)
+        [(mu.probs, nu.probs)], metric)
     plan = [(int(sup_mu[i]), int(sup_nu[j]), float(x[i, j]))
             for i, j in zip(*np.nonzero(x > 1e-14))]
-    potential = np.min(metric.dist[:, sup_nu] - v[None, :], axis=1)
+    potential = np.min(metric.block(np.arange(mu.n), sup_nu) - v[None, :],
+                       axis=1)
     return TransportPlan(plan=plan, value=value, dual_potential=potential)
 
 
@@ -227,18 +207,20 @@ def _tree_w1_bounds(P: StochasticMatrix, K: np.ndarray, pairs) -> np.ndarray:
     the metric of a BFS spanning tree from state 0, which dominates the
     graph metric.
 
-    The parent of v is its first out-neighbour one step closer to 0 in
-    ``P.metric.dist``.  On a tree W1 is the sum over tree edges (v, parent)
-    of |mass of mu - nu on the root side of the edge|, outside the subtree
-    of v, so U is one product of the row differences with the (n, n - 1)
-    root-side indicator.  On a path this is sum |cumsum(mu - nu)|, exact.
+    The parent of v is its first out-neighbour one step closer to 0, by
+    the metric's BFS row from 0.  On a tree W1 is the sum over tree edges
+    (v, parent) of |mass of mu - nu on the root side of the edge|, outside
+    the subtree of v, so U is one product of the row differences with the
+    (n, n - 1) root-side indicator.  On a path this is
+    sum |cumsum(mu - nu)|, exact.
     """
-    depth = P.metric.dist[0]
-    adj = P.adjacency.tocoo()
-    closer = depth[adj.col] == depth[adj.row] - 1
-    kids, first = np.unique(adj.row[closer], return_index=True)
+    depth = P.metric.rows[0]
+    adj = P.adjacency
+    row = adj.row
+    closer = depth[adj.indices] == depth[row] - 1
+    kids, first = np.unique(row[closer], return_index=True)
     parent = np.zeros(P.n, dtype=np.int64)
-    parent[kids] = adj.col[closer][first]
+    parent[kids] = adj.indices[closer][first]
     # root_side[w, v] = 0 when v is w or one of its ancestors below 0.
     root_side = np.ones((P.n, P.n))
     w, v = np.arange(P.n), np.arange(P.n)
@@ -281,11 +263,11 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
         raise AsymmetricSupport("Ollivier curvature requires symmetric support")
     if not P.irreducible:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
-    dist = P.metric.dist
+    metric = P.metric
     edges = _edges_at(P, starts)
-    ends = np.unique(edges)
-    E = dict(zip(ends.tolist(), P.csr[ends].toarray()))     # rows P(x, .)
-    sizes = np.diff(P.adjacency.indptr) + (P.csr.diagonal() > 0)
+    ends = np.flatnonzero(np.bincount(np.ravel(edges)))
+    E = dict(zip(ends.tolist(), P.csr.dense_rows(ends)))     # rows P(x, .)
+    sizes = {x: np.count_nonzero(row > 0) for x, row in E.items()}
     batches, n_vars = [[]], 0
     for (x, y) in edges:
         size = int(sizes[x] * sizes[y])
@@ -296,7 +278,7 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
         n_vars += size
     kappas = {}
     for batch in batches:
-        blocks = _w1_restricted([(E[x], E[y]) for x, y in batch], dist)
+        blocks = _w1_restricted([(E[x], E[y]) for x, y in batch], metric)
         for edge, (value, *_) in zip(batch, blocks):
             kappas[edge] = 1.0 - value
     return CurvatureReport(ollivier_edges=kappas,
@@ -323,10 +305,8 @@ def gamma2_form(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
 
 def _ball_block(P: StochasticMatrix, ball: np.ndarray) -> np.ndarray:
     """The dense P[ball, ball] for sorted ``ball``, from its CSR rows."""
-    ptr, ind = P.csr.indptr, P.csr.indices
-    counts = ptr[ball + 1] - ptr[ball]
-    at = np.repeat(ptr[ball] - np.cumsum(counts) + counts, counts) \
-        + np.arange(counts.sum())
+    ind = P.csr.indices
+    at, counts = P.csr.gather(ball)
     j = np.searchsorted(ball, ind[at])
     hit = ball[np.minimum(j, len(ball) - 1)] == ind[at]
     S = np.zeros((len(ball), len(ball)))
@@ -350,8 +330,8 @@ def _local_quadratic_forms(P: StochasticMatrix, x: int):
     """
     ind, ptr = P.adjacency.indices, P.adjacency.indptr
     n1 = ind[ptr[x]:ptr[x + 1]]
-    ball = np.unique(np.concatenate(
-        [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1]))
+    ball = np.flatnonzero(np.bincount(np.concatenate(
+        [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1])))
     ix = int(np.searchsorted(ball, x))
     S = _ball_block(P, ball)
     W = S - np.diag(np.diag(S))
@@ -389,8 +369,8 @@ def bakry_emery_vertex(P: StochasticMatrix, x: int):
     if lo == hi:
         raise NotIrreducible(f"state {x} has no out-neighbour")
     near = np.searchsorted(ball, adj.indices[lo:hi])
-    far = np.setdiff1d(np.arange(len(ball)),
-                       np.append(near, np.searchsorted(ball, x)))
+    far = np.delete(np.arange(len(ball)),
+                    np.append(near, np.searchsorted(ball, x)))
     A_nf = A[np.ix_(near, far)]
     a = np.diagonal(A)[far]
     S = A[np.ix_(near, near)] - (A_nf / a) @ A_nf.T
@@ -444,7 +424,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
     _SCREEN_MARGIN, leaves the edge able to be the worst verdict, so the
     report is the one every LP would give and a skipped edge is certified
     by the bound."""
-    dist = P.metric.dist
+    metric = P.metric
     edges = _edges_at(P, starts)
     rng = np.random.default_rng(seed)
     worst = None
@@ -478,7 +458,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
                 if (worst is not None
                         and decay - bound - _SCREEN_MARGIN > worst.slack):
                     continue
-                [(value, *_)] = _w1_restricted([(K[x], K[y])], dist)
+                [(value, *_)] = _w1_restricted([(K[x], K[y])], metric)
                 cand = make_verdict("w1-contraction", value, decay,
                                     t=t, kappa=kappa, edge=(x, y))
                 if worst is None or cand.slack < worst.slack - VERDICT_TOL:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (lazy in numpy 2: load it at import)
 
 from .chain import (_MASS_TOL, Distribution, StochasticMatrix, _KernelRows,
                     _poisson_pmf, heat_kernel_apply, kernel_rows)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+import numpy.fft  # noqa: F401  (lazy in numpy 2: load it at import)
+import numpy.random  # noqa: F401
 
-from .chain import StochasticMatrix, _readonly
+from .chain import CSR, StochasticMatrix, _bfs, _readonly
 from .entropy import mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
                      NotSymmetricSet, SpecParseError, StateCapExceeded)
@@ -67,10 +67,12 @@ class GroupSpec:
         f = np.array(self.factors, dtype=np.int64)
         return self.encode((-self.decode(a)) % f)
 
-    def sums(self, gs) -> np.ndarray:
-        """The (N, len(gs)) table of x + g for every element x and g in
-        ``gs``: x ^ g when every factor is 2, else one factor at a time."""
-        x = np.arange(self.N, dtype=np.int32)
+    def sums(self, gs, xs=None) -> np.ndarray:
+        """The (len(xs), len(gs)) table of x + g for x in ``xs`` (every
+        element when None) and g in ``gs``: x ^ g when every factor is 2,
+        else one factor at a time."""
+        x = np.asarray(np.arange(self.N) if xs is None else xs,
+                       dtype=np.int32)
         gs = np.asarray(gs, dtype=np.int32)
         if set(self.factors) == {2}:
             return np.bitwise_xor.outer(x, gs)
@@ -113,16 +115,17 @@ class StepLaw:
             raise DimensionMismatch(f"step law of shape {self.mu.shape} on "
                                     f"the group {self.group.factors}")
 
-    def matrix(self) -> csr_matrix:
-        """The walk P(x, y) = mu(y - x) as CSR: mu(g) at (x, x + g) for g
-        in the support of mu, from one (N, |supp mu|) table of x + g."""
+    def matrix(self) -> CSR:
+        """The walk P(x, y) = mu(y - x) as canonical CSR: mu(g) at
+        (x, x + g) for g in the support of mu, from one (N, |supp mu|)
+        table of x + g with each row sorted."""
         support = np.flatnonzero(self.mu)
         ys = self.group.sums(support)
         order = np.argsort(ys, axis=1)
         N, k = ys.shape
-        return csr_matrix((self.mu[support][order].ravel(),
-                           np.take_along_axis(ys, order, axis=1).ravel(),
-                           np.arange(N + 1) * k), shape=(N, N))
+        return CSR(np.arange(N + 1) * k,
+                   np.take_along_axis(ys, order, axis=1).ravel(),
+                   self.mu[support][order].ravel())
 
     def characters(self) -> np.ndarray:
         """Re sum_g mu(g) chi(g) for every character chi of the group:
@@ -186,11 +189,11 @@ def _power(base: int, power: int) -> tuple:
 
 def _generating(spec: GroupSpec, gens) -> bool:
     """S generates G exactly when Cay(G, S), the support of its walk, is
-    connected (weakly or strongly: on a finite group the two coincide)."""
+    connected: when a BFS from 0 reaches every element (on a finite group
+    weak and strong connectivity coincide)."""
     walk = StepLaw(spec, np.bincount(np.asarray(gens, dtype=np.int64),
                                      minlength=spec.N)).matrix()
-    n_comp, _ = connected_components(walk, directed=True, connection="weak")
-    return n_comp == 1
+    return bool(_bfs(walk, [0]).min() >= 0)
 
 
 def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,

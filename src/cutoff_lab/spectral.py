@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (lazy in numpy 2: load it at import)
 
 from .chain import StochasticMatrix
 from .errors import CertificateFailed, DimensionMismatch, NotIrreducible

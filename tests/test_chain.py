@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, shortest_path
 
-from cutoff_lab import chain, cli, entropy
+from cutoff_lab import cache, chain, cli, entropy, families
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               heat_kernel_apply, heat_kernel_row, kernel_rows,
                               load_chain_file, metric_data, poisson_weights,
@@ -248,6 +250,144 @@ class TestSupportGraph:
             d = np.minimum(d, d[:, [k]] + d[[k], :])
         assert np.array_equal(P.metric.dist, d)
         assert P.metric.delta == max(1.0 / P.entries[x, y] for x, y in pairs)
+
+
+def as_scipy(A):
+    """The lab's CSR holder as a scipy array over the same arrays."""
+    return csr_array((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def random_support(seed, n, density, symmetric):
+    """Random positive weights on a random directed support, rows not
+    normalized (construction does not reject them): often reducible, and
+    asymmetric unless ``symmetric``."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < density)
+    return StochasticMatrix(W + W.T if symmetric else W)
+
+
+class TestSparseKernels:
+    """P's CSR holder, its products and the numpy BFS against scipy.sparse
+    and scipy.sparse.csgraph, which only the tests import."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.booleans(),
+           st.booleans(), st.integers(2, 5))
+    def test_products_equal_scipy_bit_for_bit(self, seed, n, symmetric, lazy,
+                                              m):
+        # P.apply is A @ X and P.row_times is A.T @ X, one sparsetools
+        # kernel each: vectors, (n, 1) columns and (n, m) blocks, strided,
+        # Fortran-ordered, float32 and integer inputs included.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        A = as_scipy(P.csr)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, m))
+        for Y in (X[:, 0], X, X[:, :1], X[:, ::2], np.asfortranarray(X),
+                  rng.standard_normal(2 * n)[::2], X.astype(np.float32),
+                  rng.integers(-5, 5, (n, m))):
+            for got, want in ((P.apply(Y), A @ Y), (P.row_times(Y), A.T @ Y)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(DimensionMismatch):
+            P.apply(np.ones(n + 1))
+
+    def test_holder_is_canonical_and_read_only(self):
+        # Dense and StepLaw input give the same canonical arrays, which
+        # scipy's sort_indices leaves as they are.
+        E = families.hypercube(3).matrix.entries
+        for P in (StochasticMatrix(E), families.hypercube(3).matrix):
+            A = P.csr
+            assert A.indptr.dtype == A.indices.dtype == np.int32
+            assert A.data.dtype == np.float64
+            assert not any(a.flags.writeable
+                           for a in (A.indptr, A.indices, A.data))
+            assert A.shape == (8, 8) and A.nnz == 24
+            assert np.array_equal(A.toarray(), E)
+            B = as_scipy(A).copy()
+            B.sort_indices()
+            assert np.array_equal(B.indices, A.indices)
+
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=4", "cycle:n=7", "sym:k=4",
+        "bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1",
+        "perturb:theta=0.1:bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1",
+        "cayley:Z3xZ4xZ5:gens=20,-20,5,-5,1,-1"])
+    def test_bfs_equals_shortest_path(self, spec, monkeypatch):
+        # All-pairs and the row from 0, also when a level is expanded a
+        # few pairs at a time.
+        P = families.parse_family_spec(spec).matrix
+        want = shortest_path(as_scipy(P.adjacency), method="D",
+                             unweighted=True)
+        for chunk in (chain._BFS_CHUNK, 3):
+            monkeypatch.setattr(chain, "_BFS_CHUNK", chunk)
+            d = chain._bfs(P.adjacency, np.arange(P.n))
+            assert d.dtype == np.int64 and np.array_equal(d, want)
+            assert np.array_equal(chain._bfs(P.adjacency, [0])[0], want[0])
+        assert np.array_equal(P._depth, want[0])
+        assert np.array_equal(P.metric.rows[0], want[0])
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
+           st.sampled_from([0.05, 0.15, 0.3, 0.6]), st.booleans())
+    def test_random_supports_against_csgraph(self, seed, n, density,
+                                             symmetric):
+        # Irreducibility is strong connectivity, the support symmetry is
+        # the pattern's, and the BFS rows are shortest_path's (-1 for inf),
+        # on reducible and asymmetric supports too.
+        P = random_support(seed, n, density, symmetric)
+        G = as_scipy(P.adjacency)
+        strong, _ = connected_components(G, directed=True,
+                                         connection="strong")
+        assert P.irreducible == (strong == 1)
+        pattern = G.toarray() > 0
+        assert P.symmetric_support == np.array_equal(pattern, pattern.T)
+        want = shortest_path(G, method="D", unweighted=True)
+        want[np.isinf(want)] = -1
+        assert np.array_equal(chain._bfs(P.adjacency, np.arange(n)), want)
+        assert np.array_equal(P.adjacency.transpose().toarray(),
+                              G.T.toarray())
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=3),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_generating_equals_weak_components(self, factors, k, seed):
+        spec = families.GroupSpec(tuple(factors))
+        gens = np.random.default_rng(seed).integers(0, spec.N, size=k)
+        walk = families.StepLaw(spec, np.bincount(gens, minlength=spec.N))
+        weak, _ = connected_components(as_scipy(walk.matrix()),
+                                       directed=True, connection="weak")
+        assert families._generating(spec, gens) == (weak == 1)
+
+    @pytest.mark.parametrize("build,digest,residual,min_entry", [
+        (lambda: families.hypercube(4).matrix,
+         "d8dd40502720ba859ed4820fdc9a17d08e7e61354939a89038273f74a2d17168",
+         "0x0.0p+0", "0x0.0p+0"),
+        (lambda: families.parse_family_spec("sym:k=4").matrix,
+         "644c40d1bc33cf996b611570cffaa8169b3a3fe28eff4db4be6965ac08f10fd8",
+         "0x1.0000000000000p-53", "0x0.0p+0"),
+        (lambda: families.parse_family_spec(
+            "perturb:theta=0.1:bd:p=0.3,0.2,0.4;q=0.4,0.4,0.1").matrix,
+         "1026db43d9687654c4d94521e34c3b646190b1937f1f951e010aaa32d4dd8d74",
+         "0x0.0p+0", "0x1.52fab4152fab8p-7"),
+        (lambda: random_chain(np.random.default_rng(5), 50),
+         "32981206307c3331b1343e4ee3bcb8fa570abd0c01761e006baa573fa29e2f1d",
+         "0x1.0000000000000p-51", "0x1.aa7dfb12302adp-26"),
+        (lambda: StochasticMatrix(np.array([[0.5, 0.6, -0.1],
+                                            [0.2, 0.3, 0.5],
+                                            [0.1, 0.1, 0.7]])),
+         "8d504abf3b5cfea689e70ab1a753f6be0c3891b16c1f8aa3507b1f0a0dbb4538",
+         "0x1.99999999999a0p-4", "-0x1.999999999999ap-4"),
+    ], ids=["hypercube4", "sym4", "perturb-bd", "dirichlet50", "broken"])
+    def test_validate_and_digest_as_recorded(self, build, digest, residual,
+                                             min_entry):
+        # Values recorded from the scipy.sparse matrices P was held in
+        # before the lab's own CSR: the cache keys and the row sums are
+        # unchanged.
+        P = build()
+        rep = validate(P)
+        assert cache.matrix_digest(P) == digest
+        assert rep.row_sum_residual.hex() == residual
+        assert rep.min_entry.hex() == min_entry
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class TestVerify:
                 return _real(P)
             monkeypatch.setattr(chain, helper, counted)
         inst = families.hypercube(3)
-        verdict_suite(inst, EPS_GRID, n_f=5, semigroup_checks=False)
+        verdict_suite(inst, EPS_GRID, n_f=5)
         # t_mix(1 - 0.9) and t_mix(0.1) are one search: 7 distinct eps.
         assert len(calls) == 7 and set(calls.values()) == {1}
         assert solves == {"stationary": 1, "metric_data": 1}
@@ -130,7 +130,7 @@ class TestVerify:
             monkeypatch.setattr(ent, name, counted)
         inst = families.birth_death([0.35] * 9, [0.15] * 9)
         eps = [0.1, 0.25, 0.75]
-        suite = verdict_suite(inst, eps, n_f=5, semigroup_checks=False)
+        suite = verdict_suite(inst, eps, n_f=5)
         assert calls == {"d_star_at": 1, "v_star_at": len(eps)}
         monkeypatch.undo()
         t_half = inst.t_mix(0.5)

@@ -340,7 +340,7 @@ def contraction_lps(monkeypatch, P):
     # solves it when the tree bound does not screen the edge out.
     K = heat_kernel(P, 0.5)
     return captured_lps(monkeypatch, lambda: [
-        curvature._w1_restricted([(K[x], K[y])], P.metric.dist)
+        curvature._w1_restricted([(K[x], K[y])], P.metric)
         for x, y in P.edges()])
 
 
@@ -399,14 +399,52 @@ def run_python(code):
 
 
 class TestHighsImport:
-    """The binding is loaded as one extension module, not through
-    scipy.optimize's package init, and it is the module scipy.optimize
-    itself uses in either import order."""
+    """The two extension modules that scipy bundles and the lab calls, the
+    HiGHS binding and scipy.sparse's sparsetools, are each loaded as one
+    module, not through the package init of scipy.optimize or
+    scipy.sparse, and each is the module its package itself uses in either
+    import order.  numpy's lazy random and fft are loaded at import."""
 
     def test_import_leaves_scipy_optimize_out(self):
         run_python("import sys, cutoff_lab, cutoff_lab.cli\n"
                    "assert 'scipy.optimize' not in sys.modules, 'imported'\n"
                    "assert 'scipy.optimize._highspy._core' in sys.modules\n")
+
+    def test_import_leaves_scipy_sparse_out(self):
+        run_python("""
+import sys, cutoff_lab, cutoff_lab.cli
+for name in ("scipy.sparse", "scipy._lib._array_api", "numpy.ma"):
+    assert name not in sys.modules, name
+for name in ("scipy.sparse._sparsetools", "numpy.random", "numpy.fft"):
+    assert name in sys.modules, name
+""")
+
+    def test_commands_leave_scipy_sparse_out(self, tmp_path):
+        run_python(f"""
+import sys
+from cutoff_lab import cli
+assert cli.main(["analyze", "--spec", "bd:p=0.3,0.3,0.3;q=0.2,0.2,0.2",
+                 "--out", {str(tmp_path / "analyze")!r}]) == cli.EXIT_OK
+assert cli.main(["verify", "--spec", "cycle:n=8",
+                 "--out", {str(tmp_path / "verify")!r}]) == cli.EXIT_OK
+for name in ("scipy.sparse", "scipy._lib._array_api", "numpy.ma"):
+    assert name not in sys.modules, name
+""")
+
+    @pytest.mark.parametrize("first", ["cutoff_lab", "scipy.sparse"])
+    def test_one_sparsetools_in_either_order(self, first):
+        run_python(f"""
+import importlib, sys
+importlib.import_module({first!r})
+import numpy as np
+import scipy.sparse
+from scipy.sparse import _compressed
+from cutoff_lab import chain
+assert _compressed._sparsetools is chain._sparsetools
+assert sys.modules["scipy.sparse._sparsetools"] is chain._sparsetools
+A = scipy.sparse.csr_array(np.array([[0.5, 0.5], [0.25, 0.75]]))
+assert list(A @ np.array([1.0, 2.0])) == [1.5, 1.75]
+""")
 
     @pytest.mark.parametrize("first", ["cutoff_lab", "scipy.optimize"])
     def test_one_binding_in_either_order(self, first):
@@ -781,7 +819,7 @@ class TestTreeBounds:
         bounds = curvature._tree_w1_bounds(P, K, P.edges())
         for (x, y), bound in zip(P.edges(), bounds):
             [(value, *_)] = curvature._w1_restricted([(K[x], K[y])],
-                                                     P.metric.dist)
+                                                     P.metric)
             assert bound >= value - 1e-12
 
     @pytest.mark.parametrize("n", [5, 8, 13, 32])

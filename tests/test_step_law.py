@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from cutoff_lab import chain, cli
-from cutoff_lab.chain import (StochasticMatrix, _KernelRows, kernel_rows,
-                              metric_data, poisson_weights, stationary)
+from cutoff_lab.chain import (Distribution, StochasticMatrix, _KernelRows,
+                              kernel_rows, metric_data, poisson_weights,
+                              stationary)
+from cutoff_lab.curvature import wasserstein1
 from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at
 from cutoff_lab.errors import DimensionMismatch, NotIrreducible
 from cutoff_lab.families import (GroupSpec, StepLaw, parse_family_spec,
@@ -121,7 +124,9 @@ class TestClosedForms:
                     perturb_toward_uniform(inst, 0.05).matrix.step_law):
             A = law.matrix()
             assert A.nnz == np.count_nonzero(law.mu) * law.group.N
-            assert A.has_sorted_indices
+            for x in range(law.group.N):
+                assert np.all(np.diff(
+                    A.indices[A.indptr[x]:A.indptr[x + 1]]) > 0)
             want = roll_matrix(law.group.factors, law.mu)
             assert A.toarray().tobytes() == want.tobytes()
         assert np.count_nonzero(law.mu) == law.group.N
@@ -220,8 +225,10 @@ class TestDeclarationCheck:
         b[-1] = 1.0
         pi = np.linalg.solve(A, b)
         assert np.array_equal(P.pi.probs, pi / pi.sum())
-        d = shortest_path(P.adjacency, method="D", unweighted=True,
-                          directed=False)
+        adj = P.adjacency
+        d = shortest_path(csr_array((adj.data, adj.indices, adj.indptr),
+                                    shape=adj.shape),
+                          method="D", unweighted=True, directed=False)
         assert np.array_equal(P.metric.dist, d.astype(np.int64))
         s = np.sqrt(P.pi.probs)
         S = (s[:, None] * P.entries) / s[None, :]
@@ -244,17 +251,23 @@ class TestFastPathGuards:
         assert mixing_time(P, 0.25, starts=inst.starts) > 0
 
     def test_bfs_from_one_source(self, monkeypatch):
-        sources = []
-        real = chain.shortest_path
-
-        def recorded(*args, **kwargs):
-            sources.append(kwargs.get("indices"))
-            return real(*args, **kwargs)
-        monkeypatch.setattr(chain, "shortest_path", recorded)
+        # Construction runs one BFS, from 0 (irreducibility); a declared
+        # walk's metric reads that row, and only an undeclared chain's
+        # metric searches from every state.
         P = parse_family_spec("cayley-random:Z2^6:d=8:seed=2").matrix
+        Q = undeclared(P)
+        sources = []
+        real = chain._bfs
+
+        def recorded(A, starts):
+            sources.append(list(starts))
+            return real(A, starts)
+        monkeypatch.setattr(chain, "_bfs", recorded)
         P.metric
-        undeclared(P).metric
-        assert sources == [0, None]
+        Q.metric
+        assert sources == [list(range(64))]
+        StochasticMatrix(P.csr)
+        assert sources[1:] == [[0]]
 
     def test_sparse_rows_never_touch_dense_entries(self):
         class Refused(np.ndarray):
@@ -297,6 +310,58 @@ class TestFastPathGuards:
                          "--out", str(tmp_path / "out")]) == cli.EXIT_OK
         [inst] = built
         assert "entries" not in vars(inst.matrix)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--spec", "hypercube:d=8"],
+        ["verify", "--spec", "hypercube:d=5"],
+        ["verify", "--spec", "cycle:n=12"]])
+    def test_commands_read_distance_blocks_only(self, monkeypatch, tmp_path,
+                                                argv):
+        # The curvature minima, the W1 LPs and the tree bounds of a
+        # declared walk read blocks d(0, x - y) of its BFS row: no command
+        # builds the n x n distance table, and analyze builds no n x n
+        # table of x + g either (verify's W1 contraction LPs on
+        # full-support kernel rows have n x n costs of their own).
+        built, tables = [], []
+        real_parse, real_sums = cli.fam.parse_family_spec, GroupSpec.sums
+
+        def recorded(text):
+            built.append(real_parse(text))
+            return built[-1]
+
+        def sums(group, gs, xs=None):
+            out = real_sums(group, gs, xs)
+            tables.append(out.size / group.N ** 2)
+            return out
+        monkeypatch.setattr(cli.fam, "parse_family_spec", recorded)
+        monkeypatch.setattr(GroupSpec, "sums", sums)
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == \
+            cli.EXIT_OK
+        [inst] = built
+        assert "dist" not in vars(inst.matrix.metric)
+        if argv[0] == "analyze":
+            assert tables and max(tables) < 1.0
+
+    @pytest.mark.parametrize("spec", DECLARING)
+    def test_metric_blocks_equal_the_table(self, spec):
+        # block(xs, ys) is the undeclared table's block, int64, without
+        # building the declared walk's own table; W1 and its potential
+        # read through blocks are bit for bit those through the table.
+        P = parse_family_spec(spec).matrix
+        want = undeclared(P).metric
+        rng = np.random.default_rng(len(spec))
+        xs = rng.integers(0, P.n, size=5)
+        ys = rng.choice(P.n, size=min(P.n, 7), replace=False)
+        got = P.metric.block(xs, ys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.dist[np.ix_(xs, ys)])
+        mu = Distribution(np.bincount(xs, minlength=P.n) / xs.size)
+        nu = Distribution(P.entries[ys[0]])
+        a = wasserstein1(mu, nu, P.metric)
+        b = wasserstein1(mu, nu, want)
+        assert a.value == b.value and a.plan == b.plan
+        assert a.dual_potential.tobytes() == b.dual_potential.tobytes()
+        assert "dist" not in vars(P.metric)
 
     @pytest.mark.parametrize("spec", ["hypercube:d=11",
                                       "cayley-random:Z2^10:d=20:seed=1"])
