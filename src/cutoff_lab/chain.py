@@ -618,7 +618,7 @@ class _KernelRows:
             if min_terms or not 0.0 < t <= math.ldexp(1.0, _RUNG_HIGH):
                 return heat_kernel(self._P, t, min_terms=min_terms)
             return self._kernel(t)
-        if t * len(self._powers) * self._P.n > _POWERS_CAP:
+        if t > _POWERS_CAP / (len(self._powers) * self._P.n):
             raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
                                    f"over {_POWERS_CAP} floats of powers")
         q = poisson_weights(t, min_terms=min_terms)

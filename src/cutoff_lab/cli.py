@@ -30,17 +30,6 @@ from .verdicts import KAPPA_SLACK
 CSV_VERSION = "cutoff-lab-csv-v1"
 EXIT_OK, EXIT_SPEC, EXIT_VERDICT, EXIT_CAP = 0, 2, 3, 4
 
-# Every option a config file may set, with its default.
-DEFAULTS = {
-    "spec": None,
-    "chain-file": None,
-    "eps": ",".join(map(str, ent.EPS_GRID)),
-    "tgrid": "auto",
-    "seed": "0",
-    "out": "out",
-    "cache": "1",
-}
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -60,20 +49,6 @@ def write_csv(path, header, rows):
 # Options
 # ---------------------------------------------------------------------------
 
-def load_config(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SpecParseError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
 def _number(kind, flag: str, text: str):
     try:
         return kind(text)
@@ -82,35 +57,36 @@ def _number(kind, flag: str, text: str):
 
 
 class Options:
-    """Merged options: CLI flags > config file > defaults."""
+    """The parsed flags, each checked here, before any command runs."""
 
     def __init__(self, args):
-        cfg = load_config(args.config) if args.config else {}
-        for key in cfg:
-            if key not in DEFAULTS:
-                raise SpecParseError(f"unknown config key {key!r}; known: "
-                                     f"{', '.join(DEFAULTS)}")
-
-        def pick(name, flag_value):
-            if flag_value is not None:
-                return str(flag_value)
-            return cfg.get(name, DEFAULTS[name])
-
-        self.spec = pick("spec", args.spec)
-        self.chain_file = pick("chain-file", args.chain_file)
-        self.eps = [_number(float, "--eps", v)
-                    for v in pick("eps", args.eps).split(",")]
+        self.spec = args.spec
+        self.chain_file = args.chain_file
+        self.eps = [_number(float, "--eps", v) for v in args.eps.split(",")]
         for e in self.eps:
             # verify and scan also search t_mix(1 - eps).
             ent.check_eps(e)
             ent.check_eps(1.0 - e)
-        self.tgrid = pick("tgrid", args.tgrid)
-        self.seed = _number(int, "--seed", pick("seed", args.seed))
+        # "auto", or the (a, b, steps) of a:b:steps.
+        self.tgrid = args.tgrid
+        if args.tgrid != "auto":
+            try:
+                a, b, steps = args.tgrid.split(":")
+                a, b, steps = float(a), float(b), int(steps)
+            except ValueError as exc:
+                raise SpecParseError(f"bad tgrid {args.tgrid!r}") from exc
+            if steps < 1:
+                raise SpecParseError(
+                    f"tgrid needs at least one step: {args.tgrid!r}")
+            if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+                raise SpecParseError(f"tgrid bounds must be finite and >= 0: "
+                                     f"{args.tgrid!r}")
+            self.tgrid = a, b, steps
+        self.seed = _number(int, "--seed", args.seed)
         if self.seed < 0:
             raise SpecParseError(f"--seed must be non-negative: {self.seed}")
-        self.out = pick("out", args.out)
-        no_cache = getattr(args, "no_cache", False)
-        self.cache_enabled = (not no_cache) and pick("cache", None) != "0"
+        self.out = args.out
+        self.cache_enabled = not args.no_cache
 
     def instance(self) -> fam.ChainInstance:
         if self.spec:
@@ -145,17 +121,7 @@ def _cached_rows(cache, P, t, starts, rows_at):
 def _t_grid(opts, t_scale):
     if opts.tgrid == "auto":
         return list(np.linspace(0.0, 1.5 * max(t_scale, 1e-6), 25))
-    try:
-        a, b, steps = opts.tgrid.split(":")
-        a, b, steps = float(a), float(b), int(steps)
-    except ValueError as exc:
-        raise SpecParseError(f"bad tgrid {opts.tgrid!r}") from exc
-    if steps < 1:
-        raise SpecParseError(f"tgrid needs at least one step: {opts.tgrid!r}")
-    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-        raise SpecParseError(f"tgrid bounds must be finite and >= 0: "
-                             f"{opts.tgrid!r}")
-    return list(np.linspace(a, b, steps))
+    return list(np.linspace(*opts.tgrid))
 
 
 def _check_valid(P: StochasticMatrix):
@@ -395,14 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("analyze", "verify", "scan", "curvature", "random-cayley"):
         p = sub.add_parser(name)
-        p.add_argument("--spec", default=None)
-        p.add_argument("--chain-file", default=None)
-        p.add_argument("--eps", default=None)
-        p.add_argument("--tgrid", default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--spec")
+        p.add_argument("--chain-file")
+        p.add_argument("--eps", default=",".join(map(str, ent.EPS_GRID)))
+        p.add_argument("--tgrid", default="auto")
+        p.add_argument("--seed", default="0")
+        p.add_argument("--out", default="out")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--config", default=None)
     return parser
 
 

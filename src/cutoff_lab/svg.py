@@ -7,6 +7,7 @@ layout, fixed number formatting.
 from __future__ import annotations
 
 import math
+import sys
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -17,13 +18,25 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+# Axis spans are finite, at least _MIN_SPAN and at least _REL_SPAN of the
+# larger bound: then a tick step is normal and moves a tick past its ulp.
+_MAX, _MIN_SPAN, _REL_SPAN = sys.float_info.max, 1e-300, 2.0 ** -46
+
+
 def _bounds(values, pad=0.05):
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        lo, hi = lo - 1.0, hi + 1.0
+    a, b = float(min(values)), float(max(values))
+    lo, hi = (a - 1.0, b + 1.0) if a == b else (a, b)
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    lo, hi = lo - pad * span, hi + pad * span
+    if _MIN_SPAN <= hi - lo < math.inf and hi - lo >= _REL_SPAN * max(-lo, hi):
+        return lo, hi
+    # A span lost in rounding, underflowing or overflowing: one as above,
+    # centred on the values, below the largest double (in Python floats,
+    # which overflow to inf with no warning).
+    mid = 0.5 * a + 0.5 * b
+    half = min(max((0.5 + pad) * (b - a), _REL_SPAN * abs(mid), _MIN_SPAN),
+               0.499 * _MAX)
+    return max(mid - half, -_MAX), min(mid + half, _MAX)
 
 
 def _ticks(lo, hi, n=6):
@@ -36,7 +49,8 @@ def _ticks(lo, hi, n=6):
     start = math.ceil(lo / step) * step
     out = []
     v = start
-    while v <= hi + 1e-12 * span:
+    # A tick past the largest double is inf, which ends the loop.
+    while v <= min(hi + 1e-12 * span, _MAX):
         out.append(0.0 if abs(v) < 1e-12 * span else v)
         v += step
     return out
@@ -96,7 +110,9 @@ def line_plot(path, series, title="", xlabel="", ylabel="", vlines=()):
                  f'font-family="monospace" font-size="13" '
                  f'transform="rotate(-90 16 {HEIGHT // 2})">{ylabel}</text>')
     for label, x in vlines:
-        px = sx(x)
+        px = sx(float(x))
+        if not math.isfinite(px):   # so far off the axis that px overflowed
+            continue                # (to inf, as a Python float: no warning)
         parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(MARGIN_T)}" '
                      f'x2="{_fmt(px)}" y2="{_fmt(HEIGHT - MARGIN_B)}" '
                      f'stroke="#888888" stroke-dasharray="4,3"/>')

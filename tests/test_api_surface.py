@@ -1,13 +1,14 @@
 """Parameter names of the public functions that have exactly one
-configuration in use, so a new knob on any of them shows up as an edit
-here."""
+configuration in use, and the flags of each CLI command, so a new knob on
+any of them shows up as an edit here."""
 
+import argparse
 import inspect
 
 import pytest
 
 import cutoff_lab
-from cutoff_lab import curvature, families, spectral
+from cutoff_lab import cli, curvature, families, spectral
 
 
 @pytest.mark.parametrize("fn,params", [
@@ -27,3 +28,16 @@ def test_adjoint_not_exported():
     # P's adjoint is formed inside reversibilization, from P.pi.
     assert not hasattr(cutoff_lab, "adjoint")
     assert not hasattr(spectral, "adjoint")
+
+
+def test_cli_flags():
+    # Flags are the CLI's only settings: no config file, no environment.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(f for a in p._actions for f in a.option_strings)
+             for name, p in sub.choices.items()}
+    shared = sorted(["-h", "--help", "--spec", "--chain-file", "--eps",
+                     "--tgrid", "--seed", "--out", "--no-cache"])
+    assert flags == {name: shared for name in
+                     ["analyze", "verify", "scan", "curvature",
+                      "random-cayley"]}

@@ -1,5 +1,5 @@
 """Command-line interface: commands, exit codes, CSV format, option
-precedence, caching and reproducibility."""
+checks, caching and reproducibility."""
 
 import math
 from collections import Counter
@@ -7,11 +7,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoff_lab import chain, cli, curvature, families
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
-                            EXIT_VERDICT, load_config, main, verdict_suite)
+                            EXIT_VERDICT, main, verdict_suite)
 from cutoff_lab.entropy import EPS_GRID, EPS_MIN
 
 
@@ -415,53 +417,59 @@ class TestExitCodes:
                 for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_SPEC
 
+    @pytest.mark.parametrize("spec,tgrid,code", [
+        ("bd:p=0.3,0.3;q=0.3,0.3", "1e16:1e16:2", EXIT_OK),
+        ("bd:p=0.3,0.3;q=0.3,0.3", "0:5e-324:2", EXIT_OK),
+        ("bd:p=0.3,0.3;q=0.3,0.3", "0:1.7e308:2", EXIT_OK),
+        ("bd:p=0.3,0.3;q=0.3,0.3", "2e-308:3e-308:2", EXIT_OK),
+        ("cycle:n=8", "1e308:1e308:2", EXIT_CAP),
+    ], ids=["span-past-2^53", "span-subnormal", "span-overflow",
+            "span-tiny", "power-cap-overflow"])
+    def test_extreme_tgrid(self, tmp_path, spec, tgrid, code):
+        # The profile axis of a zero, underflowing or overflowing span is
+        # drawn, and t |starts| n past the largest double still meets the
+        # rows' power cap: no warning (an error under this suite).
+        assert main(["analyze", "--spec", spec, "--eps", "0.25", "--tgrid",
+                     tgrid, "--no-cache", "--out", str(tmp_path)]) == code
+
+    # Zero, subnormal, tiny, ordinary, past 2^53 and near-overflow times.
+    TIMES = [0.0, 5e-324, 2e-308, 1e-300, 0.5, 9.1e15, 1e16, 1e308, 1.7e308]
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(TIMES), st.sampled_from(TIMES),
+           st.integers(1, 3),
+           st.sampled_from(["bd:p=0.3,0.3;q=0.3,0.3", "cycle:n=8"]))
+    def test_tgrid_extremes_keep_exit_contract(self, tmp_path_factory,
+                                               a, b, steps, spec):
+        # Degenerate, subnormal and overflowing profile axes are drawn,
+        # and times past the rows' power cap exit 4, with no warning.
+        a, b = sorted((a, b))
+        out = tmp_path_factory.mktemp("o")
+        assert main(["analyze", "--spec", spec, "--eps", "0.25",
+                     "--tgrid", f"{a!r}:{b!r}:{steps}", "--no-cache",
+                     "--out", str(out)]) in (EXIT_OK, EXIT_SPEC,
+                                             EXIT_VERDICT, EXIT_CAP)
+
 
 class TestOptions:
-    def test_config_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# run config\neps=0.5\nout=%s\n" %
-                       (tmp_path / "from_cfg"))
-        code = main(["analyze", "--spec", "cycle:n=8",
-                     "--config", str(cfg)])
-        assert code == EXIT_OK
-        assert (tmp_path / "from_cfg" / "analysis.csv").exists()
-
-    def test_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"out={tmp_path / 'cfg_dir'}\n")
-        out = tmp_path / "flag_dir"
-        main(["analyze", "--spec", "cycle:n=8", "--eps", "0.5",
-              "--config", str(cfg), "--out", str(out)])
-        assert (out / "analysis.csv").exists()
-        assert not (tmp_path / "cfg_dir").exists()
-
-    @pytest.mark.parametrize("line", ["epsilon=0.5", "tol=1e-8"])
-    def test_unknown_config_key(self, tmp_path, capsys, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{line}\n")
-        assert main(["analyze", "--spec", "cycle:n=8", "--config",
-                     str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SPEC
-        err = capsys.readouterr().err
-        assert repr(line.split("=")[0]) in err and "chain-file" in err
-        assert not (tmp_path / "o").exists()
-
-    def test_bad_config_line(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("this is not key value\n")
-        assert main(["analyze", "--spec", "cycle:n=8", "--config",
-                     str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SPEC
-
     def test_default_eps_is_the_grid(self):
         # The default --eps is built from EPS_GRID, and its string (hence
         # the default CSV headers) is unchanged.
-        assert cli.DEFAULTS["eps"] == "0.05,0.1,0.25,0.5,0.75,0.9,0.95"
         args = cli.build_parser().parse_args(["analyze", "--spec", "cycle:n=8"])
+        assert args.eps == "0.05,0.1,0.25,0.5,0.75,0.9,0.95"
         assert tuple(cli.Options(args).eps) == EPS_GRID
 
-    def test_load_config_parses(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\n\neps=0.1,0.9\nthreads=2\n")
-        assert load_config(cfg) == {"eps": "0.1,0.9", "threads": "2"}
+    def test_config_refused(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--spec", "cycle:n=8", "--config",
+                  str(tmp_path / "run.cfg")])
+        assert exc.value.code == 2
+
+    def test_bad_tgrid_refused_before_any_work(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["analyze", "--spec", "cycle:n=8", "--tgrid", "0:4:0",
+                     "--out", str(out)]) == EXIT_SPEC
+        assert not out.exists()
 
 
 class TestCache:

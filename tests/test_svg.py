@@ -1,7 +1,10 @@
 """SVG emitter: determinism and basic structure."""
 
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 from cutoff_lab.svg import line_plot
@@ -45,3 +48,23 @@ def test_constant_series_ok(tmp_path):
     path = tmp_path / "p.svg"
     line_plot(path, [("a", [0.0, 1.0], [3.0, 3.0])])
     assert "<polyline" in path.read_text()
+
+
+@pytest.mark.parametrize("lo,hi", [(1e16, 1e16), (0.0, 5e-324),
+                                   (0.0, 1.7e308), (2e-308, 3e-308)],
+                         ids=["past-2^53", "subnormal", "overflow", "tiny"])
+def test_degenerate_x_range(tmp_path, lo, hi):
+    # A span lost in rounding, one that underflows and one that overflows
+    # all give an axis with finite coordinates, and no warning: the
+    # profile of analyze --tgrid lo:hi:2, with a tmix marker off the axis.
+    path = tmp_path / "p.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_plot(path, [("tv", list(np.linspace(lo, hi, 2)), [0.9, 0.1])],
+                  vlines=[("tmix", 2.5)])
+    text = path.read_text()
+    coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', text)
+    points = re.search(r'points="([^"]*)"', text).group(1)
+    coords += re.split(r"[ ,]", points)
+    assert len(coords) > 20
+    assert all(math.isfinite(float(c)) for c in coords)
