@@ -1,6 +1,9 @@
 """Ollivier-Ricci curvature via W1 transport LPs solved by HiGHS, each value
 checked against its dual objective to DUALITY_TOL, and Bakry-Emery
-curvature via one Schur complement per vertex.
+curvature via one Schur complement per vertex, both as array programs: the
+edge LPs run on the reduced supports of P(x,.) - P(y,.), read for all
+edges at once, and the vertices' Schur complements are built in batches of
+one form shape, with one eigvalsh per batch.
 
 The LPs go to the HiGHS binding that scipy bundles,
 ``scipy.optimize._highspy._core``, which this module loads at import as
@@ -11,7 +14,11 @@ ImportError.
 
 The LP value is HiGHS's (see ``linprog``), not exact W1: HiGHS works to its
 feasibility tolerances, and on a drifting birth-death chain its value was
-measured up to 2.2e-5 relative below W1 (ROADMAP D13).
+measured up to 2.2e-5 relative below W1 (ROADMAP D13).  Where P has entries
+below the 1e-7 primal feasibility tolerance, an LP may leave that mass
+unmoved: on random chains with entries from 1e-12 to 1e-3, one-step W1
+values came out up to 1.9e-7 off the exact ones, on full rows and on the
+reduced supports alike.
 
 The Ollivier value reported is the one-step edge minimum, which lower-bounds
 the semigroup-level constant by convexity of W1 and the triangle inequality.
@@ -51,8 +58,13 @@ DUALITY_TOL = 1e-8
 # for the tree bound U >= W1; 1e-6 leaves 9x headroom over that.
 _SCREEN_MARGIN = 1e-6
 # Transport variables per shared LP in ollivier_curvature: large enough to
-# amortize the solver set-up, small enough that a batch stays cheap.
+# amortize the solver set-up, small enough that a batch stays cheap.  On the
+# reduced blocks, 512 to 2048 tie and 256 or 4096 are up to 1.5x slower.
 _LP_VARS = 1024
+# Entries of one stacked array in bakry_emery_curvature: a run of vertices
+# gathers at most this many 2-ball states, and a batch of one form shape
+# at most this many ball x ball entries or CSR entries (4 MiB of float64).
+_BE_ENTRIES = 2 ** 19
 _OPTIMAL = highs.HighsModelStatus.kOptimal
 _DUAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
@@ -91,14 +103,17 @@ class CurvatureReport:
 # ---------------------------------------------------------------------------
 
 def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
-            primal_tol: Optional[float] = None):
+            primal_tol: Optional[float] = None, presolve: bool = True):
     """Solve min c.x s.t. A x = b, x >= 0 with HiGHS, where column j of A
     has unit entries in rows index[2j] < index[2j+1] and no others.
 
     The model goes straight to the HiGHS binding that scipy bundles, with
     the options ``scipy.optimize.linprog(method="highs")`` sets (dual
-    simplex, presolve on), so the solution is bit for bit that wrapper's.
-    ``primal_tol`` overrides the 1e-7 primal feasibility tolerance.
+    simplex, presolve on unless ``presolve`` is False), so the solution is
+    bit for bit that wrapper's at the same ``presolve`` option.  Presolve
+    is off for ollivier_curvature's small reduced blocks, which it only
+    slows, and on for every other LP.  ``primal_tol`` overrides the 1e-7
+    primal feasibility tolerance.
     Returns (model status, x, row duals); x and the duals are None unless
     the status is optimal.
     """
@@ -117,7 +132,7 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     lp.col_upper_ = [math.inf] * n
     lp.row_lower_ = lp.row_upper_ = b.tolist()
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if presolve else "off"
     options.simplex_strategy = _DUAL_SIMPLEX
     options.output_flag = options.log_to_console = False
     if primal_tol is not None:
@@ -133,54 +148,58 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     return status, np.array(solution.col_value), np.array(solution.row_dual)
 
 
-def _w1_restricted(pairs, metric: MetricData):
-    """Solve the transportation LPs of several (mu, nu) pairs together, as
-    one block-diagonal LP on their restricted supports.
+def _support(v: np.ndarray):
+    """The positive entries of a dense vector, as a batch of one."""
+    states = np.flatnonzero(v > 0)
+    return np.array([0, len(states)]), states, v[states]
 
-    Block b has the rows of its mu marginals, then of its nu marginals, and
-    the columns i*k + j (mass from sup_mu[i] to sup_nu[j]).  Returns one
-    (value, plan, dual_u, dual_v, sup_mu, sup_nu) per pair, where ``plan``
-    is the m x k optimal transport matrix, ``value`` the sequential sum of
-    cost times plan, and the duals satisfy u_i + v_j <= dist(i,j) and
-    mu.u + nu.v = value within DUALITY_TOL.  The costs are the metric's
-    block on sup_mu x sup_nu.
+
+def _w1_restricted(mu, nu, metric: MetricData, presolve: bool = True):
+    """Solve the transportation LPs of a batch of (mu, nu) pairs together,
+    as one block-diagonal LP on their supports.
+
+    ``mu`` and ``nu`` are batches (ptr, states, masses) of sparse vectors,
+    vector b holding the masses at states[ptr[b]:ptr[b + 1]], and pair b is
+    their vectors b.  Block b has the rows of its mu marginals, then of its
+    nu marginals, and the columns i*k + j (mass from mu's i-th state to
+    nu's j-th); costs, index and marginals of all blocks are built at
+    once, with the metric read elementwise.  Returns (values, x, duals):
+    block b's ``value`` is the sequential sum of cost times plan over its
+    columns, and its duals u_i + v_j <= dist(i,j) satisfy
+    mu.u + nu.v = value within DUALITY_TOL.
     """
-    blocks, costs, index, marginals = [], [], [], []
-    n_rows = n_vars = 0
-    for mu, nu in pairs:
-        sup_mu = np.nonzero(mu > 0)[0]
-        sup_nu = np.nonzero(nu > 0)[0]
-        m, k = len(sup_mu), len(sup_nu)
-        costs.append(metric.block(sup_mu, sup_nu).astype(np.float64).ravel())
-        index.append(np.stack([n_rows + np.repeat(np.arange(m), k),
-                               n_rows + m + np.tile(np.arange(k), m)],
-                              axis=1).ravel())
-        marginals += [mu[sup_mu], nu[sup_nu]]
-        blocks.append((n_vars, n_rows, sup_mu, sup_nu))
-        n_rows += m + k
-        n_vars += m * k
-    c = np.concatenate(costs)
-    index = np.concatenate(index)
-    b = np.concatenate(marginals)
-    status, x_all, duals = linprog(c, index, b)
+    (mp, ms, mw), (npt, ns, nw) = mu, nu
+    m, k = np.diff(mp), np.diff(npt)
+    size = m * k
+    var0 = np.cumsum(size) - size
+    row0 = np.cumsum(m + k) - m - k
+    blk = np.repeat(np.arange(len(m)), size)
+    local = np.arange(size.sum()) - var0[blk]        # i*k + j in the block
+    i, j = np.divmod(local, k[blk])
+    c = metric.at(ms[mp[blk] + i], ns[npt[blk] + j]).astype(np.float64)
+    index = np.stack([row0[blk] + i, row0[blk] + m[blk] + j], axis=1).ravel()
+    b = np.empty(len(mw) + len(nw))
+    b[np.arange(len(mw)) + np.repeat(row0 - mp[:-1], m)] = mw
+    b[np.arange(len(nw)) + np.repeat(row0 + m - npt[:-1], k)] = nw
+    status, x, duals = linprog(c, index, b, presolve=presolve)
     if status != _OPTIMAL:
         # HiGHS can declare a feasible transport LP infeasible at its default
         # 1e-7 primal feasibility tolerance (full-support heat-kernel rows).
-        status, x_all, duals = linprog(c, index, b, primal_tol=1e-9)
+        status, x, duals = linprog(c, index, b, primal_tol=1e-9,
+                                   presolve=presolve)
     if status != _OPTIMAL:
         raise CertificateFailed(
             f"transport LP failed: HiGHS model status {status.name}")
-    out = []
-    for v0, r0, sup_mu, sup_nu in blocks:
-        m, k = len(sup_mu), len(sup_nu)
-        x = x_all[v0:v0 + m * k]
-        value = float(np.cumsum(c[v0:v0 + m * k] * x)[-1])
-        y = duals[r0:r0 + m + k]
-        gap = abs(b[r0:r0 + m + k] @ y - value)
-        if gap > DUALITY_TOL:
-            raise CertificateFailed(f"transport LP duality gap {gap:.3g}")
-        out.append((value, x.reshape(m, k), y[:m], y[m:], sup_mu, sup_nu))
-    return out
+    # Each block's cost times plan, left-aligned in a zero-padded row: the
+    # row's running sum ends at the block's sequential sum.
+    terms = np.zeros((len(m), int(size.max())))
+    terms[blk, local] = c * x
+    values = np.cumsum(terms, axis=1)[:, -1]
+    gaps = np.abs(np.add.reduceat(b * duals, row0) - values)
+    if np.any(gaps > DUALITY_TOL):
+        raise CertificateFailed(
+            f"transport LP duality gap {gaps.max():.3g}")
+    return values, x, duals
 
 
 def wasserstein1(mu: Distribution, nu: Distribution,
@@ -193,13 +212,16 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     """
     if mu.n != nu.n or mu.n != metric.n:
         raise DimensionMismatch("mu, nu and metric must share the state set")
-    [(value, x, _, v, sup_mu, sup_nu)] = _w1_restricted(
-        [(mu.probs, nu.probs)], metric)
+    batch_mu, batch_nu = _support(mu.probs), _support(nu.probs)
+    [value], x, duals = _w1_restricted(batch_mu, batch_nu, metric)
+    sup_mu, sup_nu = batch_mu[1], batch_nu[1]
+    x = x.reshape(len(sup_mu), len(sup_nu))
     plan = [(int(sup_mu[i]), int(sup_nu[j]), float(x[i, j]))
             for i, j in zip(*np.nonzero(x > 1e-14))]
-    potential = np.min(metric.block(np.arange(mu.n), sup_nu) - v[None, :],
-                       axis=1)
-    return TransportPlan(plan=plan, value=value, dual_potential=potential)
+    potential = np.min(metric.block(np.arange(mu.n), sup_nu)
+                       - duals[len(sup_mu):][None, :], axis=1)
+    return TransportPlan(plan=plan, value=float(value),
+                         dual_potential=potential)
 
 
 def _tree_w1_bounds(P: StochasticMatrix, K: np.ndarray, pairs) -> np.ndarray:
@@ -248,6 +270,61 @@ def _edges_at(P: StochasticMatrix, starts) -> list:
     return [(x, y) for x, y in P.edges() if x in keep or y in keep]
 
 
+def _differences(P: StochasticMatrix, xs: np.ndarray, ys: np.ndarray):
+    """The positive and negative parts of P(x,.) - P(y,.) for each pair
+    (x, y) = (xs[e], ys[e]), from the CSR rows.
+
+    Returns (live, pos, neg): the pairs whose difference has both parts,
+    and those parts of the live pairs, in order, as batches (see
+    _w1_restricted).  Each entry is P(x,z) - P(y,z) rounded once.  A pair
+    that is not live has equal rows, or rows that differ on one side only,
+    by the rounding of their sums."""
+    A, n = P.csr, P.n
+    at_x, count_x = A.gather(xs)
+    at_y, count_y = A.gather(ys)
+    owner = np.concatenate([np.repeat(np.arange(len(xs)), count_x),
+                            np.repeat(np.arange(len(ys)), count_y)])
+    key = owner * np.int64(n) + np.concatenate([A.indices[at_x],
+                                                A.indices[at_y]])
+    order = np.argsort(key, kind="stable")        # P(x,z) before -P(y,z)
+    key = key[order]
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    diff = np.add.reduceat(np.concatenate([A.data[at_x],
+                                           -A.data[at_y]])[order], first)
+    owner, state = np.divmod(key[first], n)
+    sides = (diff > 0, diff < 0)
+    live = np.ones(len(xs), dtype=bool)
+    for side in sides:
+        live &= np.bincount(owner[side], minlength=len(xs)) > 0
+    rank = np.cumsum(live) - 1
+    parts = []
+    for side in sides:
+        side &= live[owner]
+        parts.append((np.searchsorted(rank[owner[side]],
+                                      np.arange(live.sum() + 1)),
+                      state[side], np.abs(diff[side])))
+    return np.flatnonzero(live), *parts
+
+
+def _runs(sizes: list, budget: int) -> list:
+    """(lo, hi) ranges that cut ``sizes`` into runs of consecutive items
+    whose sizes sum to at most ``budget``; a larger item is a run alone."""
+    cuts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > cuts[-1] and total + size > budget:
+            cuts.append(i)
+            total = 0
+        total += size
+    return list(zip(cuts, cuts[1:] + [len(sizes)])) if sizes else []
+
+
+def _rows(batch, lo: int, hi: int):
+    """Vectors lo..hi-1 of a batch (ptr, states, masses)."""
+    ptr, states, masses = batch
+    return (ptr[lo:hi + 1] - ptr[lo], states[ptr[lo]:ptr[hi]],
+            masses[ptr[lo]:ptr[hi]])
+
+
 def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     """One-step Ollivier curvature kappa(x,y) = 1 - W1(P(x,.), P(y,.)) on
     every support edge, or on the edges with an endpoint in ``starts``;
@@ -255,32 +332,28 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
 
     On a vertex-transitive chain an automorphism of P carries every edge
     onto an edge at a start vertex, so the start set's minimum is the
-    global one.  The edge LPs are solved in shared LPs of at most
-    ``_LP_VARS`` transport variables each (a larger single edge gets an LP
-    of its own).
+    global one.  By Kantorovich-Rubinstein duality W1(mu, nu) depends only
+    on mu - nu, so each edge's LP transports the positive part of
+    P(x,.) - P(y,.) onto its negative part, on their disjoint supports;
+    an edge whose rows are equal (see _differences) moves nothing and has
+    kappa = 1.  The edge LPs are solved with presolve off, in shared LPs of
+    at most ``_LP_VARS`` transport variables each (a larger single edge
+    gets an LP of its own).
     """
     if not P.symmetric_support:
         raise AsymmetricSupport("Ollivier curvature requires symmetric support")
     if not P.irreducible:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
-    metric = P.metric
     edges = _edges_at(P, starts)
-    ends = np.flatnonzero(np.bincount(np.ravel(edges)))
-    E = dict(zip(ends.tolist(), P.csr.dense_rows(ends)))     # rows P(x, .)
-    sizes = {x: np.count_nonzero(row > 0) for x, row in E.items()}
-    batches, n_vars = [[]], 0
-    for (x, y) in edges:
-        size = int(sizes[x] * sizes[y])
-        if batches[-1] and n_vars + size > _LP_VARS:
-            batches.append([])
-            n_vars = 0
-        batches[-1].append((x, y))
-        n_vars += size
-    kappas = {}
-    for batch in batches:
-        blocks = _w1_restricted([(E[x], E[y]) for x, y in batch], metric)
-        for edge, (value, *_) in zip(batch, blocks):
-            kappas[edge] = 1.0 - value
+    xs, ys = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    live, pos, neg = _differences(P, xs, ys)
+    sizes = (np.diff(pos[0]) * np.diff(neg[0])).tolist()
+    w1 = np.zeros(len(edges))
+    for lo, hi in _runs(sizes, _LP_VARS):
+        w1[live[lo:hi]] = _w1_restricted(_rows(pos, lo, hi),
+                                         _rows(neg, lo, hi), P.metric,
+                                         presolve=False)[0]
+    kappas = dict(zip(edges, (1.0 - w1).tolist()))
     return CurvatureReport(ollivier_edges=kappas,
                            ollivier_min=min(kappas.values()))
 
@@ -303,94 +376,156 @@ def gamma2_form(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
     return 0.5 * generator_apply(P, g) - gamma_form(P, f, generator_apply(P, f))
 
 
-def _ball_block(P: StochasticMatrix, ball: np.ndarray) -> np.ndarray:
-    """The dense P[ball, ball] for sorted ``ball``, from its CSR rows."""
-    ind = P.csr.indices
-    at, counts = P.csr.gather(ball)
-    j = np.searchsorted(ball, ind[at])
-    hit = ball[np.minimum(j, len(ball) - 1)] == ind[at]
-    S = np.zeros((len(ball), len(ball)))
-    rows = np.repeat(np.arange(len(ball)), counts)
-    S[rows[hit], j[hit]] = P.csr.data[at[hit]]
-    return S
+def _two_balls(P: StochasticMatrix, xs: np.ndarray):
+    """The support 2-balls of the states ``xs``, sorted, as a batch
+    (ptr, states): x's ball is states[ptr[i]:ptr[i + 1]] for x = xs[i]."""
+    adj, n = P.adjacency, P.n
+    at, counts = adj.gather(xs)
+    ring = adj.indices[at]
+    at2, counts2 = adj.gather(ring)
+    own = np.repeat(np.arange(len(xs)), counts)      # the x of each y
+    key = np.sort(np.concatenate([np.arange(len(xs)), own,
+                                  np.repeat(own, counts2)]) * np.int64(n)
+                  + np.concatenate([xs, ring, adj.indices[at2]]))
+    owner, states = np.divmod(key[np.append(True, key[1:] != key[:-1])], n)
+    return np.searchsorted(owner, np.arange(len(xs) + 1)), states
 
 
-def _local_quadratic_forms(P: StochasticMatrix, x: int):
-    """Matrices (A, B, ball) of the local forms Gamma2(.,.)(x) and
-    Gamma(.,.)(x) for observables restricted to the 2-ball of x.
+def _schur_forms(P: StochasticMatrix, xs: np.ndarray, balls: np.ndarray):
+    """The scaled Schur complements of bakry_emery_vertex at the states
+    ``xs`` (G,), whose sorted 2-balls ``balls`` (G, b) all have b states
+    and whose out-degrees are all d; each vertex's arithmetic is the same
+    whichever others share its batch.
 
     On the ball, with p_y the off-diagonal row of P at y (complete for y in
     the 1-ball), Gamma(.,.)(y) has the matrix
     G_y = 1/2 (diag p_y - p_y e_y^T - e_y p_y^T + |p_y| e_y e_y^T), and
     Gamma(., L.)(x) the matrix C = 1/2 sum_y P(x,y)(e_y - e_x)(L_y - L_x)^T
-    with L_y the generator row at y.  B = G_x and
-    A = 1/2 sum_{y != x} P(x,y) G_y - 1/2 G_x - 1/2 (C + C^T).  The holding
-    term 1/2 P(x,x) G_x of 1/2 L Gamma(x) is not in A, so on a lazy chain
-    kappa(x) is the exact infimum minus P(x,x)/2, a lower bound.
+    with L_y the generator row at y.  Gamma(.,.)(x) has B = G_x and
+    Gamma2(.,.)(x) has A = 1/2 sum_{y != x} P(x,y) G_y - 1/2 G_x
+    - 1/2 (C + C^T).  The holding term 1/2 P(x,x) G_x of 1/2 L Gamma(x) is
+    not in A, so on a lazy chain kappa(x) is the exact infimum minus
+    P(x,x)/2, a lower bound.
+
+    Returns (M, r, A_nf, a, near, far): near (G, d) and far (G, f) are the
+    ball positions of the out-neighbours of x and of the rest of the ball
+    but x, a (G, f) the diagonal of A on far, A_nf (G, d, f) its near x far
+    block, r = (P(x, near)/2)^-1/2 and M = r S r for the Schur complement
+    S = A_nn - A_nf diag(a)^-1 A_fn.
     """
-    ind, ptr = P.adjacency.indices, P.adjacency.indptr
-    n1 = ind[ptr[x]:ptr[x + 1]]
-    ball = np.flatnonzero(np.bincount(np.concatenate(
-        [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1])))
-    ix = int(np.searchsorted(ball, x))
-    S = _ball_block(P, ball)
-    W = S - np.diag(np.diag(S))
-    dL = S - np.eye(len(ball))
-    dL -= dL[ix]                         # rows L_y - L_x
+    G, b = balls.shape
+    g = np.arange(G)
+    rows = np.repeat(g, b)
+    key = rows * np.int64(P.n) + balls.ravel()       # ascending
+    adj = P.adjacency
+    at, counts = adj.gather(xs)
+    near = (np.searchsorted(key, np.repeat(g, counts) * np.int64(P.n)
+                            + adj.indices[at]) % b).reshape(G, -1)
+    ix = np.searchsorted(key, g * np.int64(P.n) + xs) % b
+    r = 1.0 / np.sqrt(0.5 * adj.data[at].reshape(G, -1))
+    outside = np.ones((G, b), dtype=bool)
+    outside[g[:, None], near] = outside[g, ix] = False
+    far = np.nonzero(outside)[1].reshape(G, -1)
+    # P[ball, ball] from the CSR rows of each ball's states.
+    at, counts = P.csr.gather(balls.ravel())
+    cols = np.repeat(rows, counts) * np.int64(P.n) + P.csr.indices[at]
+    j = np.minimum(np.searchsorted(key, cols), G * b - 1)
+    hit = key[j] == cols
+    S = np.zeros(G * b * b)
+    S[(np.repeat(np.arange(G * b), counts) * b + j % b)[hit]] = \
+        P.csr.data[at[hit]]
+    S = S.reshape(G, b, b)
+    diag = np.arange(b)
+    W = S.copy()
+    W[:, diag, diag] = 0.0
+    dL = S - np.eye(b)
+    dL -= dL[g, ix][:, None, :]                      # rows L_y - L_x
 
     def gamma_sum(c):
-        # Matrix of sum_y c_y Gamma(.,.)(y).
-        D = c[:, None] * W
-        return 0.5 * (np.diag(c @ W + D.sum(axis=1)) - (D + D.T))
+        # Matrices of sum_y c_y Gamma(.,.)(y), for c of shape (G, b).
+        D = c[:, :, None] * W
+        out = np.zeros((G, b, b))
+        out[:, diag, diag] = (c[:, None, :] @ W)[:, 0] + D.sum(axis=2)
+        out -= D + D.transpose(0, 2, 1)
+        return 0.5 * out
 
-    w = W[ix]
-    B = gamma_sum(np.eye(len(ball))[ix])
-    C = w[:, None] * dL
-    C[ix] -= w @ dL
-    A = 0.5 * gamma_sum(w) - 0.5 * B - 0.25 * (C + C.T)
-    return A, B, ball
+    w = W[g, ix]
+    e = np.zeros((G, b))
+    e[g, ix] = 1.0
+    B = gamma_sum(e)
+    C = w[:, :, None] * dL
+    C[g, ix] -= (w[:, None, :] @ dL)[:, 0]
+    A = 0.5 * gamma_sum(w) - 0.5 * B - 0.25 * (C + C.transpose(0, 2, 1))
+    g = g[:, None, None]
+    A_nf = A[g, near[:, :, None], far[:, None, :]]
+    a = A[g[:, 0], far, far]
+    S = A[g, near[:, :, None], near[:, None, :]] \
+        - (A_nf / a[:, None, :]) @ A_nf.transpose(0, 2, 1)
+    return r[:, :, None] * S * r[:, None, :], r, A_nf, a, near, far
 
 
 def bakry_emery_vertex(P: StochasticMatrix, x: int):
     """Exact kappa(x) = inf_f Gamma2(f,f)(x) / Gamma(f,f)(x), plus a
-    minimizing observable (length n, supported on the 2-ball).
+    minimizing observable (length n, supported on the 2-ball): the batch
+    of one of bakry_emery_curvature, so kappa(x) is its value bit for bit.
 
     Both forms ignore constants, so f(x) = 0.  On the out-neighbours y of x
     (near), Gamma(.,.)(x) is D = diag(P(x,y)/2); it is zero on the rest of
     the 2-ball (far), where the Gamma2 block is diagonal with entries
     a_z = 1/4 sum_y P(x,y) P(y,z) > 0.  Minimizing over f_far leaves
     f_far = -A_fn f_near / a and the Schur complement
-    S = A_nn - A_nf diag(a)^-1 A_fn, so
+    S = A_nn - A_nf diag(a)^-1 A_fn (see _schur_forms), so
     kappa(x) = lambda_min(D^-1/2 S D^-1/2) and f_near = D^-1/2 v.
     """
-    A, _, ball = _local_quadratic_forms(P, x)
     adj = P.adjacency
-    lo, hi = adj.indptr[x], adj.indptr[x + 1]
-    if lo == hi:
+    if adj.indptr[x] == adj.indptr[x + 1]:
         raise NotIrreducible(f"state {x} has no out-neighbour")
-    near = np.searchsorted(ball, adj.indices[lo:hi])
-    far = np.delete(np.arange(len(ball)),
-                    np.append(near, np.searchsorted(ball, x)))
-    A_nf = A[np.ix_(near, far)]
-    a = np.diagonal(A)[far]
-    S = A[np.ix_(near, near)] - (A_nf / a) @ A_nf.T
-    r = 1.0 / np.sqrt(0.5 * adj.data[lo:hi])
-    evals, evecs = np.linalg.eigh(r[:, None] * S * r[None, :])
-    f_near = r * evecs[:, 0]
+    xs = np.array([x])
+    ball = _two_balls(P, xs)[1]
+    M, r, A_nf, a, near, far = _schur_forms(P, xs, ball[None, :])
+    f_near = r[0] * np.linalg.eigh(M[0])[1][:, 0]
     f = np.zeros(P.n)
-    f[ball[near]] = f_near
-    f[ball[far]] = -(f_near @ A_nf) / a
-    return float(evals[0]), f
+    f[ball[near[0]]] = f_near
+    f[ball[far[0]]] = -(f_near @ A_nf[0]) / a[0]
+    return float(np.linalg.eigvalsh(M)[0, 0]), f
 
 
 def bakry_emery_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     """Per-vertex Bakry-Emery curvature kappa(x) of bakry_emery_vertex, at
     every vertex or at the vertices of ``starts`` (on a vertex-transitive
     chain, kappa(x) is the same at every x); global value is the minimum.
+
+    The vertices go in runs whose 2-ball gathers stay within
+    ``_BE_ENTRIES`` entries; in a run, the vertices whose 2-ball size and
+    out-degree agree share each stacked step of _schur_forms and one
+    eigvalsh, in batches whose ball x ball forms (and CSR gathers) stay
+    within ``_BE_ENTRIES`` entries.
     """
     if not P.irreducible:
         raise NotIrreducible("Bakry-Emery curvature requires irreducibility")
-    kappas = {x: bakry_emery_vertex(P, x)[0] for x in _vertices(P, starts)}
+    xs = np.array(_vertices(P, starts), dtype=np.int64)
+    adj, rowlen = P.adjacency, np.diff(P.csr.indptr)
+    degree = np.diff(adj.indptr)
+    # 1 + d(x) + sum of d(y) over the out-neighbours y: the 2-ball gather.
+    ends = np.cumsum(np.append(0, degree[adj.indices]))[adj.indptr]
+    reach = 1 + degree + np.diff(ends)
+    kappa = np.empty(len(xs))
+    for lo, hi in _runs(reach[xs].tolist(), _BE_ENTRIES):
+        ptr, states = _two_balls(P, xs[lo:hi])
+        size, d = np.diff(ptr), degree[xs[lo:hi]]
+        ends = np.cumsum(np.append(0, rowlen[states]))[ptr]
+        cost = np.maximum(size * size, np.diff(ends))
+        order = np.lexsort((d, size))
+        shape = np.stack([size[order], d[order]])
+        bounds = np.flatnonzero(np.any(shape[:, 1:] != shape[:, :-1], axis=0))
+        for group in np.split(order, bounds + 1):
+            b = int(size[group[0]])
+            for glo, ghi in _runs(cost[group].tolist(), _BE_ENTRIES):
+                members = group[glo:ghi]
+                balls = states[ptr[members][:, None] + np.arange(b)]
+                M = _schur_forms(P, xs[lo + members], balls)[0]
+                kappa[lo + members] = np.linalg.eigvalsh(M)[:, 0]
+    kappas = dict(zip(xs.tolist(), kappa.tolist()))
     return CurvatureReport(bakry_emery_vertices=kappas,
                            bakry_emery_min=min(kappas.values()))
 
@@ -458,7 +593,8 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
                 if (worst is not None
                         and decay - bound - _SCREEN_MARGIN > worst.slack):
                     continue
-                [(value, *_)] = _w1_restricted([(K[x], K[y])], metric)
+                [value], _, _ = _w1_restricted(_support(K[x]),
+                                               _support(K[y]), metric)
                 cand = make_verdict("w1-contraction", value, decay,
                                     t=t, kappa=kappa, edge=(x, y))
                 if worst is None or cand.slack < worst.slack - VERDICT_TOL:

@@ -67,21 +67,23 @@ class GroupSpec:
         f = np.array(self.factors, dtype=np.int64)
         return self.encode((-self.decode(a)) % f)
 
+    def add(self, a, b) -> np.ndarray:
+        """Elementwise a + b, broadcast: a ^ b when every factor is 2, else
+        one factor at a time."""
+        a = np.asarray(a, dtype=np.int32)
+        b = np.asarray(b, dtype=np.int32)
+        if set(self.factors) == {2}:
+            return a ^ b
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
+        for m, w in zip(self.factors, self._weights().tolist()):
+            out += (a // w % m + b // w % m) % m * w
+        return out
+
     def sums(self, gs, xs=None) -> np.ndarray:
         """The (len(xs), len(gs)) table of x + g for x in ``xs`` (every
-        element when None) and g in ``gs``: x ^ g when every factor is 2,
-        else one factor at a time."""
-        x = np.asarray(np.arange(self.N) if xs is None else xs,
-                       dtype=np.int32)
-        gs = np.asarray(gs, dtype=np.int32)
-        if set(self.factors) == {2}:
-            return np.bitwise_xor.outer(x, gs)
-        out = np.zeros((x.size, gs.size), dtype=np.int32)
-        for m, w, c, d in zip(self.factors, self._weights().tolist(),
-                              self.decode(x).T.astype(np.int32),
-                              self.decode(gs).T.astype(np.int32)):
-            out += (c[:, None] + d) % m * w
-        return out
+        element when None) and g in ``gs``."""
+        x = np.arange(self.N) if xs is None else np.asarray(xs)
+        return self.add(x[:, None], np.asarray(gs)[None, :])
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":

@@ -18,8 +18,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-# Axis spans are finite, at least _MIN_SPAN and at least _REL_SPAN of the
-# larger bound: then a tick step is normal and moves a tick past its ulp.
+# Axis spans are at least _MIN_SPAN and at least _REL_SPAN of the larger
+# bound, and finite unless the values' own range is not: then a tick step
+# is normal and moves a tick past its ulp.
 _MAX, _MIN_SPAN, _REL_SPAN = sys.float_info.max, 1e-300, 2.0 ** -46
 
 
@@ -32,15 +33,29 @@ def _bounds(values, pad=0.05):
         return lo, hi
     # A span lost in rounding, underflowing or overflowing: one as above,
     # centred on the values, below the largest double (in Python floats,
-    # which overflow to inf with no warning).
+    # which overflow to inf with no warning), unless the values' own range
+    # passes it: then the axis is the values' range (see _frac, _ticks).
     mid = 0.5 * a + 0.5 * b
     half = min(max((0.5 + pad) * (b - a), _REL_SPAN * abs(mid), _MIN_SPAN),
                0.499 * _MAX)
-    return max(mid - half, -_MAX), min(mid + half, _MAX)
+    return min(max(mid - half, -_MAX), a), max(min(mid + half, _MAX), b)
+
+
+def _frac(v, lo, hi):
+    """(v - lo) / (hi - lo) for finite v, lo < hi, from their halves where
+    a difference overflows."""
+    v = float(v)
+    if math.isfinite(v - lo) and math.isfinite(hi - lo):
+        return (v - lo) / (hi - lo)
+    return (0.5 * v - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
 
 
 def _ticks(lo, hi, n=6):
     span = hi - lo
+    if not math.isfinite(span):
+        # Twice the ticks of the halved axis; none past the largest double.
+        return [2.0 * v for v in _ticks(0.5 * lo, 0.5 * hi, n)
+                if abs(v) <= 0.5 * _MAX]
     step = 10.0 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= n:
@@ -71,10 +86,10 @@ def line_plot(path, series, title="", xlabel="", ylabel="", vlines=()):
     y_lo, y_hi = _bounds(ys_all or [0.0])
 
     def sx(x):
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + _frac(x, x_lo, x_hi) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def sy(y):
-        return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * \
+        return HEIGHT - MARGIN_B - _frac(y, y_lo, y_hi) * \
             (HEIGHT - MARGIN_T - MARGIN_B)
 
     parts = [
@@ -110,7 +125,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", vlines=()):
                  f'font-family="monospace" font-size="13" '
                  f'transform="rotate(-90 16 {HEIGHT // 2})">{ylabel}</text>')
     for label, x in vlines:
-        px = sx(float(x))
+        px = sx(x)
         if not math.isfinite(px):   # so far off the axis that px overflowed
             continue                # (to inf, as a Python float: no warning)
         parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(MARGIN_T)}" '

@@ -238,6 +238,9 @@ class TestSupportGraph:
         assert P.symmetric_support == bool(np.array_equal(adj, adj.T))
         f = np.random.default_rng(seed).standard_normal(n)
         assert P.lip_norm(f) == max(abs(f[x] - f[y]) for x, y in pairs)
+        # 1100 rows take 14 differences per block: several blocks.
+        F = np.random.default_rng(seed).standard_normal((1100, n))
+        assert P.lip_norms(F).tolist() == [P.lip_norm(g) for g in F]
         if not P.symmetric_support:
             with pytest.raises(AsymmetricSupport):
                 P.edges()

@@ -24,8 +24,8 @@ from scipy.sparse import csr_matrix
 from cutoff_lab import curvature
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               metric_data, stationary)
-from cutoff_lab.curvature import (_local_quadratic_forms,
-                                  bakry_emery_curvature, bakry_emery_vertex,
+from cutoff_lab.curvature import (CurvatureReport, bakry_emery_curvature,
+                                  bakry_emery_vertex,
                                   contraction_check, full_curvature_report,
                                   gamma2_form, generator_apply,
                                   ollivier_curvature, subcommutativity_check,
@@ -256,14 +256,19 @@ class TestOllivier:
     @pytest.mark.parametrize("lp_vars", [curvature._LP_VARS, 50])
     def test_shared_lps_match_per_edge_w1(self, monkeypatch, lp_vars):
         # At 50 variables an LP holds three hypercube(4) blocks (16
-        # variables each) or two lazy ones (25), and each complete(20)
-        # block (361) goes over the budget alone.
+        # variables each, lazy or not) and a complete(20) block is one
+        # variable (1/19 moved from y to x); the rows of a randomly
+        # weighted complete graph on 16 states differ everywhere, and their
+        # blocks (about 8 x 8) each go over the budget alone.
         monkeypatch.setattr(curvature, "_LP_VARS", lp_vars)
         rng = np.random.default_rng(7)
         chains = [hypercube(4).matrix, hypercube(4, 0.5).matrix,
                   cycle(10).matrix, complete_graph(20).matrix,
                   birth_death([0.35] * 11, [0.15] * 11).matrix]
         chains += [random_connected_chain(rng, int(n)) for n in (5, 12, 30)]
+        W = rng.uniform(0.5, 1.5, (16, 16))
+        W = W + W.T
+        chains.append(StochasticMatrix(W / W.sum(axis=1, keepdims=True)))
         for P in chains:
             rep = ollivier_curvature(P)
             assert set(rep.ollivier_edges) == set(P.edges())
@@ -290,13 +295,13 @@ class TestOllivier:
         # tolerance; a second one names HiGHS's model status.
         tols = []
 
-        def infeasible(c, index, b, primal_tol=None):
-            tols.append(primal_tol)
+        def infeasible(c, index, b, primal_tol=None, presolve=True):
+            tols.append((primal_tol, presolve))
             return highs.HighsModelStatus.kInfeasible, None, None
         monkeypatch.setattr(curvature, "linprog", infeasible)
         with pytest.raises(CertificateFailed, match="kInfeasible"):
             ollivier_curvature(cycle(6).matrix)
-        assert tols == [None, 1e-9]
+        assert tols == [(None, False), (1e-9, False)]
 
     def test_duality_gap_is_a_certificate_failure(self, monkeypatch):
         monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)
@@ -318,13 +323,14 @@ class TestOllivier:
 # ---------------------------------------------------------------------------
 
 def captured_lps(monkeypatch, run):
-    """The (c, index, b) of every transport LP that ``run()`` solves."""
+    """The (c, index, b, presolve) of every transport LP that ``run()``
+    solves."""
     lps = []
     solve = curvature.linprog
 
-    def capture(c, index, b, primal_tol=None):
-        lps.append((c, index, b))
-        return solve(c, index, b, primal_tol)
+    def capture(c, index, b, primal_tol=None, presolve=True):
+        lps.append((c, index, b, presolve))
+        return solve(c, index, b, primal_tol, presolve)
     with monkeypatch.context() as m:
         m.setattr(curvature, "linprog", capture)
         run()
@@ -340,14 +346,17 @@ def contraction_lps(monkeypatch, P):
     # solves it when the tree bound does not screen the edge out.
     K = heat_kernel(P, 0.5)
     return captured_lps(monkeypatch, lambda: [
-        curvature._w1_restricted([(K[x], K[y])], P.metric)
+        curvature._w1_restricted(curvature._support(K[x]),
+                                 curvature._support(K[y]), P.metric)
         for x, y in P.edges()])
 
 
 class TestDirectHighs:
     """curvature.linprog must return scipy linprog's HiGHS solution bit for
-    bit.  It drives the binding that scipy bundles, which is private, so a
-    scipy upgrade that changes the binding fails here first."""
+    bit at the same presolve option: off for Ollivier's edge LPs, on for
+    the contraction check's.  It drives the binding that scipy bundles,
+    which is private, so a scipy upgrade that changes the binding fails
+    here first."""
 
     @pytest.mark.parametrize("lps, tol", [
         (lambda mp: ollivier_lps(mp, hypercube(4).matrix), None),
@@ -362,13 +371,14 @@ class TestDirectHighs:
         cases = lps(monkeypatch)
         assert cases
         options = {} if tol is None else {"primal_feasibility_tolerance": tol}
-        for c, index, b in cases:
+        for c, index, b, presolve in cases:
             n = len(c)
             cols = np.repeat(np.arange(n), 2)
             A = csr_matrix((np.ones(2 * n), (index, cols)), shape=(len(b), n))
             ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
-                          method="highs", options=options)
-            status, x, duals = curvature.linprog(c, index, b, tol)
+                          method="highs",
+                          options=dict(options, presolve=presolve))
+            status, x, duals = curvature.linprog(c, index, b, tol, presolve)
             assert ref.success and status == highs.HighsModelStatus.kOptimal
             assert np.array_equal(x, ref.x)
             assert np.array_equal(duals, ref.eqlin.marginals)
@@ -482,10 +492,53 @@ class TestGamma2:
         assert np.allclose(generator_apply(P, np.ones(6)), 0.0)
 
 
+def local_quadratic_forms(P, x):
+    """Per-vertex oracle for the local forms: matrices (A, B, ball) of
+    Gamma2(.,.)(x) (less its holding term) and Gamma(.,.)(x) for
+    observables on the 2-ball of x, one vertex at a time, as the library
+    built them before it batched vertices (see curvature._schur_forms)."""
+    ind, ptr = P.adjacency.indices, P.adjacency.indptr
+    n1 = ind[ptr[x]:ptr[x + 1]]
+    ball = np.flatnonzero(np.bincount(np.concatenate(
+        [[x], n1] + [ind[ptr[y]:ptr[y + 1]] for y in n1])))
+    ix = int(np.searchsorted(ball, x))
+    S = P.entries[np.ix_(ball, ball)]
+    W = S - np.diag(np.diag(S))
+    dL = S - np.eye(len(ball))
+    dL -= dL[ix]                         # rows L_y - L_x
+
+    def gamma_sum(c):
+        # Matrix of sum_y c_y Gamma(.,.)(y).
+        D = c[:, None] * W
+        return 0.5 * (np.diag(c @ W + D.sum(axis=1)) - (D + D.T))
+
+    w = W[ix]
+    B = gamma_sum(np.eye(len(ball))[ix])
+    C = w[:, None] * dL
+    C[ix] -= w @ dL
+    A = 0.5 * gamma_sum(w) - 0.5 * B - 0.25 * (C + C.T)
+    return A, B, ball
+
+
+def oracle_kappa(P, x):
+    """kappa(x) from local_quadratic_forms: the least eigenvalue of the
+    scaled Schur complement on the out-neighbours of x."""
+    A, _, ball = local_quadratic_forms(P, x)
+    adj = P.adjacency
+    lo, hi = adj.indptr[x], adj.indptr[x + 1]
+    near = np.searchsorted(ball, adj.indices[lo:hi])
+    far = np.delete(np.arange(len(ball)),
+                    np.append(near, np.searchsorted(ball, x)))
+    A_nf = A[np.ix_(near, far)]
+    S = A[np.ix_(near, near)] - (A_nf / np.diagonal(A)[far]) @ A_nf.T
+    r = 1.0 / np.sqrt(0.5 * adj.data[lo:hi])
+    return float(np.linalg.eigvalsh(r[:, None] * S * r[None, :])[0])
+
+
 def check_bakry_emery(P, rng, n_f=40, attained=True):
     """Test-side oracle for bakry_emery_curvature, from the dense forms
-    gamma2_form and gamma_form and the support 2-ball, not from
-    _local_quadratic_forms.
+    gamma2_form and gamma_form and the support 2-ball, not from the local
+    forms.
 
     The exact infimum of Gamma2(f,f)(x) / Gamma(f,f)(x) is kappa(x) plus
     P(x,x)/2, the holding term the local forms leave out (ROADMAP D3).  At
@@ -577,7 +630,7 @@ class TestBakryEmery:
         P = sparse_chain(seed, n, symmetric, lazy)
         E = P.entries
         for x in range(n):
-            A, B, ball = _local_quadratic_forms(P, x)
+            A, B, ball = local_quadratic_forms(P, x)
             w = E[x].copy()
             w[x] = 0.0
             near = w[ball] > 0
@@ -595,9 +648,12 @@ class TestBakryEmery:
     def test_ball_is_the_support_two_ball(self, seed, n, symmetric, lazy):
         P = sparse_chain(seed, n, symmetric, lazy)
         step = np.eye(n) + (P.entries > 0)
+        ptr, states = curvature._two_balls(P, np.arange(n))
         for x in range(n):
-            _, _, ball = _local_quadratic_forms(P, x)
-            assert list(ball) == list(np.nonzero((step @ step)[x])[0])
+            assert list(states[ptr[x]:ptr[x + 1]]) == \
+                list(np.nonzero((step @ step)[x])[0])
+            assert list(local_quadratic_forms(P, x)[2]) == \
+                list(states[ptr[x]:ptr[x + 1]])
 
     def test_two_ball_locality(self):
         # Perturbing transition rates outside the 2-ball of x leaves
@@ -620,7 +676,7 @@ class TestBakryEmery:
         # chain.
         P = sparse_chain(seed, n, symmetric, lazy)
         for x in range(n):
-            A, B, ball = _local_quadratic_forms(P, x)
+            A, B, ball = local_quadratic_forms(P, x)
             E = np.eye(n)[ball]
 
             def polar(q):
@@ -679,12 +735,21 @@ class TestBakryEmery:
     def test_sampled_quotient_below_kappa_fails(self, monkeypatch):
         # kappa + 1e-6 is caught both by the minimizer, whose quotient no
         # longer attains it, and by the samples near the minimizer.
-        real = curvature.bakry_emery_vertex
+        real, real_report = (curvature.bakry_emery_vertex,
+                             curvature.bakry_emery_curvature)
 
         def inflated(P, x):
             kappa, f = real(P, x)
             return kappa + 1e-6, f
+
+        def inflated_report(P):
+            kappas = {x: k + 1e-6 for x, k in
+                      real_report(P).bakry_emery_vertices.items()}
+            return CurvatureReport(bakry_emery_vertices=kappas,
+                                   bakry_emery_min=min(kappas.values()))
         monkeypatch.setattr(curvature, "bakry_emery_vertex", inflated)
+        monkeypatch.setattr(curvature, "bakry_emery_curvature",
+                            inflated_report)
         with pytest.raises(AssertionError, match="attained"):
             check_bakry_emery(cycle(7).matrix, np.random.default_rng(0))
         with pytest.raises(AssertionError, match="sampled"):
@@ -692,21 +757,138 @@ class TestBakryEmery:
                               attained=False)
 
     def test_local_forms_built_once_per_vertex(self, monkeypatch):
+        # Every vertex of the 6-cycle has a 5-state 2-ball and 2
+        # out-neighbours, so its forms share one batch, split at a budget
+        # of 60 entries into runs of two 25-entry forms.
         calls = []
-        real = curvature._local_quadratic_forms
+        real = curvature._schur_forms
 
-        def counted(P, x):
-            calls.append(x)
-            return real(P, x)
-        monkeypatch.setattr(curvature, "_local_quadratic_forms", counted)
-        bakry_emery_curvature(cycle(6).matrix)
-        assert calls == list(range(6))
+        def counted(P, xs, balls):
+            calls.append(xs.tolist())
+            return real(P, xs, balls)
+        monkeypatch.setattr(curvature, "_schur_forms", counted)
+        for budget, batches in ((curvature._BE_ENTRIES, [[0, 1, 2, 3, 4, 5]]),
+                                (60, [[0, 1], [2, 3], [4, 5]]),
+                                (1, [[x] for x in range(6)])):
+            calls.clear()
+            monkeypatch.setattr(curvature, "_BE_ENTRIES", budget)
+            bakry_emery_curvature(cycle(6).matrix)
+            assert calls == batches
 
     def test_full_report_combines_both(self):
         rep = full_curvature_report(cycle(6).matrix)
         assert rep.ollivier_min is not None
         assert rep.bakry_emery_min is not None
         assert len(rep.bakry_emery_vertices) == 6
+
+
+# ---------------------------------------------------------------------------
+# Array forms against per-item oracles
+# ---------------------------------------------------------------------------
+
+def property_chain(seed, n, lazy, hubs, tiny, twins):
+    """Reversible chain on a weighted ring plus n // 3 random chords; with
+    ``hubs``, 1 + n // 8 states joined to every state; with ``tiny``, a
+    fifth of the weights scaled by 1e-12 to 1e-3; with ``twins``, states 0
+    and 1 adjacent with equal rows; a lazy chain holds with probability
+    0.1-0.6 at each state."""
+    rng = np.random.default_rng(seed)
+    ring = np.arange(n)
+    W = np.zeros((n, n))
+    W[ring, (ring + 1) % n] = rng.uniform(0.5, 1.5, n)
+    u, v = rng.integers(0, n, (2, n // 3))
+    W[u, v] = rng.uniform(0.5, 1.5, n // 3)
+    if hubs:
+        W[rng.choice(n, 1 + n // 8, replace=False)] = rng.uniform(0.5, 1.5, n)
+    W[ring, ring] = 0.0
+    W = W + W.T
+    if tiny:
+        scale = np.where(rng.random((n, n)) < 0.2,
+                         10.0 ** rng.uniform(-12, -3, (n, n)), 1.0)
+        W = W * np.minimum(scale, scale.T)
+    if twins:
+        W[0, 1] = W[1, 0] = 1.0
+        shared = np.flatnonzero(W[0] + W[1])
+        W[shared, :2] += W[shared, :2] == 0
+        W[:2, shared] = W[shared, :2].T
+    P = W / W.sum(axis=1, keepdims=True)
+    if lazy:
+        hold = rng.uniform(0.1, 0.6, n)
+        P = np.diag(hold) + (1.0 - hold)[:, None] * P
+    if twins:
+        row = np.where(P[0] + P[1] > 0, rng.uniform(0.5, 1.5, n), 0.0)
+        P[0] = P[1] = row / row.sum()
+    return StochasticMatrix(P)
+
+
+PROPERTY_CHAINS = given(st.integers(0, 2 ** 32 - 1), st.integers(3, 14),
+                        st.booleans(), st.booleans(), st.booleans(),
+                        st.booleans())
+
+
+class TestArrayForms:
+    """Ollivier's reduced-support LPs and the batched Bakry-Emery forms
+    against the per-item computations they replace."""
+
+    @settings(max_examples=60)
+    @PROPERTY_CHAINS
+    def test_reduced_ollivier_matches_full_rows(self, seed, n, lazy, hubs,
+                                                tiny, twins):
+        # To 1e-12 while every entry is far above HiGHS's 1e-7 primal
+        # feasibility tolerance.  Below it, each LP may leave up to 1e-7
+        # of a marginal unmoved, so the two values may differ by that
+        # much per row times the diameter (2.6e-7 was seen); the full-row
+        # LP may then also be called infeasible (ROADMAP D13), and that
+        # edge is not compared.
+        P = property_chain(seed, n, lazy, hubs, tiny, twins)
+        rep = ollivier_curvature(P)
+        assert set(rep.ollivier_edges) == set(P.edges())
+        E = P.entries
+        for (x, y), kappa in rep.ollivier_edges.items():
+            rows = np.count_nonzero(E[x]) + np.count_nonzero(E[y])
+            tol = 1e-12 + tiny * 1e-7 * rows * P.metric.diameter
+            try:
+                w1 = wasserstein1(Distribution(E[x]), Distribution(E[y]),
+                                  P.metric).value
+            except CertificateFailed:
+                assert tiny
+                continue
+            assert abs(kappa - (1.0 - w1)) <= tol
+        if twins:
+            assert rep.ollivier_edges[0, 1] == 1.0
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 14), st.booleans(),
+           st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from([1, 64, 400]))
+    def test_batched_bakry_emery_matches_oracle(self, seed, n, lazy, hubs,
+                                                tiny, twins, budget):
+        # At a small budget the runs and shape groups split: kappa(x) is
+        # the same bits whichever vertices share its batch.
+        P = property_chain(seed, n, lazy, hubs, tiny, twins)
+        whole = bakry_emery_curvature(P).bakry_emery_vertices
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(curvature, "_BE_ENTRIES", budget)
+            split = bakry_emery_curvature(P).bakry_emery_vertices
+        assert split == whole
+        for x, kappa in whole.items():
+            oracle = oracle_kappa(P, x)
+            assert abs(kappa - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            assert bakry_emery_vertex(P, x)[0] == kappa
+
+    def test_equal_rows_need_no_lp(self, monkeypatch):
+        # Every row of the uniform chain J/5 is the same: no edge moves
+        # mass, so no LP runs and kappa = 1.
+        monkeypatch.setattr(curvature, "linprog", None)
+        rep = ollivier_curvature(StochasticMatrix(np.full((5, 5), 0.2)))
+        assert set(rep.ollivier_edges.values()) == {1.0}
+
+    def test_ollivier_reads_no_dense_rows(self, monkeypatch):
+        # The reduced pairs come from the CSR arrays, not from dense rows.
+        P = hypercube(6).matrix
+        monkeypatch.setattr(type(P.csr), "dense_rows", None)
+        assert ollivier_curvature(P).ollivier_min == pytest.approx(0.0,
+                                                                   abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +1000,9 @@ class TestTreeBounds:
         K = heat_kernel(P, t)
         bounds = curvature._tree_w1_bounds(P, K, P.edges())
         for (x, y), bound in zip(P.edges(), bounds):
-            [(value, *_)] = curvature._w1_restricted([(K[x], K[y])],
-                                                     P.metric)
+            [value], _, _ = curvature._w1_restricted(
+                curvature._support(K[x]), curvature._support(K[y]),
+                P.metric)
             assert bound >= value - 1e-12
 
     @pytest.mark.parametrize("n", [5, 8, 13, 32])
@@ -889,9 +1072,9 @@ class TestContractionScreen:
                             lambda P, K, pairs: np.full(len(pairs), 0.99))
         calls = []
 
-        def overshoot(pairs, dist):
+        def overshoot(mu, nu, metric):
             calls.append(1)
-            return [(0.99 + 1e-7 * len(calls) / len(edges),)]
+            return [0.99 + 1e-7 * len(calls) / len(edges)], None, None
         monkeypatch.setattr(curvature, "_w1_restricted", overshoot)
         v = contraction_check(P, 0.0, kernels(P, [1.0]), n_f=0)
         assert len(calls) == len(edges)

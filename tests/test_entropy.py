@@ -361,6 +361,33 @@ class TestInequalityChecks:
 
     @CHAINS
     @settings(max_examples=40)
+    def test_sweep_builds_the_loop_verdict(self, seed, n, symmetric, lazy):
+        # The array pass reports the verdict that _concentration_verdict
+        # gives each draw in turn, the first of equal slacks winning: the
+        # same name, sides and context.
+        P = sparse_chain(seed, n, symmetric, lazy)
+        ks = kernels(P, [0.4, 3.0, 3.0])
+        for kappa in (0.0, 0.05):
+            rng = np.random.default_rng(seed)
+            loop = None
+            for t, K in ks:
+                F = rng.standard_normal((7, n))
+                moments = np.concatenate([F * F, F]) @ K.T
+                for f, var in zip(F, moments[:7] - moments[7:] ** 2):
+                    v = entropy._concentration_verdict(P, f, var, t, kappa)
+                    if loop is None or v.slack < loop.slack:
+                        loop = v
+            sweep = local_concentration_sweep(P, ks, kappa, n_f=7, seed=seed)
+            assert (sweep.name, sweep.lhs, sweep.rhs, sweep.context) == \
+                (loop.name, loop.lhs, loop.rhs, loop.context)
+
+    def test_sweep_without_draws_has_no_verdict(self):
+        P = cycle(6).matrix
+        assert local_concentration_sweep(P, kernels(P, [1.0]), 0.0,
+                                         n_f=0) is None
+
+    @CHAINS
+    @settings(max_examples=40)
     def test_sweep_equals_check_loop(self, seed, n, symmetric, lazy):
         # One kernel per t applied to all observables gives the verdict of a
         # loop of single checks over the same draws, to rounding.

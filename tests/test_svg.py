@@ -68,3 +68,26 @@ def test_degenerate_x_range(tmp_path, lo, hi):
     coords += re.split(r"[ ,]", points)
     assert len(coords) > 20
     assert all(math.isfinite(float(c)) for c in coords)
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_range_past_the_largest_double(tmp_path, kind, axis):
+    # Mixed-sign values whose range exceeds the largest double: every
+    # coordinate is finite and on the canvas, the values' extremes on the
+    # axis ends, and no warning is raised, for list and numpy input.
+    big = kind([-1.79e308, 1.79e308])
+    xs, ys = (big, kind([0.9, 0.1])) if axis == "x" else (kind([0.0, 1.0]),
+                                                          big)
+    path = tmp_path / "p.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_plot(path, [("tv", xs, ys)], vlines=[("tmix", 0.0)])
+    text = path.read_text()
+    assert "inf" not in text and "nan" not in text
+    coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', text)
+    points = re.search(r'points="([^"]*)"', text).group(1).split()
+    assert len(coords) > 20
+    assert all(math.isfinite(float(c)) for c in coords)
+    ends = [float(p.split(",")[axis == "y"]) for p in points]
+    assert ends == ([70.0, 780.0] if axis == "x" else [450.0, 40.0])
