@@ -277,7 +277,7 @@ class StochasticMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense P, read-only, built from ``csr`` on first use (full
-        kernels, the LU pi, eigvalsh, gamma_form, chain files)."""
+        kernels, the LU pi, eigvalsh, chain files)."""
         return _readonly(self.csr.toarray())
 
     @cached_property
@@ -311,17 +311,13 @@ class StochasticMatrix:
         return list(zip(row[upper].tolist(), adj.indices[upper].tolist()))
 
     def lip_norm(self, f: np.ndarray) -> float:
-        """Edge-Lipschitz seminorm max |f(x) - f(y)| over the off-diagonal
-        support pairs x -> y; 0 when there are none."""
-        adj = self.adjacency
-        if adj.nnz == 0:
-            return 0.0
-        return float(np.max(np.abs(f[adj.indices] - f[adj.row])))
+        """lip_norms of the one observable ``f``."""
+        return float(self.lip_norms(np.reshape(f, (1, -1)))[0])
 
     def lip_norms(self, F: np.ndarray) -> np.ndarray:
-        """lip_norm of each row of the (m, n) block F, the same values,
-        from F's transpose, 2^14 differences at a time (for one vector,
-        lip_norm is faster)."""
+        """Edge-Lipschitz seminorm max |f(x) - f(y)| over the off-diagonal
+        support pairs x -> y of each row f of the (m, n) block F, 0 when
+        there are none; from F's transpose, 2^14 differences at a time."""
         adj = self.adjacency
         G = np.ascontiguousarray(np.transpose(F))
         ends, starts = adj.indices, adj.row

@@ -61,10 +61,13 @@ _SCREEN_MARGIN = 1e-6
 # amortize the solver set-up, small enough that a batch stays cheap.  On the
 # reduced blocks, 512 to 2048 tie and 256 or 4096 are up to 1.5x slower.
 _LP_VARS = 1024
-# Entries of one stacked array in bakry_emery_curvature: a run of vertices
-# gathers at most this many 2-ball states, and a batch of one form shape
-# at most this many ball x ball entries or CSR entries (4 MiB of float64).
+# Entries of one stacked array: a run of ollivier_curvature's edges gathers
+# at most this many CSR entries, a run of bakry_emery_curvature's vertices
+# at most this many 2-ball states, and a batch of one form shape at most
+# this many ball x ball entries or CSR entries (4 MiB of float64).
 _BE_ENTRIES = 2 ** 19
+# Standard normal observables per t of the two semigroup-level checks.
+_SEMIGROUP_DRAWS = 20
 _OPTIMAL = highs.HighsModelStatus.kOptimal
 _DUAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
@@ -336,8 +339,10 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     on mu - nu, so each edge's LP transports the positive part of
     P(x,.) - P(y,.) onto its negative part, on their disjoint supports;
     an edge whose rows are equal (see _differences) moves nothing and has
-    kappa = 1.  The edge LPs are solved with presolve off, in shared LPs of
-    at most ``_LP_VARS`` transport variables each (a larger single edge
+    kappa = 1.  The edges go in runs whose two CSR rows per edge stay
+    within ``_BE_ENTRIES`` entries, each run's differences read at once;
+    within a run, the edge LPs are solved with presolve off, in shared LPs
+    of at most ``_LP_VARS`` transport variables each (a larger single edge
     gets an LP of its own).
     """
     if not P.symmetric_support:
@@ -346,13 +351,15 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
         raise NotIrreducible("Ollivier curvature requires irreducibility")
     edges = _edges_at(P, starts)
     xs, ys = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    live, pos, neg = _differences(P, xs, ys)
-    sizes = (np.diff(pos[0]) * np.diff(neg[0])).tolist()
+    rowlen = np.diff(P.csr.indptr)
     w1 = np.zeros(len(edges))
-    for lo, hi in _runs(sizes, _LP_VARS):
-        w1[live[lo:hi]] = _w1_restricted(_rows(pos, lo, hi),
-                                         _rows(neg, lo, hi), P.metric,
-                                         presolve=False)[0]
+    for lo, hi in _runs((rowlen[xs] + rowlen[ys]).tolist(), _BE_ENTRIES):
+        live, pos, neg = _differences(P, xs[lo:hi], ys[lo:hi])
+        sizes = (np.diff(pos[0]) * np.diff(neg[0])).tolist()
+        for a, b in _runs(sizes, _LP_VARS):
+            w1[lo + live[a:b]] = _w1_restricted(_rows(pos, a, b),
+                                                _rows(neg, a, b), P.metric,
+                                                presolve=False)[0]
     kappas = dict(zip(edges, (1.0 - w1).tolist()))
     return CurvatureReport(ollivier_edges=kappas,
                            ollivier_min=min(kappas.values()))
@@ -363,11 +370,9 @@ def ollivier_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
 # ---------------------------------------------------------------------------
 
 def generator_apply(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
-    """Generator action (Lf)(x) = sum_y P(x,y)(f(y) - f(x))."""
+    """Generator action (Lf)(x) = sum_y P(x,y)(f(y) - f(x)), by P.apply."""
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (P.n,):
-        raise DimensionMismatch("observable length does not match state count")
-    return P.entries @ f - f
+    return P.apply(f) - f
 
 
 def gamma2_form(P: StochasticMatrix, f: np.ndarray) -> np.ndarray:
@@ -545,14 +550,17 @@ def full_curvature_report(P: StochasticMatrix) -> CurvatureReport:
 # ---------------------------------------------------------------------------
 
 def contraction_check(P: StochasticMatrix, kappa: float, kernels,
-                      seed: int = 0, n_f: int = 100,
-                      starts=None) -> InequalityVerdict:
+                      seed: int = 0, starts=None) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip at each
-    (t, K = heat_kernel(P, t)) of ``kernels``, on n_f random
+    (t, K = heat_kernel(P, t)) of ``kernels``, on _SEMIGROUP_DRAWS random
     Lipschitz-normalized f per t, plus the W1 form on adjacent pairs on
     chains of at most 128 states: every edge, or the edges with an endpoint
     in ``starts``, which on a vertex-transitive chain attain the worst W1
     (an automorphism of P also preserves P_t and the metric).
+
+    Each t's f are the rows of one standard normal block from
+    default_rng(seed), less any with ||f||_Lip = 0, taken through P_t at
+    once; the first of their least slacks is the t's candidate.
 
     Each edge's W1 is first bounded above by the spanning-tree bound of
     _tree_w1_bounds; the edge's dense LP runs only when that bound, less
@@ -565,17 +573,15 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
     worst = None
     for t, K in kernels:
         decay = float(np.exp(-kappa * t))
-        for _ in range(n_f):
-            f = rng.standard_normal(P.n)
-            lip = P.lip_norm(f)
-            if lip == 0.0:
-                continue
-            f = f / lip
-            lhs = P.lip_norm(K @ f)
-            cand = make_verdict("lipschitz-contraction", lhs, decay,
-                                t=t, kappa=kappa)
-            if worst is None or cand.slack < worst.slack:
-                worst = cand
+        F = rng.standard_normal((_SEMIGROUP_DRAWS, P.n))
+        lips = P.lip_norms(F)
+        F = F[lips > 0.0] / lips[lips > 0.0, None]
+        lhs = P.lip_norms(F @ K.T)
+        if lhs.size:
+            i = int(np.argmin(decay - lhs))
+            if worst is None or decay - lhs[i] < worst.slack:
+                worst = make_verdict("lipschitz-contraction", lhs[i], decay,
+                                     t=t, kappa=kappa)
         if P.n <= 128:
             # One LP per edge: in a shared LP, HiGHS's 1e-7 primal
             # feasibility tolerance moves W1 between these full-support
@@ -603,21 +609,24 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
 
 
 def subcommutativity_check(P: StochasticMatrix, kappa: float, kernels,
-                           seed: int = 0, n_f: int = 100) -> InequalityVerdict:
+                           seed: int = 0) -> InequalityVerdict:
     """Pointwise Gamma(P_t f, P_t f) <= e^{-2 kappa t} P_t Gamma(f,f) at each
-    (t, K = heat_kernel(P, t)) of ``kernels``, on n_f random f per t."""
+    (t, K = heat_kernel(P, t)) of ``kernels``, on _SEMIGROUP_DRAWS random f
+    per t, the columns of one standard normal block from default_rng(seed):
+    the t's candidate is the first worst f at its first worst state."""
     rng = np.random.default_rng(seed)
     worst = None
     for t, K in kernels:
         decay = float(np.exp(-2.0 * kappa * t))
-        for _ in range(n_f):
-            f = rng.standard_normal(P.n)
-            g = K @ f
-            lhs_vec = gamma_form(P, g, g)
-            rhs_vec = decay * (K @ gamma_form(P, f, f))
-            i = int(np.argmax(lhs_vec - rhs_vec))
-            cand = make_verdict("subcommutativity", float(lhs_vec[i]),
-                                float(rhs_vec[i]), t=t, kappa=kappa, state=i)
-            if worst is None or cand.slack < worst.slack:
-                worst = cand
+        F = rng.standard_normal((_SEMIGROUP_DRAWS, P.n)).T
+        G = K @ F
+        lhs = gamma_form(P, G, G)
+        rhs = decay * (K @ gamma_form(P, F, F))
+        gap = lhs - rhs
+        k = int(np.argmax(gap.max(axis=0)))
+        i = int(np.argmax(gap[:, k]))
+        cand = make_verdict("subcommutativity", lhs[i, k], rhs[i, k], t=t,
+                            kappa=kappa, state=i)
+        if worst is None or cand.slack < worst.slack:
+            worst = cand
     return worst

@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 EPS_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 _LOG_FLOOR = 1e-300
+# Standard normal observables per t in local_concentration_sweep.
+_CONCENTRATION_DRAWS = 100
 # Worst TV carries the kernel's truncation error (chain._MASS_TOL = 1e-13),
 # which moves t_mix(eps) by about 1e-13 t_rel/eps: that stays under the
 # bisection tolerance 1e-4 t_mix only for eps >~ 1e-10.
@@ -304,7 +306,7 @@ def _max_log_lip(inst: ChainInstance, t: float,
         # series until that is below 1e-12 of the smallest entry.
         q, _ = _poisson_pmf(t, 1e-12 * rows.min(), reach)
         rows = rows_at(t, min_terms=len(q) - 1)
-    return max(P.lip_norm(f) for f in np.log(rows) - np.log(P.pi.probs))
+    return float(P.lip_norms(np.log(rows) - np.log(P.pi.probs)).max())
 
 
 def log_gradient_bound_check(inst: ChainInstance,
@@ -349,29 +351,26 @@ def local_concentration_check(P: StochasticMatrix, f: np.ndarray, t: float,
 
 
 def local_concentration_sweep(P: StochasticMatrix, kernels, kappa: float,
-                              n_f: int = 100,
                               seed: int = 0) -> InequalityVerdict:
     """Worst verdict over random Lipschitz observables and times.
 
     The verdict of a loop of local_concentration_check over the same
-    observables (n_f standard normal draws per t, in order; the first of
-    equal slacks wins), with P_t applied to all of them through the full
-    kernel K of each (t, K = heat_kernel(P, t)) of ``kernels``.  Each t
-    takes the draws' Lipschitz norms in one block and their slacks in the
-    Python floats of _concentration_verdict; only the worst verdict is
-    built.
+    observables (_CONCENTRATION_DRAWS standard normal draws per t, in
+    order; the first of equal slacks wins), with P_t applied to all of
+    them through the full kernel K of each (t, K = heat_kernel(P, t)) of
+    ``kernels``.  Each t takes the draws' Lipschitz norms in one block and
+    their slacks in the Python floats of _concentration_verdict; only the
+    worst verdict is built.
     """
     if kappa < 0.0:
         raise CurvatureHypothesisFailed("local concentration needs kappa >= 0")
-    if n_f == 0:
-        return None
     rng = np.random.default_rng(seed)
     worst = None
     for t, K in kernels:
-        F = rng.standard_normal((n_f, P.n))
+        F = rng.standard_normal((_CONCENTRATION_DRAWS, P.n))
         moments = np.concatenate([F * F, F]) @ K.T
-        var = moments[:n_f] - moments[n_f:] ** 2
-        peaks = var[np.arange(n_f), np.argmax(var, axis=1)]
+        var = moments[:len(F)] - moments[len(F):] ** 2
+        peaks = var[np.arange(len(F)), np.argmax(var, axis=1)]
         rate = _lip_rhs(t, kappa)
         slacks = [rate * lip ** 2 - peak for lip, peak in
                   zip(P.lip_norms(F).tolist(), peaks.tolist())]

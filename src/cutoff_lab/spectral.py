@@ -42,7 +42,8 @@ def reversibilization(P: StochasticMatrix) -> StochasticMatrix:
 
 
 def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Carre du champ Gamma(f,g)(x) = 1/2 sum_y P(x,y)(f(y)-f(x))(g(y)-g(x)).
+    """Carre du champ Gamma(f,g)(x) = 1/2 sum_y P(x,y)(f(y)-f(x))(g(y)-g(x)),
+    by P.apply (P's CSR), with P f taken once when ``g`` is ``f``.
 
     ``f`` and ``g`` are observables of length n, or two (n, m) blocks of
     observables taken column by column.
@@ -51,17 +52,16 @@ def gamma_form(P: StochasticMatrix, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if f.shape != g.shape or f.shape[:1] != (P.n,) or f.ndim > 2:
         raise DimensionMismatch("observables must have length n")
-    E = P.entries
-    return 0.5 * (E @ (f * g) - f * (E @ g) - g * (E @ f) + f * g)
+    Pf = P.apply(f)
+    Pg = Pf if g is f else P.apply(g)
+    fg = f * g
+    return 0.5 * (P.apply(fg) - f * Pg - g * Pf + fg)
 
 
 def dirichlet_energy(P: StochasticMatrix, f: np.ndarray):
     """E_pi[Gamma(f,f)] for pi = P.pi, the Dirichlet form of the
-    reversibilization; one value per column when ``f`` is an (n, m) block.
-    As gamma_form, with the products by P.apply (P's CSR)."""
-    f = np.asarray(f, dtype=np.float64)
-    ff = f * f
-    return P.pi.probs @ (0.5 * (P.apply(ff) - 2.0 * f * P.apply(f) + ff))
+    reversibilization; one value per column when ``f`` is an (n, m) block."""
+    return P.pi.probs @ gamma_form(P, f, f)
 
 
 def relaxation_time(P: StochasticMatrix) -> SpectralReport:

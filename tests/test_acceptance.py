@@ -230,7 +230,7 @@ def test_criterion_5_theorem_suite():
     failures = []
     total = 0
     for name, inst in theorem_suite_instances():
-        for v in verdict_suite(inst, EPS_GRID, seed=0, n_f=100):
+        for v in verdict_suite(inst, EPS_GRID, seed=0):
             total += 1
             if not v.passed:
                 failures.append(f"{name}: {v}")

@@ -8,12 +8,17 @@ import inspect
 import pytest
 
 import cutoff_lab
-from cutoff_lab import cli, curvature, families, spectral
+from cutoff_lab import cli, curvature, entropy, families, spectral
 
 
 @pytest.mark.parametrize("fn,params", [
     (curvature.bakry_emery_curvature, ["P", "starts"]),
     (curvature.bakry_emery_vertex, ["P", "x"]),
+    (curvature.contraction_check, ["P", "kappa", "kernels", "seed",
+                                   "starts"]),
+    (curvature.subcommutativity_check, ["P", "kappa", "kernels", "seed"]),
+    (entropy.local_concentration_sweep, ["P", "kernels", "kappa", "seed"]),
+    (cli.verdict_suite, ["inst", "eps_list", "seed"]),
     (curvature.full_curvature_report, ["P"]),
     (spectral.relaxation_time, ["P"]),
     (spectral.reversibilization, ["P"]),

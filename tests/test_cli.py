@@ -2,6 +2,7 @@
 checks, caching and reproducibility."""
 
 import math
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -110,7 +111,7 @@ class TestVerify:
                 return _real(P)
             monkeypatch.setattr(chain, helper, counted)
         inst = families.hypercube(3)
-        verdict_suite(inst, EPS_GRID, n_f=5)
+        verdict_suite(inst, EPS_GRID)
         # t_mix(1 - 0.9) and t_mix(0.1) are one search: 7 distinct eps.
         assert len(calls) == 7 and set(calls.values()) == {1}
         assert solves == {"stationary": 1, "metric_data": 1}
@@ -132,7 +133,7 @@ class TestVerify:
             monkeypatch.setattr(ent, name, counted)
         inst = families.birth_death([0.35] * 9, [0.15] * 9)
         eps = [0.1, 0.25, 0.75]
-        suite = verdict_suite(inst, eps, n_f=5)
+        suite = verdict_suite(inst, eps)
         assert calls == {"d_star_at": 1, "v_star_at": len(eps)}
         monkeypatch.undo()
         t_half = inst.t_mix(0.5)
@@ -190,7 +191,7 @@ class TestVerify:
             monkeypatch.setattr(cli, name, wrapped)
         inst = families.parse_family_spec("bd:p=0.3,0.3,0.3;q=0.2,0.2,0.2")
         assert not inst.transitive
-        verdict_suite(inst, [0.25], n_f=5)
+        verdict_suite(inst, [0.25])
         assert {k: v[0] for k, v in seen.items()} == {
             "ollivier_curvature": None, "bakry_emery_curvature": None,
             "contraction_check": None}
@@ -449,6 +450,39 @@ class TestExitCodes:
                      "--tgrid", f"{a!r}:{b!r}:{steps}", "--no-cache",
                      "--out", str(out)]) in (EXIT_OK, EXIT_SPEC,
                                              EXIT_VERDICT, EXIT_CAP)
+
+
+    def test_tgrid_step_cap(self, tmp_path, monkeypatch):
+        # A 10^12-point grid exits 4 before any work: no analysis, no out.
+        def forbidden(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "_analysis", forbidden)
+        out = tmp_path / "o"
+        assert main(["analyze", "--spec", "cycle:n=8", "--eps", "0.25",
+                     "--tgrid", "0:1:1000000000000",
+                     "--out", str(out)]) == EXIT_CAP
+        assert not out.exists()
+        args = cli.build_parser().parse_args(
+            ["analyze", "--tgrid", f"0:1:{cli.TGRID_STEPS_CAP}"])
+        assert cli.Options(args).tgrid == (0.0, 1.0, cli.TGRID_STEPS_CAP)
+
+    @settings(max_examples=30)
+    @given(st.floats(0.0, 1e300), st.floats(0.0, 1e300),
+           st.integers(cli.TGRID_STEPS_CAP + 1, 10 ** 30))
+    def test_huge_tgrid_refused_without_allocating(self, tmp_path_factory,
+                                                   a, b, steps):
+        # Refused in Options: no grid is built, and the whole command
+        # allocates under 1 MiB.
+        out = tmp_path_factory.mktemp("o") / "out"
+        tracemalloc.start()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_t_grid", None)
+            code = main(["analyze", "--spec", "cycle:n=8", "--tgrid",
+                         f"{a!r}:{b!r}:{steps}", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == EXIT_CAP and peak < 2 ** 20
+        assert not out.exists()
 
 
 class TestOptions:

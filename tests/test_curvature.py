@@ -37,6 +37,7 @@ from cutoff_lab.families import (birth_death, complete_graph, cycle,
                                  hypercube, parse_family_spec,
                                  perturb_toward_uniform)
 from cutoff_lab.spectral import gamma_form
+from cutoff_lab.verdicts import VERDICT_TOL, make_verdict
 
 FLIP = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -395,7 +396,7 @@ class TestDirectHighs:
         P = cycle(8).matrix
         assert ollivier_curvature(P).ollivier_min == pytest.approx(0.0,
                                                                    abs=1e-9)
-        v = contraction_check(P, 0.0, kernels(P, [0.5]), n_f=2)
+        v = contraction_check(P, 0.0, kernels(P, [0.5]))
         assert v.name == "w1-contraction"
 
 
@@ -826,9 +827,80 @@ PROPERTY_CHAINS = given(st.integers(0, 2 ** 32 - 1), st.integers(3, 14),
                         st.booleans())
 
 
+def gamma_dense(P, f, g):
+    """Oracle for gamma_form: the carre du champ from products by the dense
+    P.entries, vectors or (n, m) blocks alike."""
+    E = P.entries
+    return 0.5 * (E @ (f * g) - f * (E @ g) - g * (E @ f) + f * g)
+
+
+def gamma_scale(P, f, g):
+    """gamma_dense on |f| and |g| with every term added: the size of the
+    terms whose rounding separates two ways of computing Gamma(f,g)."""
+    E, af, ag = P.entries, np.abs(f), np.abs(g)
+    return 0.5 * (E @ (af * ag) + af * (E @ ag) + ag * (E @ af) + af * ag)
+
+
+def generator_dense(P, f):
+    """Oracle for generator_apply: L f = P f - f by the dense P.entries."""
+    return P.entries @ f - f
+
+
 class TestArrayForms:
     """Ollivier's reduced-support LPs and the batched Bakry-Emery forms
     against the per-item computations they replace."""
+
+    @settings(max_examples=60)
+    @PROPERTY_CHAINS
+    def test_gamma_matches_dense(self, seed, n, lazy, hubs, tiny, twins):
+        # The CSR products against the dense ones, for vectors and blocks,
+        # with g another observable and g = f: to 1e-15 of the size of the
+        # terms (Gamma itself cancels, so not of Gamma).
+        P = property_chain(seed, n, lazy, hubs, tiny, twins)
+        rng = np.random.default_rng(seed)
+        for shape in [(n,), (n, 5)]:
+            f, g = rng.standard_normal((2,) + shape)
+            for h in (g, f):
+                got = gamma_form(P, f, h)
+                assert got.shape == shape
+                assert np.all(np.abs(got - gamma_dense(P, f, h))
+                              <= 1e-15 * gamma_scale(P, f, h))
+            got = generator_apply(P, f)
+            scale = P.entries @ np.abs(f) + np.abs(f)
+            assert np.all(np.abs(got - generator_dense(P, f)) <= 1e-15 * scale)
+
+    def test_gamma_and_generator_read_no_dense_entries(self, monkeypatch):
+        P = sparse_chain(3, 9, False, True)
+        f, g = np.random.default_rng(3).standard_normal((2, 9))
+        want = gamma_dense(P, f, g), generator_dense(P, f)
+        monkeypatch.setattr(type(P), "entries", property(
+            lambda self: pytest.fail("read P.entries")))
+        for got, ref in zip((gamma_form(P, f, g), generator_apply(P, f)), want):
+            assert np.allclose(got, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hypercube(6).matrix, lambda: sparse_chain(5, 40, True, True)],
+        ids=["hypercube:d=6", "sparse:n=40"])
+    @pytest.mark.parametrize("budget", [1, 50, 700])
+    def test_ollivier_runs_match_one_run(self, monkeypatch, make, budget):
+        # Runs of edges whose CSR rows fit the budget (an edge over it runs
+        # alone) give the one-run values to 1e-15.
+        P = make()
+        want = ollivier_curvature(P).ollivier_edges
+        rowlen = np.diff(P.csr.indptr)
+        gathered = []
+
+        def differences(P, xs, ys):
+            gathered.append(int((rowlen[xs] + rowlen[ys]).sum()))
+            return real(P, xs, ys)
+        real = curvature._differences
+        monkeypatch.setattr(curvature, "_differences", differences)
+        monkeypatch.setattr(curvature, "_BE_ENTRIES", budget)
+        got = ollivier_curvature(P).ollivier_edges
+        assert len(gathered) > 1
+        assert max(gathered) <= max(budget, 2 * rowlen.max())
+        assert list(got) == list(want)
+        assert max(abs(got[e] - want[e]) for e in want) <= 1e-15
 
     @settings(max_examples=60)
     @PROPERTY_CHAINS
@@ -899,22 +971,20 @@ class TestSemigroupChecks:
     def test_contraction_on_lazy_hypercube(self):
         P = hypercube(3, laziness=0.5).matrix
         kappa = ollivier_curvature(P).ollivier_min
-        v = contraction_check(P, kappa, kernels(P, [0.5, 2.0]), n_f=20,
-                              seed=0)
+        v = contraction_check(P, kappa, kernels(P, [0.5, 2.0]), seed=0)
         assert v.passed
 
     def test_subcommutativity_on_hypercube(self):
         P = hypercube(3).matrix
         kappa = bakry_emery_curvature(P).bakry_emery_min
-        v = subcommutativity_check(P, kappa, kernels(P, [0.5, 2.0]), n_f=20,
-                                   seed=0)
+        v = subcommutativity_check(P, kappa, kernels(P, [0.5, 2.0]), seed=0)
         assert v.passed
 
     def test_inflated_kappa_fails(self):
         # A deliberately wrong (too large) curvature constant must be
         # caught by the contraction check.
         P = cycle(8).matrix
-        v = contraction_check(P, 1.5, kernels(P, [2.0]), n_f=20, seed=0)
+        v = contraction_check(P, 1.5, kernels(P, [2.0]), seed=0)
         assert not v.passed
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -923,9 +993,117 @@ class TestSemigroupChecks:
         # A rotation maps every edge of the cycle onto every other, so their
         # W1 contractions tie; rounding must not pick the reported edge.
         P = cycle(n).matrix
-        v = contraction_check(P, 0.0, kernels(P, [t]), n_f=5, seed=0)
+        v = contraction_check(P, 0.0, kernels(P, [t]), seed=0)
         assert v.name == "w1-contraction"
         assert v.context["edge"] == (0, 1)
+
+
+def contraction_loop(P, kappa, kernels, seed=0, starts=None):
+    """Oracle for contraction_check: its Lipschitz half one draw at a time
+    (curvature._SEMIGROUP_DRAWS draws of n per t from default_rng(seed), a
+    draw replacing the worst only with a smaller slack), then the same
+    screened W1 half."""
+    edges = curvature._edges_at(P, starts)
+    rng = np.random.default_rng(seed)
+    worst = None
+    for t, K in kernels:
+        decay = float(np.exp(-kappa * t))
+        for _ in range(curvature._SEMIGROUP_DRAWS):
+            f = rng.standard_normal(P.n)
+            lip = P.lip_norm(f)
+            if lip == 0.0:
+                continue
+            cand = make_verdict("lipschitz-contraction",
+                                P.lip_norm(K @ (f / lip)), decay, t=t,
+                                kappa=kappa)
+            if worst is None or cand.slack < worst.slack:
+                worst = cand
+        if P.n <= 128:
+            bounds = curvature._tree_w1_bounds(P, K, edges)
+            for (x, y), bound in zip(edges, bounds):
+                if (worst is not None and decay - bound
+                        - curvature._SCREEN_MARGIN > worst.slack):
+                    continue
+                [value], _, _ = curvature._w1_restricted(
+                    curvature._support(K[x]), curvature._support(K[y]),
+                    P.metric)
+                cand = make_verdict("w1-contraction", value, decay, t=t,
+                                    kappa=kappa, edge=(x, y))
+                if worst is None or cand.slack < worst.slack - VERDICT_TOL:
+                    worst = cand
+    return worst
+
+
+def subcommutativity_loop(P, kappa, kernels, seed=0):
+    """Oracle for subcommutativity_check: one draw at a time, with the
+    dense Gamma, each draw's verdict at its first worst state."""
+    rng = np.random.default_rng(seed)
+    worst = None
+    for t, K in kernels:
+        decay = float(np.exp(-2.0 * kappa * t))
+        for _ in range(curvature._SEMIGROUP_DRAWS):
+            f = rng.standard_normal(P.n)
+            g = K @ f
+            lhs = gamma_dense(P, g, g)
+            rhs = decay * (K @ gamma_dense(P, f, f))
+            i = int(np.argmax(lhs - rhs))
+            cand = make_verdict("subcommutativity", lhs[i], rhs[i], t=t,
+                                kappa=kappa, state=i)
+            if worst is None or cand.slack < worst.slack:
+                worst = cand
+    return worst
+
+
+def assert_close_verdict(a, b):
+    assert (a.name, a.context) == (b.name, b.context)
+    assert a.lhs == pytest.approx(b.lhs, rel=0, abs=1e-12)
+    assert a.rhs == pytest.approx(b.rhs, rel=0, abs=1e-12)
+
+
+class TestBlockDraws:
+    """The semigroup checks draw each t's observables as one block; the
+    verdicts are those of the per-draw loops."""
+
+    @settings(max_examples=30)
+    @PROPERTY_CHAINS
+    def test_subcommutativity_matches_loop(self, seed, n, lazy, hubs, tiny,
+                                           twins):
+        P = property_chain(seed, n, lazy, hubs, tiny, twins)
+        ks = kernels(P, [0.3, 2.0])
+        for kappa in (0.0, 0.4, -0.2):
+            assert_close_verdict(subcommutativity_check(P, kappa, ks, seed=7),
+                                 subcommutativity_loop(P, kappa, ks, seed=7))
+
+    @settings(max_examples=15)
+    @PROPERTY_CHAINS
+    def test_contraction_matches_loop(self, seed, n, lazy, hubs, tiny, twins):
+        P = property_chain(seed, n, lazy, hubs, tiny, twins)
+        ks = kernels(P, [0.3, 2.0])
+        for kappa in (0.0, 0.05, 1.5):
+            try:
+                loop = contraction_loop(P, kappa, ks, seed=seed)
+            except CertificateFailed:
+                # HiGHS can call the transport LP of far-reaching rows
+                # infeasible (ROADMAP D13).
+                reject()
+            assert_close_verdict(contraction_check(P, kappa, ks, seed=seed),
+                                 loop)
+
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=8", "cycle:n=32",
+        "bd:p=" + ",".join(["0.35"] * 39) + ";q=" + ",".join(["0.15"] * 39)],
+        ids=["hypercube", "cycle", "bd-drift"])
+    def test_verify_chains_match_loops(self, spec):
+        # The benchmark's verify chains, at verify's two times.
+        inst = parse_family_spec(spec)
+        P = inst.matrix
+        ks = kernels(P, [0.5, inst.t_mix(0.25)])
+        for kappa in (0.0, 0.1):
+            assert_close_verdict(
+                contraction_check(P, kappa, ks, starts=inst.starts),
+                contraction_loop(P, kappa, ks, starts=inst.starts))
+            assert_close_verdict(subcommutativity_check(P, kappa, ks),
+                                 subcommutativity_loop(P, kappa, ks))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,8 +1203,7 @@ class TestContractionScreen:
         grid = [0.5, inst.t_mix(0.25)]
         args = (inst.matrix, ollivier_curvature(inst.matrix).ollivier_min,
                 kernels(inst.matrix, grid))
-        assert_same_verdict(contraction_check(*args, n_f=20),
-                            unscreened(*args, n_f=20))
+        assert_same_verdict(contraction_check(*args), unscreened(*args))
 
     @pytest.mark.parametrize("spec", [
         "cycle:n=32", "complete:n=12", "hypercube:d=6",
@@ -1037,14 +1214,14 @@ class TestContractionScreen:
         args = (P, ollivier_curvature(P, starts).ollivier_min,
                 kernels(P, [0.5, inst.t_mix(0.25)]))
         assert_same_verdict(
-            contraction_check(*args, n_f=20, starts=starts),
-            unscreened(*args, n_f=20, starts=starts))
+            contraction_check(*args, starts=starts),
+            unscreened(*args, starts=starts))
 
     def test_inflated_kappa_verdict_unchanged(self):
         P = cycle(8).matrix
         args = (P, 1.5, kernels(P, [2.0]))
-        assert_same_verdict(contraction_check(*args, n_f=20, seed=0),
-                            unscreened(*args, n_f=20, seed=0))
+        assert_same_verdict(contraction_check(*args, seed=0),
+                            unscreened(*args, seed=0))
 
     @settings(max_examples=10)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 30), st.booleans(),
@@ -1053,19 +1230,21 @@ class TestContractionScreen:
         P = ring_chain(seed, n, lazy)
         args = (P, kappa, kernels(P, [0.5, 4.0]))
         try:
-            full = unscreened(*args, n_f=5)
+            full = unscreened(*args)
         except CertificateFailed:
             # HiGHS can call the transport LP of far-reaching rows
             # infeasible (ROADMAP D13); the screen may skip that LP.
             reject()
-        assert_same_verdict(contraction_check(*args, n_f=5), full)
+        assert_same_verdict(contraction_check(*args), full)
 
     def test_lp_above_the_bound_within_contract_still_runs(self,
                                                           monkeypatch):
         # A solver may return up to DUALITY_TOL plus its 1e-7 dual
         # tolerance above W1 <= U.  Stub every bound at 0.99 and let each
         # later LP overshoot it by more, within that allowance: each then
-        # replaces the worst, so no LP may be skipped.
+        # replaces the worst, so no LP may be skipped.  No draws: the LPs
+        # alone set the worst.
+        monkeypatch.setattr(curvature, "_SEMIGROUP_DRAWS", 0)
         P = cycle(8).matrix
         edges = P.edges()
         monkeypatch.setattr(curvature, "_tree_w1_bounds",
@@ -1076,7 +1255,7 @@ class TestContractionScreen:
             calls.append(1)
             return [0.99 + 1e-7 * len(calls) / len(edges)], None, None
         monkeypatch.setattr(curvature, "_w1_restricted", overshoot)
-        v = contraction_check(P, 0.0, kernels(P, [1.0]), n_f=0)
+        v = contraction_check(P, 0.0, kernels(P, [1.0]))
         assert len(calls) == len(edges)
         assert v.context["edge"] == edges[-1]
 
@@ -1111,8 +1290,8 @@ class TestStartSets:
         assert be.bakry_emery_min == pytest.approx(be_all.bakry_emery_min,
                                                    abs=1e-12)
         kappa = olli_all.ollivier_min
-        full = contraction_check(P, kappa, kernels(P, [1.0]), n_f=2, seed=0)
-        fast = contraction_check(P, kappa, kernels(P, [1.0]), n_f=2, seed=0,
+        full = contraction_check(P, kappa, kernels(P, [1.0]), seed=0)
+        fast = contraction_check(P, kappa, kernels(P, [1.0]), seed=0,
                                  starts=starts)
         assert (fast.name, fast.context) == (full.name, full.context)
         assert fast.lhs == pytest.approx(full.lhs, abs=1e-12)

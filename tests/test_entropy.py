@@ -355,8 +355,7 @@ class TestInequalityChecks:
 
     def test_local_concentration_sweep(self):
         P = hypercube(3).matrix
-        v = local_concentration_sweep(P, kernels(P, [0.5, 2.0]), 0.0, n_f=25,
-                                      seed=1)
+        v = local_concentration_sweep(P, kernels(P, [0.5, 2.0]), 0.0, seed=1)
         assert v.passed
 
     @CHAINS
@@ -377,14 +376,11 @@ class TestInequalityChecks:
                     v = entropy._concentration_verdict(P, f, var, t, kappa)
                     if loop is None or v.slack < loop.slack:
                         loop = v
-            sweep = local_concentration_sweep(P, ks, kappa, n_f=7, seed=seed)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(entropy, "_CONCENTRATION_DRAWS", 7)
+                sweep = local_concentration_sweep(P, ks, kappa, seed=seed)
             assert (sweep.name, sweep.lhs, sweep.rhs, sweep.context) == \
                 (loop.name, loop.lhs, loop.rhs, loop.context)
-
-    def test_sweep_without_draws_has_no_verdict(self):
-        P = cycle(6).matrix
-        assert local_concentration_sweep(P, kernels(P, [1.0]), 0.0,
-                                         n_f=0) is None
 
     @CHAINS
     @settings(max_examples=40)
@@ -402,8 +398,10 @@ class TestInequalityChecks:
                 if loop is None or v.slack < loop.slack:
                     loop, var = v, (heat_kernel_apply(P, f * f, t)
                                     - heat_kernel_apply(P, f, t) ** 2)
-        sweep = local_concentration_sweep(P, kernels(P, times), kappa,
-                                          n_f=n_f, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(entropy, "_CONCENTRATION_DRAWS", n_f)
+            sweep = local_concentration_sweep(P, kernels(P, times), kappa,
+                                              seed=seed)
         assert sweep.lhs == pytest.approx(loop.lhs, rel=1e-12, abs=1e-12)
         assert sweep.rhs == pytest.approx(loop.rhs, rel=1e-12, abs=1e-12)
         # Same state, unless the variance ties there (the flip chain on two

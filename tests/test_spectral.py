@@ -15,7 +15,7 @@ from cutoff_lab.families import (birth_death, complete_graph, cycle,
 from cutoff_lab.spectral import (POINCARE_SLACK, dirichlet_energy,
                                  gamma_form, relaxation_time,
                                  reversibilization)
-from test_curvature import CHAINS, sparse_chain
+from test_curvature import CHAINS, gamma_dense, sparse_chain
 
 
 def biased_cycle(n, p=0.7):
@@ -181,7 +181,7 @@ class TestPoincare:
         # du champ.
         P = parse_family_spec(spec).matrix
         F = np.random.default_rng(10).standard_normal((P.n, 50))
-        want = P.pi.probs @ gamma_form(P, F, F)
+        want = P.pi.probs @ gamma_dense(P, F, F)
         got = dirichlet_energy(P, F)
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
