@@ -19,8 +19,8 @@ from . import entropy as ent
 from . import families as fam
 from . import svg
 from .cache import HeatKernelCache
-from .chain import (Distribution, StochasticMatrix, _KernelRows, heat_kernel,
-                    kernel_rows, load_chain_file, save_chain_file, validate)
+from .chain import (StochasticMatrix, _KernelRows, heat_kernel,
+                    load_chain_file, save_chain_file, validate)
 from .curvature import (bakry_emery_curvature, contraction_check,
                         ollivier_curvature, subcommutativity_check)
 from .errors import (CertificateFailed, CutoffLabError, SpecParseError,
@@ -67,11 +67,15 @@ class Options:
     def __init__(self, args):
         self.spec = args.spec
         self.chain_file = args.chain_file
-        self.eps = [_number(float, "--eps", v) for v in args.eps.split(",")]
-        for e in self.eps:
+        eps = {}
+        for e in (_number(float, "--eps", v) for v in args.eps.split(",")):
             # verify and scan also search t_mix(1 - eps).
             ent.check_eps(e)
             ent.check_eps(1.0 - e)
+            # Values equal to 12 significant digits (the CSV precision and
+            # the key of t_mix) are one column: the first is kept.
+            eps.setdefault(_fmt(e), e)
+        self.eps = list(eps.values())
         # "auto", or the (a, b, steps) of a:b:steps.
         self.tgrid = args.tgrid
         if args.tgrid != "auto":
@@ -155,12 +159,12 @@ def _analysis(inst: fam.ChainInstance, eps_list, eps_profile):
     tmix = {e: inst.t_mix(e) for e in eps_list}
     olli = ollivier_curvature(P, starts=starts)
     be = bakry_emery_curvature(P, starts=starts)
-    prof = ent.entropy_profile(P, [tmix[eps_profile]], starts)
+    at = inst.entropies(tmix[eps_profile])
     return ([("n", P.n), ("delta", metric.delta), ("diam", metric.diameter),
              ("t_rel", inst.t_rel), ("kappa_ollivier", olli.ollivier_min),
              ("kappa_bakry_emery", be.bakry_emery_min)]
             + [(f"tmix_{_fmt(e)}", tmix[e]) for e in eps_list]
-            + [("d_star", prof.d_star[0]), ("v_star", prof.v_star[0])]), tmix
+            + [("d_star", at.d_star), ("v_star", at.v_star)]), tmix
 
 
 def cmd_analyze(opts: Options) -> int:
@@ -207,25 +211,17 @@ def verdict_suite(inst: fam.ChainInstance, eps_list, seed=0):
     (contraction, sub-commutativity) draw fewer observables per t.
     """
     P = inst.matrix
-    pi = P.pi
     olli = ollivier_curvature(P, starts=inst.starts)
     be = bakry_emery_curvature(P, starts=inst.starts)
     kappa_cert = max(olli.ollivier_min, be.bakry_emery_min)
     verdicts = []
-    t_half = inst.t_mix(0.5)
-    d_half = ent.d_star_at(P, t_half, starts=inst.starts)
     for e in eps_list:
-        verdicts.append(ent.entropic_upper_bound(inst, t_half, e,
-                                                 d_star=d_half))
-        # Entropic lower bound on the entropy-worst kernel row at tmix(1-e);
-        # the window bound reads V* at the same time from the same rows.
-        rows = kernel_rows(P, inst.t_mix(1.0 - e), inst.starts)
-        kl, var = ent._row_entropies(rows, pi)
+        verdicts.append(ent.entropic_upper_bound(inst, inst.t_mix(0.5), e))
+        # Entropic lower bound on the entropy-worst kernel row at tmix(1-e).
         verdicts.append(ent.entropic_lower_bound_check(
-            Distribution(rows[np.argmax(kl)]), pi, e))
+            inst.entropies(inst.t_mix(1.0 - e)).worst_row, P.pi, e))
         if e < 0.5:
-            verdicts.append(ent.cutoff_window_bound(
-                inst, e, v_star=float(var.max())))
+            verdicts.append(ent.cutoff_window_bound(inst, e))
         verdicts.append(ent.diameter_bound_check(inst, e))
     t_log = max(P.metric.diameter / 4.0, inst.t_mix(0.25))
     verdicts.append(ent.log_gradient_bound_check(inst, t_log))

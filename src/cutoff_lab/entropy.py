@@ -201,16 +201,13 @@ def v_star_at(P, t, starts=None, pi=None) -> float:
 # Inequality verdicts
 # ---------------------------------------------------------------------------
 
-def entropic_upper_bound(inst: ChainInstance, t: float, eps: float, *,
-                         d_star: Optional[float] = None) -> InequalityVerdict:
-    """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t)); ``d_star`` is
-    d*_KL(t) when the caller already has it."""
+def entropic_upper_bound(inst: ChainInstance, t: float,
+                         eps: float) -> InequalityVerdict:
+    """t_mix(eps) <= t + (t_rel/eps) (1 + d*_KL(t))."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     lhs = inst.t_mix(eps)
-    d = (d_star_at(inst.matrix, t, starts=inst.starts) if d_star is None
-         else d_star)
-    rhs = t + (inst.t_rel / eps) * (1.0 + d)
+    rhs = t + (inst.t_rel / eps) * (1.0 + inst.entropies(t).d_star)
     return make_verdict("entropic-upper-bound", lhs, rhs, eps=eps, t=t)
 
 
@@ -219,8 +216,9 @@ def entropic_lower_bound_check(mu, pi, eps: float) -> InequalityVerdict:
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
     tv = tv_distance(mu, pi)
-    lhs = kl_divergence(mu, pi)
-    rhs = (1.0 + math.sqrt(varentropy(mu, pi))) / eps
+    kl, var = _row_entropies(_probs(mu)[None], pi)
+    lhs = float(kl[0])
+    rhs = (1.0 + math.sqrt(var[0])) / eps
     if tv > 1.0 - eps:
         # Hypothesis gate fails: vacuous pass, recorded as such.
         return make_verdict("entropic-lower-bound", 0.0, 0.0, eps=eps, tv=tv,
@@ -229,17 +227,13 @@ def entropic_lower_bound_check(mu, pi, eps: float) -> InequalityVerdict:
                         vacuous=False)
 
 
-def cutoff_window_bound(inst: ChainInstance, eps: float, *,
-                        v_star: Optional[float] = None) -> InequalityVerdict:
-    """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps)))).
-
-    ``v_star`` is V*(t_mix(1-eps)) when the caller already has it."""
+def cutoff_window_bound(inst: ChainInstance, eps: float) -> InequalityVerdict:
+    """t_mix(eps) - t_mix(1-eps) <= (2 t_rel/eps^2)(1 + sqrt(V*(t_mix(1-eps))))."""
     if not (0.0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
     t_hi = inst.t_mix(eps)
     t_lo = inst.t_mix(1.0 - eps)
-    v = (v_star_at(inst.matrix, t_lo, starts=inst.starts) if v_star is None
-         else v_star)
+    v = inst.entropies(t_lo).v_star
     lhs = t_hi - t_lo
     rhs = (2.0 * inst.t_rel / eps ** 2) * (1.0 + math.sqrt(v))
     return make_verdict("cutoff-window-bound", lhs, rhs, eps=eps,
@@ -252,7 +246,7 @@ def entropic_concentration_ratio(inst: ChainInstance, eps: float) -> float:
     t_mix = inst.t_mix(eps)
     if t_mix <= 0.0:
         raise ValueError("degenerate chain: t_mix(eps) = 0")
-    v = v_star_at(inst.matrix, t_mix, starts=inst.starts)
+    v = inst.entropies(t_mix).v_star
     return (1.0 + math.sqrt(v)) * inst.t_rel / t_mix
 
 
@@ -400,7 +394,7 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float):
         # Point masses have zero varentropy; both bounds hold as 0 <= 0.
         v, lip = 0.0, 0.0
     else:
-        v = v_star_at(P, t, starts=inst.starts)
+        v = inst.entropies(t).v_star
         lip = _max_log_lip(inst, t, inst.starts)
     v18 = make_verdict("varentropy-bound-18", v,
                        18.0 * t * (1.0 + math.log(P.metric.delta)) ** 2,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,8 +16,8 @@ import numpy as np
 import numpy.fft  # noqa: F401  (lazy in numpy 2: load it at import)
 import numpy.random  # noqa: F401
 
-from .chain import CSR, StochasticMatrix, _bfs, _readonly
-from .entropy import mixing_time
+from .chain import CSR, StochasticMatrix, _bfs, _readonly, kernel_rows
+from .entropy import _row_entropies, mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
                      NotSymmetricSet, SpecParseError, StateCapExceeded)
 from .spectral import relaxation_time
@@ -28,6 +28,8 @@ MAX_REDRAWS = 100
 CLAIM_ABELIAN = "nonneg-abelian"
 CLAIM_OTHER = "nonneg-other"
 CLAIM_UNKNOWN = "unknown"
+
+Entropies = namedtuple("Entropies", "d_star v_star worst_row")
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ class StepLaw:
 class ChainInstance:
     """A constructed chain plus provenance and symmetry metadata.
 
-    Also the per-chain context of the verdict layer: t_rel and t_mix(eps)
-    (which depends on ``starts``) are computed on first use and kept; pi and
-    the metric are kept on the matrix.
+    Also the per-chain context of the verdict layer: t_rel, t_mix(eps) and
+    the entropies at t (both depend on ``starts``) are computed on first use
+    and kept; pi and the metric are kept on the matrix.
     """
 
     matrix: StochasticMatrix
@@ -151,6 +153,8 @@ class ChainInstance:
     curvature_claim: str = CLAIM_UNKNOWN
     _t_mix: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def starts(self):
@@ -174,6 +178,17 @@ class ChainInstance:
         if key not in self._t_mix:
             self._t_mix[key] = mixing_time(self.matrix, key, starts=self.starts)
         return self._t_mix[key]
+
+    def entropies(self, t: float) -> Entropies:
+        """d*(t), V*(t) and the KL-worst row P_t(o, .) over ``starts``, from
+        one kernel_rows call; memoized by t, keeping O(n) and not the rows."""
+        if t not in self._entropies:
+            rows = kernel_rows(self.matrix, t, self.starts)
+            kl, var = _row_entropies(rows, self.matrix.pi)
+            self._entropies[t] = Entropies(
+                float(kl.max()), float(var.max()),
+                _readonly(rows.take(kl.argmax(), axis=0)))
+        return self._entropies[t]
 
 
 def _check_cap(n: int):

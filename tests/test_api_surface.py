@@ -18,6 +18,8 @@ from cutoff_lab import cli, curvature, entropy, families, spectral
                                    "starts"]),
     (curvature.subcommutativity_check, ["P", "kappa", "kernels", "seed"]),
     (entropy.local_concentration_sweep, ["P", "kernels", "kappa", "seed"]),
+    (entropy.entropic_upper_bound, ["inst", "t", "eps"]),
+    (entropy.cutoff_window_bound, ["inst", "eps"]),
     (cli.verdict_suite, ["inst", "eps_list", "seed"]),
     (curvature.full_curvature_report, ["P"]),
     (spectral.relaxation_time, ["P"]),

@@ -119,30 +119,59 @@ class TestVerify:
         assert P.pi is P.pi
 
     def test_suite_reads_each_entropy_once(self, monkeypatch):
-        # d*(t_mix(1/2)) is computed once for every entropic upper bound,
-        # and each window bound reads V*(t_mix(1 - eps)) from the rows of
-        # the entropic lower bound: the verdicts equal those computed
-        # afresh.  V* at t_mix(eps) is still read by the varentropy checks.
+        # The start rows are read once at each distinct time: the t_mix(eps)
+        # and t_mix(1 - eps) of the grid, t_mix(1/2) among them.  Every
+        # verdict that reads d* or V* equals, exactly, the one built from
+        # d_star_at and v_star_at on a fresh instance.
         from cutoff_lab import entropy as ent
-        calls = Counter()
-        for name in ("d_star_at", "v_star_at"):
-            def counted(*args, _real=getattr(ent, name), _name=name,
-                        **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(ent, name, counted)
-        inst = families.birth_death([0.35] * 9, [0.15] * 9)
-        eps = [0.1, 0.25, 0.75]
-        suite = verdict_suite(inst, eps)
-        assert calls == {"d_star_at": 1, "v_star_at": len(eps)}
+        from cutoff_lab.verdicts import make_verdict
+        reads = Counter()
+
+        def counted(P, t, starts, _real=chain.kernel_rows):
+            reads[t] += 1
+            return _real(P, t, starts)
+        for module in (chain, families, ent):
+            monkeypatch.setattr(module, "kernel_rows", counted)
+        rates = ([0.35] * 9, [0.15] * 9)
+        inst = families.birth_death(*rates)
+        suite = verdict_suite(inst, EPS_GRID)
         monkeypatch.undo()
-        t_half = inst.t_mix(0.5)
-        upper = [v for v in suite if v.name == "entropic-upper-bound"]
-        window = [v for v in suite if v.name == "cutoff-window-bound"]
-        assert upper == [ent.entropic_upper_bound(inst, t_half, e)
-                         for e in eps]
-        assert window == [ent.cutoff_window_bound(inst, e)
-                          for e in eps if e < 0.5]
+        times = {inst.t_mix(x) for e in EPS_GRID for x in (e, 1.0 - e)}
+        assert inst.t_mix(0.5) in times and len(times) == len(EPS_GRID)
+        assert reads == Counter(times)
+
+        fresh = families.birth_death(*rates)
+        P, starts, t_rel = fresh.matrix, fresh.starts, fresh.t_rel
+        delta = P.metric.delta
+        t_half = fresh.t_mix(0.5)
+        d_half = ent.d_star_at(P, t_half, starts)
+        built = []
+        for e in EPS_GRID:
+            built.append(make_verdict(
+                "entropic-upper-bound", fresh.t_mix(e),
+                t_half + (t_rel / e) * (1.0 + d_half), eps=e, t=t_half))
+            hi, lo = fresh.t_mix(e), fresh.t_mix(1.0 - e)
+            if e < 0.5:
+                v = ent.v_star_at(P, lo, starts)
+                built.append(make_verdict(
+                    "cutoff-window-bound", hi - lo,
+                    (2.0 * t_rel / e ** 2) * (1.0 + math.sqrt(v)), eps=e,
+                    t_mix_eps=hi, t_mix_1meps=lo, v_star=v))
+            v = ent.v_star_at(P, hi, starts)
+            lip = ent._max_log_lip(fresh, hi, starts)
+            built.append(make_verdict(
+                "varentropy-bound-18", v,
+                18.0 * hi * (1.0 + math.log(delta)) ** 2, eps=e, t_mix=hi))
+            built.append(make_verdict(
+                "varentropy-bound-composition", v, 2.0 * hi * lip ** 2,
+                eps=e, t_mix=hi, log_lip=lip))
+        counts = Counter(v.name for v in built)
+        assert counts == {"entropic-upper-bound": 7, "cutoff-window-bound": 3,
+                          "varentropy-bound-18": 7,
+                          "varentropy-bound-composition": 7}
+        for name in counts:
+            assert ([v for v in suite if v.name == name]
+                    == [v for v in built if v.name == name])
 
     def test_transitive_curvature_from_start_vertex(self, tmp_path):
         # hypercube:d=6 is vertex-transitive: its curvature minima and W1
@@ -492,6 +521,41 @@ class TestOptions:
         args = cli.build_parser().parse_args(["analyze", "--spec", "cycle:n=8"])
         assert args.eps == "0.05,0.1,0.25,0.5,0.75,0.9,0.95"
         assert tuple(cli.Options(args).eps) == EPS_GRID
+
+    def test_repeated_eps_is_one_value(self):
+        # Values equal to 12 significant digits share a key: the first one
+        # given is kept, in its place.
+        for text, kept in (("0.25,0.25", [0.25]),
+                           ("0.1,0.1000000000001", [0.1]),
+                           ("0.1000000000001,0.75,0.1", [0.1000000000001,
+                                                         0.75]),
+                           ("0.75,0.25,0.75,0.5", [0.75, 0.25, 0.5])):
+            args = cli.build_parser().parse_args(
+                ["analyze", "--spec", "cycle:n=8", "--eps", text])
+            assert cli.Options(args).eps == kept
+
+    @pytest.mark.parametrize("argv,name", [
+        (["analyze", "--spec", "cycle:n=8"], "analysis.csv"),
+        (["verify", "--spec", "cycle:n=8"], "verdicts.csv"),
+        (["scan", "--spec", "cycle:n=6..7"], "scan.csv"),
+    ], ids=["analyze", "verify", "scan"])
+    def test_repeated_eps_writes_each_column_once(self, tmp_path, capsys,
+                                                  argv, name):
+        # A repeated eps writes the files and stdout of the list without
+        # the repeats: no duplicate column, row or verdict.
+        outs = []
+        for i, eps in enumerate(("0.25,0.1,0.25,0.1000000000001,0.75",
+                                 "0.25,0.1,0.75")):
+            out = tmp_path / str(i)
+            assert main(argv + ["--eps", eps, "--out", str(out)]) == EXIT_OK
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.is_file()}
+            outs.append((files, capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        header, rows = read_csv(tmp_path / "0" / name)
+        assert len(set(header)) == len(header)
+        if name == "verdicts.csv":
+            assert len({tuple(r[:2]) for r in rows}) == len(rows)
 
     def test_config_refused(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

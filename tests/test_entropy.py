@@ -241,11 +241,24 @@ class TestMixing:
         assert np.all(np.diff(prof.d_star) <= 1e-9)
 
     def test_star_helpers_match_profile(self):
-        # Bit-identical: analyze and scan read d* and V* off one profile.
-        P = cycle(6).matrix
-        prof = entropy_profile(P, [1.5], starts=[0])
-        assert d_star_at(P, 1.5, starts=[0]) == prof.d_star[0]
-        assert v_star_at(P, 1.5, starts=[0]) == prof.v_star[0]
+        # Bit-identical: the instance's one read at t (what analyze, scan
+        # and the verdicts use) gives the d* and V* of the helpers and of a
+        # one-point profile, and keeps a read-only copy of the row of
+        # largest relative entropy, memoized by t.
+        for inst in (cycle(6), birth_death([0.35] * 5, [0.15] * 5)):
+            P, starts = inst.matrix, inst.starts
+            prof = entropy_profile(P, [1.5], starts=starts)
+            at = inst.entropies(1.5)
+            assert d_star_at(P, 1.5, starts=starts) == prof.d_star[0] \
+                == at.d_star
+            assert v_star_at(P, 1.5, starts=starts) == prof.v_star[0] \
+                == at.v_star
+            rows = kernel_rows(P, 1.5, starts)
+            kl = [kl_divergence(row, P.pi) for row in rows]
+            assert np.array_equal(at.worst_row, rows[np.argmax(kl)])
+            assert at.worst_row.base is None
+            assert not at.worst_row.flags.writeable
+            assert inst.entropies(1.5) is at
 
 
 class TestInequalityChecks:
