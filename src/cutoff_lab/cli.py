@@ -177,21 +177,15 @@ def cmd_analyze(opts: Options) -> int:
     cols, tmix = _analysis(inst, opts.eps, eps0)
     header, row = zip(*cols)
     write_csv(os.path.join(out, "analysis.csv"), header, [row])
-    pi, starts = P.pi, inst.starts
-
     grid = _t_grid(opts, max(tmix.values()))
     # One power sequence for the whole grid (see _KernelRows).
-    rows_at = _KernelRows(P, starts)
-
-    def profile_point(t):
-        rows = _cached_rows(cache, P, t, starts, rows_at)
-        return (float(ent._row_tvs(rows, pi).max()),
-                float(ent._row_entropies(rows, pi)[0].max()))
-    points = [profile_point(t) for t in grid]
+    rows_at = _KernelRows(P, inst.starts)
+    tv, d_star, _ = ent.worst_profile(
+        lambda t: _cached_rows(cache, P, t, inst.starts, rows_at), P.pi, grid)
     svg.line_plot(
         os.path.join(out, "profile.svg"),
-        [("worst-case TV", grid, [p[0] for p in points]),
-         ("d*_KL", grid, [p[1] for p in points])],
+        [("worst-case TV", grid, tv.tolist()),
+         ("d*_KL", grid, d_star.tolist())],
         title=f"mixing profile ({inst.family}, n={P.n})",
         xlabel="t", ylabel="distance",
         vlines=[(f"tmix({_fmt(e)})", tmix[e]) for e in opts.eps])
@@ -276,11 +270,8 @@ def scan_rows(opts: Options):
     def one(value, inst):
         cols, tmix = _analysis(inst, opts.eps, eps_lo)
         t_rel = inst.t_rel
-        v0 = cols[-1][1]
         window = tmix[eps_lo] - tmix[eps_hi]
         ratio = tmix[eps_lo] / tmix[eps_hi] if tmix[eps_hi] > 0 else math.inf
-        conc = ((1.0 + math.sqrt(v0)) * t_rel / tmix[eps_lo]
-                if tmix[eps_lo] > 0 else math.inf)
         log_delta = math.log(inst.matrix.metric.delta)
         sparse = (tmix[eps_lo] / (t_rel * log_delta) ** 2
                   if log_delta > 0 else math.inf)
@@ -292,7 +283,9 @@ def scan_rows(opts: Options):
             th2_bound = math.nan
         return ([("param", value)] + cols[:-2]
                 + [("window", window), ("ratio", ratio)] + cols[-2:]
-                + [("concentration_ratio", conc), ("sparse_condition", sparse),
+                + [("concentration_ratio",
+                    ent.entropic_concentration_ratio(inst, eps_lo)),
+                   ("sparse_condition", sparse),
                    ("th1_window_scale", th1_window),
                    ("th2_window_bound", th2_bound)])
 

@@ -61,11 +61,14 @@ _SCREEN_MARGIN = 1e-6
 # amortize the solver set-up, small enough that a batch stays cheap.  On the
 # reduced blocks, 512 to 2048 tie and 256 or 4096 are up to 1.5x slower.
 _LP_VARS = 1024
-# Entries of one stacked array: a run of ollivier_curvature's edges gathers
-# at most this many CSR entries, a run of bakry_emery_curvature's vertices
-# at most this many 2-ball states, and a batch of one form shape at most
-# this many ball x ball entries or CSR entries (4 MiB of float64).
+# Entries of the stacked arrays held at once (4 MiB of float64): a run of
+# ollivier_curvature's edges gathers at most this many CSR entries; in
+# bakry_emery_curvature, _FORM_ARRAYS times a run's 2-ball states, or a
+# batch's ball x ball entries or CSR entries, is at most this many.
 _BE_ENTRIES = 2 ** 19
+# About how many arrays of a run's or batch's size _two_balls and
+# _schur_forms hold at once.
+_FORM_ARRAYS = 8
 # Standard normal observables per t of the two semigroup-level checks.
 _SEMIGROUP_DRAWS = 20
 _OPTIMAL = highs.HighsModelStatus.kOptimal
@@ -500,11 +503,12 @@ def bakry_emery_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     every vertex or at the vertices of ``starts`` (on a vertex-transitive
     chain, kappa(x) is the same at every x); global value is the minimum.
 
-    The vertices go in runs whose 2-ball gathers stay within
-    ``_BE_ENTRIES`` entries; in a run, the vertices whose 2-ball size and
-    out-degree agree share each stacked step of _schur_forms and one
-    eigvalsh, in batches whose ball x ball forms (and CSR gathers) stay
-    within ``_BE_ENTRIES`` entries.
+    The vertices go in runs whose 2-ball gathers, _FORM_ARRAYS at once,
+    stay within ``_BE_ENTRIES`` entries; in a run, the vertices whose
+    2-ball size and out-degree agree share each stacked step of
+    _schur_forms and one eigvalsh, in batches whose ball x ball forms (or
+    CSR gathers), _FORM_ARRAYS at once, stay within ``_BE_ENTRIES``
+    entries.
     """
     if not P.irreducible:
         raise NotIrreducible("Bakry-Emery curvature requires irreducibility")
@@ -515,11 +519,11 @@ def bakry_emery_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     ends = np.cumsum(np.append(0, degree[adj.indices]))[adj.indptr]
     reach = 1 + degree + np.diff(ends)
     kappa = np.empty(len(xs))
-    for lo, hi in _runs(reach[xs].tolist(), _BE_ENTRIES):
+    for lo, hi in _runs((_FORM_ARRAYS * reach[xs]).tolist(), _BE_ENTRIES):
         ptr, states = _two_balls(P, xs[lo:hi])
         size, d = np.diff(ptr), degree[xs[lo:hi]]
         ends = np.cumsum(np.append(0, rowlen[states]))[ptr]
-        cost = np.maximum(size * size, np.diff(ends))
+        cost = _FORM_ARRAYS * np.maximum(size * size, np.diff(ends))
         order = np.lexsort((d, size))
         shape = np.stack([size[order], d[order]])
         bounds = np.flatnonzero(np.any(shape[:, 1:] != shape[:, :-1], axis=0))

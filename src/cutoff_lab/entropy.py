@@ -121,12 +121,24 @@ def worst_tv(P: StochasticMatrix, t: float,
     return float(_row_tvs(kernel_rows(P, t, starts), P.pi).max())
 
 
+def worst_profile(rows_at, pi: Distribution, times) -> np.ndarray:
+    """Worst TV, d*_KL and V*_KL over the rows ``rows_at(t)`` at each t of
+    ``times``: the rows of a (3, len(times)) array, each row block read and
+    scored once.  ``rows_at`` is a _KernelRows(P, starts) or any callable
+    t -> rows (the CLI's cached rows)."""
+    table = np.empty((3, len(times)))
+    for j, t in enumerate(times):
+        rows = rows_at(t)
+        table[0, j] = _row_tvs(rows, pi).max()
+        table[1:, j] = [a.max() for a in _row_entropies(rows, pi)]
+    return table
+
+
 def mixing_profile(P: StochasticMatrix, t_grid,
                    starts: Optional[Sequence[int]] = None) -> MixingProfile:
-    rows_at = _KernelRows(P, starts)
     times = np.asarray(sorted(t_grid), dtype=float)
-    table = [_row_tvs(rows_at(t), P.pi) for t in times]
-    return MixingProfile(times=times, worst_tv=np.array(table).max(axis=1))
+    return MixingProfile(times=times, worst_tv=worst_profile(
+        _KernelRows(P, starts), P.pi, times)[0])
 
 
 def _first_time(below) -> float:
@@ -175,16 +187,9 @@ def mixing_time(P: StochasticMatrix, eps: float, *,
 def entropy_profile(P: StochasticMatrix, t_grid,
                     starts: Optional[Sequence[int]] = None) -> EntropyProfile:
     """d*_KL and V*_KL over a time grid (max over the given start set)."""
-    pi = P.pi
-    rows_at = _KernelRows(P, starts)
     times = np.asarray(sorted(t_grid), dtype=float)
-    d_star, v_star = [], []
-    for t in times:
-        kl, var = _row_entropies(rows_at(t), pi)
-        d_star.append(kl.max())
-        v_star.append(var.max())
-    return EntropyProfile(times=times, d_star=np.array(d_star),
-                          v_star=np.array(v_star))
+    _, d_star, v_star = worst_profile(_KernelRows(P, starts), P.pi, times)
+    return EntropyProfile(times=times, d_star=d_star, v_star=v_star)
 
 
 def d_star_at(P, t, starts=None, pi=None) -> float:
@@ -242,10 +247,10 @@ def cutoff_window_bound(inst: ChainInstance, eps: float) -> InequalityVerdict:
 
 def entropic_concentration_ratio(inst: ChainInstance, eps: float) -> float:
     """[1 + sqrt(V*(t_mix(eps)))] * t_rel / t_mix(eps); small values certify
-    the cutoff criterion."""
+    the cutoff criterion.  inf when t_mix(eps) = 0."""
     t_mix = inst.t_mix(eps)
     if t_mix <= 0.0:
-        raise ValueError("degenerate chain: t_mix(eps) = 0")
+        return math.inf
     v = inst.entropies(t_mix).v_star
     return (1.0 + math.sqrt(v)) * inst.t_rel / t_mix
 
@@ -259,12 +264,11 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
     """
     if c <= 0.0:
         raise ValueError("prefactor c must be positive")
-    pi = P.pi
     rows_at = _KernelRows(P, starts)
 
     def g(t):
-        kl, var = _row_entropies(rows_at(t), pi)
-        return kl.max() - c * (1.0 + math.sqrt(var.max()))
+        _, d, v = worst_profile(rows_at, P.pi, [t])[:, 0]
+        return d - c * (1.0 + math.sqrt(v))
 
     if g(0.0) < 0.0:
         raise NoCrossing("d*(0) already below c (1 + sqrt(V*(0)))")
@@ -277,14 +281,13 @@ def cutoff_time_equation(P: StochasticMatrix, c: float = 1.0, *,
 
 def log_density_lip_norm(inst: ChainInstance, o: int, t: float) -> float:
     """Lipschitz norm of log(P_t(o,.)/pi) over support edges."""
-    return _max_log_lip(inst, t, [o])
+    return _max_log_lip(inst.matrix, t, [o])
 
 
-def _max_log_lip(inst: ChainInstance, t: float,
+def _max_log_lip(P: StochasticMatrix, t: float,
                  starts: Optional[Sequence[int]]) -> float:
     """max over o in ``starts`` of ||log(P_t(o,.)/pi)||_Lip; over every
     state, all rows from one full kernel, when ``starts`` is None."""
-    P = inst.matrix
     if not P.symmetric_support:
         raise HypothesisViolation("log-gradient requires symmetric support")
     # The truncated series must reach every state: entries at graph distance
@@ -310,7 +313,7 @@ def log_gradient_bound_check(inst: ChainInstance,
     if t < metric.diameter / 4.0:
         raise HypothesisViolation(
             f"t={t} below diam/4 = {metric.diameter / 4.0}")
-    lhs = _max_log_lip(inst, t, inst.starts)
+    lhs = inst.log_lip(t)
     rhs = 3.0 * (1.0 + math.log(metric.delta))
     return make_verdict("log-gradient-bound", lhs, rhs, t=t,
                         delta=metric.delta)
@@ -395,7 +398,7 @@ def varentropy_bound_check(inst: ChainInstance, eps: float, kappa: float):
         v, lip = 0.0, 0.0
     else:
         v = inst.entropies(t).v_star
-        lip = _max_log_lip(inst, t, inst.starts)
+        lip = inst.log_lip(t)
     v18 = make_verdict("varentropy-bound-18", v,
                        18.0 * t * (1.0 + math.log(P.metric.delta)) ** 2,
                        eps=eps, t_mix=t)

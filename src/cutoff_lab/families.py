@@ -17,7 +17,7 @@ import numpy.fft  # noqa: F401  (lazy in numpy 2: load it at import)
 import numpy.random  # noqa: F401
 
 from .chain import CSR, StochasticMatrix, _bfs, _readonly, kernel_rows
-from .entropy import _row_entropies, mixing_time
+from .entropy import _max_log_lip, _row_entropies, mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
                      NotSymmetricSet, SpecParseError, StateCapExceeded)
 from .spectral import relaxation_time
@@ -141,9 +141,10 @@ class StepLaw:
 class ChainInstance:
     """A constructed chain plus provenance and symmetry metadata.
 
-    Also the per-chain context of the verdict layer: t_rel, t_mix(eps) and
-    the entropies at t (both depend on ``starts``) are computed on first use
-    and kept; pi and the metric are kept on the matrix.
+    Also the per-chain context of the verdict layer: t_rel, t_mix(eps), the
+    entropies at t and the log-gradient norm at t (all but t_rel depend on
+    ``starts``) are computed on first use and kept; pi and the metric are
+    kept on the matrix.
     """
 
     matrix: StochasticMatrix
@@ -155,6 +156,8 @@ class ChainInstance:
                          compare=False)
     _entropies: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    _log_lip: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def starts(self):
@@ -189,6 +192,13 @@ class ChainInstance:
                 float(kl.max()), float(var.max()),
                 _readonly(rows.take(kl.argmax(), axis=0)))
         return self._entropies[t]
+
+    def log_lip(self, t: float) -> float:
+        """max over ``starts`` of ||log(P_t(o, .)/pi)||_Lip (see
+        entropy._max_log_lip), memoized by t."""
+        if t not in self._log_lip:
+            self._log_lip[t] = _max_log_lip(self.matrix, t, self.starts)
+        return self._log_lip[t]
 
 
 def _check_cap(n: int):

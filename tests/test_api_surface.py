@@ -20,6 +20,7 @@ from cutoff_lab import cli, curvature, entropy, families, spectral
     (entropy.local_concentration_sweep, ["P", "kernels", "kappa", "seed"]),
     (entropy.entropic_upper_bound, ["inst", "t", "eps"]),
     (entropy.cutoff_window_bound, ["inst", "eps"]),
+    (entropy.worst_profile, ["rows_at", "pi", "times"]),
     (cli.verdict_suite, ["inst", "eps_list", "seed"]),
     (curvature.full_curvature_report, ["P"]),
     (spectral.relaxation_time, ["P"]),

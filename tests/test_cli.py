@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutoff_lab import chain, cli, curvature, families
+from cutoff_lab import entropy as ent
 from cutoff_lab.chain import load_chain_file
 from cutoff_lab.cli import (CSV_VERSION, EXIT_CAP, EXIT_OK, EXIT_SPEC,
                             EXIT_VERDICT, main, verdict_suite)
@@ -120,18 +121,25 @@ class TestVerify:
 
     def test_suite_reads_each_entropy_once(self, monkeypatch):
         # The start rows are read once at each distinct time: the t_mix(eps)
-        # and t_mix(1 - eps) of the grid, t_mix(1/2) among them.  Every
-        # verdict that reads d* or V* equals, exactly, the one built from
-        # d_star_at and v_star_at on a fresh instance.
-        from cutoff_lab import entropy as ent
+        # and t_mix(1 - eps) of the grid, t_mix(1/2) among them; the
+        # log-gradient norm once at each t_mix(eps) and at the log-gradient
+        # check's time.  Every verdict that reads d*, V* or the norm equals,
+        # exactly, the one built from d_star_at, v_star_at and _max_log_lip
+        # on a fresh instance.
         from cutoff_lab.verdicts import make_verdict
-        reads = Counter()
+        reads, lips = Counter(), Counter()
 
         def counted(P, t, starts, _real=chain.kernel_rows):
             reads[t] += 1
             return _real(P, t, starts)
+
+        def counted_lip(P, t, starts, _real=ent._max_log_lip):
+            lips[t] += 1
+            return _real(P, t, starts)
         for module in (chain, families, ent):
             monkeypatch.setattr(module, "kernel_rows", counted)
+        for module in (families, ent):
+            monkeypatch.setattr(module, "_max_log_lip", counted_lip)
         rates = ([0.35] * 9, [0.15] * 9)
         inst = families.birth_death(*rates)
         suite = verdict_suite(inst, EPS_GRID)
@@ -139,6 +147,8 @@ class TestVerify:
         times = {inst.t_mix(x) for e in EPS_GRID for x in (e, 1.0 - e)}
         assert inst.t_mix(0.5) in times and len(times) == len(EPS_GRID)
         assert reads == Counter(times)
+        t_log = max(inst.matrix.metric.diameter / 4.0, inst.t_mix(0.25))
+        assert lips == Counter({t_log} | {inst.t_mix(e) for e in EPS_GRID})
 
         fresh = families.birth_death(*rates)
         P, starts, t_rel = fresh.matrix, fresh.starts, fresh.t_rel
@@ -158,7 +168,7 @@ class TestVerify:
                     (2.0 * t_rel / e ** 2) * (1.0 + math.sqrt(v)), eps=e,
                     t_mix_eps=hi, t_mix_1meps=lo, v_star=v))
             v = ent.v_star_at(P, hi, starts)
-            lip = ent._max_log_lip(fresh, hi, starts)
+            lip = ent._max_log_lip(P, hi, starts)
             built.append(make_verdict(
                 "varentropy-bound-18", v,
                 18.0 * hi * (1.0 + math.log(delta)) ** 2, eps=e, t_mix=hi))
@@ -231,6 +241,19 @@ class TestVerify:
             == list(range(P.n))
 
 
+SCAN_COMPLETE_06 = """\
+# cutoff-lab-csv-v1
+param,n,delta,diam,t_rel,kappa_ollivier,kappa_bakry_emery,tmix_0.6,window,\
+ratio,d_star,v_star,concentration_ratio,sparse_condition,th1_window_scale,\
+th2_window_bound
+2,2,1,1,0.5,0,2,0,0,inf,0.69314718056,0,inf,inf,0,nan
+3,3,2,1,0.666666666667,0.5,1.25,0.0702209472656,0,1,0.807530622945,\
+0.690838188433,17.3848102275,0.328850328275,0.122452468337,nan
+4,4,3,1,0.75,0.666666666667,1,0.167327880859,0,1,0.798860938008,\
+1.02345609808,9.01669850276,0.246465921802,0.337046538632,nan
+"""
+
+
 class TestScan:
     def test_cycle_scan(self, tmp_path):
         out = tmp_path / "out"
@@ -270,6 +293,29 @@ class TestScan:
         assert main(["scan", "--spec", "cycle:n=8..12..2",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(calls) == 21 and set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("argv", [
+        ["--spec", "hypercube:d=2..5", "--eps", "0.1,0.25,0.75"],
+        ["--spec", "complete:n=2..4", "--eps", "0.6"],
+        ["--spec", "cycle:n=6..7"]], ids=["hypercube", "complete", "cycle"])
+    def test_concentration_ratio_is_the_library_value(self, argv):
+        # Bit for bit entropic_concentration_ratio at the smallest eps, on
+        # a fresh instance of each member (inf where t_mix = 0).
+        opts = cli.Options(cli.build_parser().parse_args(["scan"] + argv))
+        header, rows = cli.scan_rows(opts)
+        col = header.index("concentration_ratio")
+        members = families.parse_family_range(opts.spec)
+        assert [r[col] for r in rows] == [
+            ent.entropic_concentration_ratio(inst, min(opts.eps))
+            for _, inst in members]
+
+    def test_complete_scan_at_large_eps(self, tmp_path):
+        # complete:n=2 is mixed at t = 0 for eps = 0.6: its ratios are inf
+        # and the command still succeeds, writing this table.
+        out = tmp_path / "out"
+        assert main(["scan", "--spec", "complete:n=2..4", "--eps", "0.6",
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "scan.csv").read_text() == SCAN_COMPLETE_06
 
     def test_scan_needs_range(self, tmp_path):
         code = main(["scan", "--spec", "cycle:n=8",

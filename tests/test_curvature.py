@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -760,7 +761,7 @@ class TestBakryEmery:
     def test_local_forms_built_once_per_vertex(self, monkeypatch):
         # Every vertex of the 6-cycle has a 5-state 2-ball and 2
         # out-neighbours, so its forms share one batch, split at a budget
-        # of 60 entries into runs of two 25-entry forms.
+        # of 400 entries into runs of two forms of 8 x 25 entries.
         calls = []
         real = curvature._schur_forms
 
@@ -769,12 +770,29 @@ class TestBakryEmery:
             return real(P, xs, balls)
         monkeypatch.setattr(curvature, "_schur_forms", counted)
         for budget, batches in ((curvature._BE_ENTRIES, [[0, 1, 2, 3, 4, 5]]),
-                                (60, [[0, 1], [2, 3], [4, 5]]),
+                                (400, [[0, 1], [2, 3], [4, 5]]),
                                 (1, [[x] for x in range(6)])):
             calls.clear()
             monkeypatch.setattr(curvature, "_BE_ENTRIES", budget)
             bakry_emery_curvature(cycle(6).matrix)
             assert calls == batches
+
+    @pytest.mark.parametrize("spec", ["hypercube:d=7", "complete:n=40"])
+    def test_batches_stay_within_budget(self, monkeypatch, spec):
+        # Every array a run or batch holds at once counts against the
+        # budget: the traced peak stays within twice its bytes (it was 9
+        # to 11 times when each stacked array had the budget to itself).
+        P = parse_family_spec(spec).matrix
+        budget = 2 ** 16
+        monkeypatch.setattr(curvature, "_BE_ENTRIES", budget)
+        bakry_emery_curvature(P)          # P's adjacency, CSR and BFS row
+        tracemalloc.start()
+        try:
+            bakry_emery_curvature(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * budget
 
     def test_full_report_combines_both(self):
         rep = full_curvature_report(cycle(6).matrix)

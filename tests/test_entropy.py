@@ -261,6 +261,64 @@ class TestMixing:
             assert inst.entropies(1.5) is at
 
 
+class TestWorstProfile:
+    """worst_profile scores each row block once: its three rows are,
+    exactly, the per-time maxima of _row_tvs and _row_entropies over the
+    same rows."""
+
+    TIMES = [0.0, 0.5, 1.25, 3.0, 3.5, 9.0]
+
+    @staticmethod
+    def maxima(rows_at, pi, times):
+        out = []
+        for t in times:
+            rows = rows_at(t)
+            kl, var = entropy._row_entropies(rows, pi)
+            out.append([entropy._row_tvs(rows, pi).max(), kl.max(),
+                        var.max()])
+        return np.array(out).T
+
+    @pytest.mark.parametrize("make,starts", [
+        (lambda: birth_death([0.35] * 7, [0.15] * 7), None),
+        (lambda: cycle(9), [0]),
+        (lambda: birth_death([0.3] * 6, [0.2] * 6), [0, 3, 6])],
+        ids=["full-kernel", "start-set", "start-set-bd"])
+    def test_equals_row_maxima(self, make, starts):
+        P = make().matrix
+        got = entropy.worst_profile(chain._KernelRows(P, starts), P.pi,
+                                    self.TIMES)
+        want = self.maxima(chain._KernelRows(P, starts), P.pi, self.TIMES)
+        assert got.shape == (3, len(self.TIMES))
+        assert np.array_equal(got, want)
+
+    def test_cached_rows(self, tmp_path):
+        # Through the cache, cold then warm: the same bits as the rows
+        # read directly.
+        from cutoff_lab.cache import HeatKernelCache
+        P = birth_death([0.35] * 7, [0.15] * 7).matrix
+        want = self.maxima(chain._KernelRows(P, None), P.pi, self.TIMES)
+        cache = HeatKernelCache(tmp_path / "cache")
+        for _ in range(2):
+            rows_at = chain._KernelRows(P, None)
+            got = entropy.worst_profile(
+                lambda t: cache.get_or_compute(P, t, None,
+                                               compute=lambda: rows_at(t)),
+                P.pi, self.TIMES)
+            assert np.array_equal(got, want)
+
+    def test_profiles_are_its_rows(self):
+        P = hypercube(4).matrix
+        times = [4.0, 0.0, 1.5, 0.5]
+        table = entropy.worst_profile(chain._KernelRows(P, [0]), P.pi,
+                                      sorted(times))
+        tv = mixing_profile(P, times, starts=[0])
+        prof = entropy_profile(P, times, starts=[0])
+        assert np.array_equal(tv.times, sorted(times))
+        assert np.array_equal(tv.worst_tv, table[0])
+        assert np.array_equal(prof.d_star, table[1])
+        assert np.array_equal(prof.v_star, table[2])
+
+
 class TestInequalityChecks:
     def test_entropic_upper_bound_passes(self):
         inst = hypercube(4)
@@ -298,6 +356,12 @@ class TestInequalityChecks:
 
     def test_concentration_ratio_positive(self):
         assert entropic_concentration_ratio(cycle(16), 0.25) > 0.0
+
+    def test_concentration_ratio_inf_when_mixed_at_zero(self):
+        # TV(0) = 1/2 <= 0.6 on the 2-state complete graph: t_mix = 0.
+        inst = complete_graph(2)
+        assert inst.t_mix(0.6) == 0.0
+        assert entropic_concentration_ratio(inst, 0.6) == math.inf
 
     def test_cutoff_time_equation_brackets(self):
         P = hypercube(6).matrix
