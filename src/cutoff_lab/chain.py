@@ -205,7 +205,7 @@ def _bfs(A: CSR, sources) -> np.ndarray:
     return dist.reshape(sources.size, n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class StochasticMatrix:
     """Row-stochastic kernel P, held once as the read-only CSR ``csr``,
     with its support-graph structure.
@@ -221,7 +221,8 @@ class StochasticMatrix:
     not reject broken rows; see validate.
 
     ``step_law`` is the law of a walk declared by :meth:`walk`, and None
-    on every other matrix (``dataclasses.replace`` included).
+    on every other matrix (``dataclasses.replace`` included).  The repr
+    shows n, nnz and whether P is a declared walk.
     """
 
     kernel: InitVar[object]
@@ -269,6 +270,15 @@ class StochasticMatrix:
         P = cls(law.matrix())
         object.__setattr__(P, "step_law", law)
         return P
+
+    def __repr__(self) -> str:
+        return (f"StochasticMatrix(n={self.n}, nnz={self.csr.nnz}, "
+                f"walk={self.step_law is not None})")
+
+    def _repr_pretty_(self, p, cycle):
+        # IPython's and hypothesis's printers call this before they would
+        # walk the dataclass fields, where the InitVar ``kernel`` is listed.
+        p.text(repr(self))
 
     @property
     def n(self) -> int:
@@ -499,14 +509,15 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
 # Poisson tail mass left out of every kernel: small enough that kernel rows
 # remain valid Distributions (sum to 1 within 1e-12) without renormalizing.
 _MASS_TOL = 1e-13
-_POWERS_CAP = 2 ** 24          # floats (128 MiB) in a start set's powers
+# Bytes (1 GiB) a _KernelRows may hold: row powers, or the engine's kernels.
+_KERNEL_BYTES = 2 ** 30
 # Dyadic rungs P_{2^i} of the full-kernel time engine (see _KernelRows):
 # from a Poisson base at 2^_RUNG_LOW, below every bisection step at t >= 1,
 # up to 2^_RUNG_HIGH, the top of a search's doubling.
 _RUNG_LOW = -16
 _RUNG_HIGH = 64
-# Rungs kept below the top one: a search's bisection steps are no finer than
-# 2^-15 of its top (see entropy._first_time), so older rungs are dropped.
+# Most rungs kept, the top one included: a search's bisection steps are no
+# finer than 2^-15 of its top (see entropy._first_time).
 _RUNG_WINDOW = 16
 
 
@@ -578,15 +589,15 @@ class _KernelRows:
     extended on demand by P.row_times, and weights it by poisson_weights(t)
     for each t: a search over t pays the products of its largest t once,
     and each row equals the one-shot series bit for bit.  It holds K(t) > t
-    times |starts| n floats while it lives, at most _POWERS_CAP.
+    times |starts| n floats, refused past _KERNEL_BYTES.
 
     Full kernels come from one time engine: t is answered from the largest
     kernel K_{t0} held at some t/2 <= t0 < t, where t - t0 is exact (else
     the identity at t0 = 0), times one factor P_{t-t0}, at one product:
 
     - a power-of-two factor is a dyadic rung P_{2^i}, squared up on demand
-      from one Poisson base at s = 2^_RUNG_LOW; only the _RUNG_WINDOW
-      highest rungs are kept, and a lower one is climbed to again;
+      from one Poisson base at s = 2^_RUNG_LOW; only the _window highest
+      rungs are kept, and a lower one is climbed to again;
     - any other factor is built by scaling and squaring (see _squared) and
       kept by its length, reused only for an exactly equal step (the
       steps of an increasing grid);
@@ -596,8 +607,10 @@ class _KernelRows:
     So a doubling step of a search is one squaring, a bisection step one
     product K_lo P_delta, and a grid point one product.  Only the kernels
     at t0 and t are held after each answer, and everything lives only as
-    long as this object.  Where a window of rungs would not fit in _POWERS_CAP
-    floats beside the steps, a power-of-two factor is built as a step.
+    long as this object, within _KERNEL_BYTES: the window is _RUNG_WINDOW
+    rungs or what fits beside two held kernels and one step, at least two,
+    and the steps are dropped when one more would not fit.  A rung's bits
+    depend only on P and i, so no kernel depends on the window.
 
     Each held kernel carries the mass d its rows miss, d <- d_a + K_a d_b
     for K_a K_b, and rows are rescaled to sum to 1 - d after each product
@@ -617,6 +630,8 @@ class _KernelRows:
             self._rungs = []       # (P_{2^i}, d), i = _RUNG_LOW + index;
             #                        None below the window
             self._steps = {}       # delta -> (P_delta, d)
+            self._slots = _KERNEL_BYTES // (8 * P.n ** 2)   # n x n kernels
+            self._window = min(_RUNG_WINDOW, max(2, self._slots - 3))
             return
         if len(starts) == 0:
             raise DimensionMismatch("need at least one start state")
@@ -635,9 +650,9 @@ class _KernelRows:
             if min_terms or not 0.0 < t <= math.ldexp(1.0, _RUNG_HIGH):
                 return heat_kernel(self._P, t, min_terms=min_terms)
             return self._kernel(t)
-        if t > _POWERS_CAP / (len(self._powers) * self._P.n):
+        if t > _KERNEL_BYTES / (8 * len(self._powers) * self._P.n):
             raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
-                                   f"over {_POWERS_CAP} floats of powers")
+                                   f"over {_KERNEL_BYTES} bytes of powers")
         q = poisson_weights(t, min_terms=min_terms)
         for vs in self._powers:
             while len(vs) < len(q):
@@ -667,14 +682,14 @@ class _KernelRows:
         elif F is None:
             F = self._steps.get(delta)
             if F is None:
-                if not self._room(1):
+                if self._window + len(self._steps) + 3 > self._slots:
                     self._steps.clear()
                 F = self._steps[delta] = _squared(
                     self._P, delta, math.ldexp(delta * _MASS_TOL, -65))
         if K0 is None:
             K, d = F
-        elif K0 is F[0] and self._rung(e) is not None:
-            # Doubling a rung: K_{2 t0} is the next rung, one squaring.
+        elif K0 is F[0]:
+            # A held rung: K_{2 t0} is the next rung, one squaring.
             K, d = self._rung(e)
         else:
             K, d = _product((K0, d0), F)
@@ -685,10 +700,10 @@ class _KernelRows:
 
     def _rung(self, i: int):
         """(P_{2^i}, d) squared up from the base on demand; None for i
-        outside [_RUNG_LOW, _RUNG_HIGH] or past _POWERS_CAP floats kept."""
+        outside [_RUNG_LOW, _RUNG_HIGH]."""
         k = i - _RUNG_LOW
         rungs = self._rungs
-        if not (0 <= k <= _RUNG_HIGH - _RUNG_LOW and self._room(0)):
+        if not 0 <= k <= _RUNG_HIGH - _RUNG_LOW:
             return None
         if k < len(rungs) and rungs[k] is None:
             rungs.clear()               # below the window: climb again
@@ -698,15 +713,9 @@ class _KernelRows:
                                   math.ldexp(s * _MASS_TOL, -65)))
         while len(rungs) <= k:
             rungs.append(_product(rungs[-1], rungs[-1]))
-            if len(rungs) > _RUNG_WINDOW:
-                rungs[-1 - _RUNG_WINDOW] = None
+            if len(rungs) > self._window:
+                rungs[-1 - self._window] = None
         return rungs[k]
-
-    def _room(self, steps: int) -> bool:
-        """Whether a full window of rungs, the steps and ``steps`` more,
-        and two held kernels fit in _POWERS_CAP floats."""
-        kept = _RUNG_WINDOW + len(self._steps) + steps + 2
-        return kept * self._P.n ** 2 <= _POWERS_CAP
 
 
 def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,

@@ -553,6 +553,14 @@ def full_curvature_report(P: StochasticMatrix) -> CurvatureReport:
 # Semigroup-level checks
 # ---------------------------------------------------------------------------
 
+def _decay(rate: float) -> float:
+    """e^{-rate}: np.exp's value where it is finite, and inf without
+    numpy's overflow warning past the float range (a negative kappa at a
+    long t)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(-rate))
+
+
 def contraction_check(P: StochasticMatrix, kappa: float, kernels,
                       seed: int = 0, starts=None) -> InequalityVerdict:
     """Lipschitz contraction ||P_t f||_Lip <= e^{-kappa t} ||f||_Lip at each
@@ -576,7 +584,7 @@ def contraction_check(P: StochasticMatrix, kappa: float, kernels,
     rng = np.random.default_rng(seed)
     worst = None
     for t, K in kernels:
-        decay = float(np.exp(-kappa * t))
+        decay = _decay(kappa * t)
         F = rng.standard_normal((_SEMIGROUP_DRAWS, P.n))
         lips = P.lip_norms(F)
         F = F[lips > 0.0] / lips[lips > 0.0, None]
@@ -621,7 +629,7 @@ def subcommutativity_check(P: StochasticMatrix, kappa: float, kernels,
     rng = np.random.default_rng(seed)
     worst = None
     for t, K in kernels:
-        decay = float(np.exp(-2.0 * kappa * t))
+        decay = _decay(2.0 * kappa * t)
         F = rng.standard_normal((_SEMIGROUP_DRAWS, P.n)).T
         G = K @ F
         lhs = gamma_form(P, G, G)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 from scipy.linalg import expm
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
@@ -106,6 +107,18 @@ class TestStochasticMatrix:
         assert P.labels == ("a", "b")
         with pytest.raises(DimensionMismatch):
             StochasticMatrix(FLIP, labels=["a"])
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: cycle_matrix(5), "n=5, nnz=10, walk=False"),
+        (lambda: StochasticMatrix(cycle(6).matrix.csr),
+         "n=6, nnz=12, walk=False"),
+        (lambda: cycle(6).matrix, "n=6, nnz=12, walk=True")],
+        ids=["dense", "csr", "walk"])
+    def test_repr(self, make, want):
+        # hypothesis's printer (the one a failing property reports its
+        # example with) reaches the same repr.
+        P = make()
+        assert repr(P) == pretty(P) == f"StochasticMatrix({want})"
 
     def test_validate_reports_broken_rows(self):
         rep = validate(StochasticMatrix(np.array([[0.5, 0.4], [0.5, 0.5]])))
@@ -626,12 +639,20 @@ class TestHeatKernel:
         assert np.max(np.abs(heat_kernel_apply(P, f, t)
                              - heat_kernel(P, t) @ f)) <= 1e-12
 
-    def test_power_sequence_cap(self):
-        # The rows' powers would hold about t n floats: refused before any
-        # is computed.
-        rows = chain._KernelRows(cycle_matrix(64), [0])
+    def test_power_sequence_cap(self, monkeypatch):
+        # The rows' powers would hold about t |starts| n floats: a t whose
+        # floats pass _KERNEL_BYTES is refused before any power is
+        # computed, and one just inside a smaller budget is answered.
+        P, starts = cycle_matrix(64), [0, 1]
+        rows = chain._KernelRows(P, starts)
+        limit = chain._KERNEL_BYTES / (8 * len(starts) * P.n)
         with pytest.raises(StateCapExceeded):
-            rows(1e6)
+            rows(1.01 * limit)
+        assert [len(vs) for vs in rows._powers] == [1, 1]
+        monkeypatch.setattr(chain, "_KERNEL_BYTES", 2 ** 16)
+        assert rows(0.99 * 2 ** 16 / (8 * len(starts) * P.n)).shape == (2, 64)
+        with pytest.raises(StateCapExceeded):
+            rows(1.01 * 2 ** 16 / (8 * len(starts) * P.n))
 
     def test_state_out_of_range(self):
         with pytest.raises(DimensionMismatch):
@@ -791,6 +812,18 @@ class TestTimeEngine:
     grids stay within the mass certificate, and each answer costs one
     product."""
 
+    # Rung windows the budgets below give: the default one, and two that a
+    # chain of a few thousand states would get.
+    WINDOWS = (16, 4, 2)
+
+    @staticmethod
+    def set_window(monkeypatch, P, window):
+        # The budget that holds ``window`` rungs, two held kernels and one
+        # step of P.n^2 floats each.
+        monkeypatch.setattr(chain, "_KERNEL_BYTES",
+                            (window + 3) * 8 * P.n ** 2)
+        assert chain._KernelRows(P, None)._window == window
+
     @staticmethod
     def assert_certified(K, P, t):
         # Against the one-shot kernel: a row l1 error of at most twice the
@@ -804,10 +837,13 @@ class TestTimeEngine:
         lambda: random_reversible(1, 64), lambda: random_reversible(2, 64),
         lambda: random_reversible(3, 64)],
         ids=["bd-drift", "bd-symmetric", "random-1", "random-2", "random-3"])
-    def test_search_matches_squared_afresh(self, make):
+    def test_search_matches_squared_afresh(self, monkeypatch, make):
+        # At every window: a rung's bits do not depend on how many are kept.
         P = make()
-        for eps in EPS_GRID:
-            assert mixing_time(P, eps) == squared_afresh_tmix(P, eps)
+        want = [squared_afresh_tmix(P, eps) for eps in EPS_GRID]
+        for window in self.WINDOWS:
+            self.set_window(monkeypatch, P, window)
+            assert [mixing_time(P, eps) for eps in EPS_GRID] == want
 
     def test_cutoff_time_equation_unchanged(self):
         # The root of d* = c (1 + sqrt(V*)) on the drifting bd chain, as
@@ -877,20 +913,66 @@ class TestTimeEngine:
                                       lambda: random_reversible(1, 64)],
                              ids=["bd-drift", "random-1"])
     def test_search_squares_no_kernel_afresh(self, monkeypatch, make):
-        # One Poisson base for the whole search: heat_kernel is not called,
-        # and _squared builds only the base of the dyadic rungs.
+        # heat_kernel is not called (past t = 0), and _squared builds only
+        # the base of the dyadic rungs, at s = 2^-16: once per search at
+        # the default window, and again each time a smaller window is
+        # climbed anew, but never a power-of-two factor as a grid step.
         P = make()
-        calls = Counter()
+        calls, squared = Counter(), []
         for name in ("heat_kernel", "_squared"):
             def counted(*args, _real=getattr(chain, name), _name=name,
                         **kwargs):
                 calls[_name] += 1
+                if _name == "_squared":
+                    squared.append(args[1])
                 return _real(*args, **kwargs)
             monkeypatch.setattr(chain, name, counted)
-        for eps in (0.05, 0.5, 0.95):
-            calls.clear()
-            mixing_time(P, eps)
-            assert calls["heat_kernel"] <= 1 and calls["_squared"] <= 1
+        for window in self.WINDOWS:
+            self.set_window(monkeypatch, P, window)
+            for eps in (0.05, 0.5, 0.95):
+                calls.clear()
+                squared.clear()
+                mixing_time(P, eps)
+                assert calls["heat_kernel"] <= 1
+                assert squared and set(squared) == {2.0 ** -16}
+                assert window < 16 or len(squared) == 1
+
+    def test_small_window_gives_same_kernels(self, monkeypatch):
+        # A grid, then a search's doubling and bisection, on a 64-state
+        # chain: at windows 4 and 2 (one step kept at a time) every kernel
+        # equals the one at window 16 bit for bit.
+        P = random_reversible(1, 64)
+        times = list(np.linspace(0.0, 300.0, 61))
+        entropy._first_time(lambda t: times.append(t) or t >= 77.7)
+        kernels = {}
+        for window in self.WINDOWS:
+            self.set_window(monkeypatch, P, window)
+            rows = chain._KernelRows(P, None)
+            kernels[window] = [rows(t) for t in times]
+        for window in self.WINDOWS[1:]:
+            assert all(map(np.array_equal, kernels[window], kernels[16]))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_engine_stays_in_window(self, monkeypatch, window):
+        # After every answer of a grid and a search: no more rungs than the
+        # window, and rungs, steps and two held kernels within the budget.
+        P = bd(0.3, 0.3, 64)
+        self.set_window(monkeypatch, P, window)
+        rows = chain._KernelRows(P, None)
+        seen = set()
+
+        def check(t):
+            rows(t)
+            kept = sum(r is not None for r in rows._rungs)
+            seen.add(kept)
+            assert kept <= window
+            assert (kept + len(rows._steps) + 2) * 8 * P.n ** 2 \
+                <= chain._KERNEL_BYTES
+            return t >= 500.0
+        for t in np.linspace(0.0, 600.0, 41):
+            check(t)
+        entropy._first_time(check)
+        assert max(seen) == window
 
     @pytest.mark.parametrize("make", [lambda: bd(0.35, 0.15),
                                       lambda: bd(0.3, 0.3),

@@ -96,6 +96,21 @@ class TestVerify:
                 "varentropy-bound-18",
                 "varentropy-bound-composition"} <= names
 
+    def test_negative_curvature_at_long_times(self, tmp_path):
+        # The 80-state p = q = 0.3 bd chain: kappa_BE = -0.2, so the
+        # semigroup checks' e^{-2 kappa t} passes the float range at the
+        # long t_mix of the grid.  No overflow warning (an error under the
+        # suite's filter), and the semigroup rows written before the fix.
+        out = tmp_path / "out"
+        spec = "bd:p={0};q={0}".format(",".join(["0.3"] * 79))
+        assert main(["verify", "--spec", spec, "--out", str(out)]) == EXIT_OK
+        lines = (out / "verdicts.csv").read_text().splitlines()
+        assert lines[-2:] == [
+            "w1-contraction,edge=(5/6);kappa=0;t=0.5,0.999999915904,1,"
+            "8.4095579389e-08,1",
+            "subcommutativity,kappa=-0.2;state=0;t=0.5,0.000623580255052,"
+            "0.0032738090784,0.00265022882334,1"]
+
     def test_suite_computes_each_mixing_time_once(self, monkeypatch):
         calls = Counter()
         real = families.mixing_time

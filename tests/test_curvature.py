@@ -1005,6 +1005,19 @@ class TestSemigroupChecks:
         v = contraction_check(P, 1.5, kernels(P, [2.0]), seed=0)
         assert not v.passed
 
+    def test_decay_past_float_range_is_inf(self):
+        # e^{-kappa t} and e^{-2 kappa t} with kappa < 0 at a long t: inf on
+        # the right side, with no overflow warning (an error under the
+        # suite's RuntimeWarning filter), and np.exp's value below it.
+        P = cycle(8).matrix
+        K = heat_kernel(P, 2.0)
+        v = contraction_check(P, -0.2, [(1.5, K)], seed=0)
+        assert v.rhs == float(np.exp(0.2 * 1.5))
+        v = contraction_check(P, -0.2, [(4000.0, K)], seed=0)
+        assert v.rhs == math.inf and v.passed
+        v = subcommutativity_check(P, -0.2, [(2000.0, K)], seed=0)
+        assert v.rhs == math.inf and v.passed
+
     @pytest.mark.parametrize("t", [0.5, 2.0])
     @pytest.mark.parametrize("n", [6, 8, 12, 16])
     def test_tied_edges_report_the_first(self, n, t):
