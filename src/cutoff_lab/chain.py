@@ -287,7 +287,8 @@ class StochasticMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense P, read-only, built from ``csr`` on first use (full
-        kernels, the LU pi, eigvalsh, chain files)."""
+        kernels, the LU pi, eigvalsh, chain files), if n^2 is admitted."""
+        _admit(self.n ** 2, f"the dense {self.n}-state P")
         return _readonly(self.csr.toarray())
 
     @cached_property
@@ -420,13 +421,10 @@ class ValidationReport:
 
 
 def validate(P: StochasticMatrix) -> ValidationReport:
-    """Pure diagnostics from ``P.csr``: row sums (bit for bit those of
-    ``P.entries``, 2^20 floats at a time), positivity, irreducibility,
-    support symmetry."""
+    """Pure diagnostics from ``P.csr``, in O(nnz): row sums (P times the
+    ones), positivity, irreducibility, support symmetry."""
     A, n = P.csr, P.n
-    step = max(1, 2 ** 20 // n)
-    sums = np.concatenate([A.dense_rows(np.arange(i, min(i + step, n)))
-                           .sum(axis=1) for i in range(0, n, step)])
+    sums = P.apply(np.ones(n))
     return ValidationReport(
         n=n,
         row_sum_residual=float(np.max(np.abs(sums - 1.0))),
@@ -521,6 +519,14 @@ _RUNG_HIGH = 64
 _RUNG_WINDOW = 16
 
 
+def _admit(entries: int, what: str):
+    """The one size rule (see StateCapExceeded): at most _KERNEL_BYTES // 40
+    transition entries, the room for five n x n float64 kernels."""
+    if entries > _KERNEL_BYTES // 40:
+        raise StateCapExceeded(f"{what} holds at least {entries} entries, "
+                               f"over the limit {_KERNEL_BYTES // 40}")
+
+
 def _poisson_pmf(t: float, tol: float,
                  min_terms: int = 0) -> tuple[np.ndarray, float]:
     """Poisson(t) pmf q_0..q_K and a bound ``tail`` <= ``tol`` on the mass
@@ -608,9 +614,9 @@ class _KernelRows:
     product K_lo P_delta, and a grid point one product.  Only the kernels
     at t0 and t are held after each answer, and everything lives only as
     long as this object, within _KERNEL_BYTES: the window is _RUNG_WINDOW
-    rungs or what fits beside two held kernels and one step, at least two,
-    and the steps are dropped when one more would not fit.  A rung's bits
-    depend only on P and i, so no kernel depends on the window.
+    rungs or what fits beside two held kernels and one step (two, at
+    _admit's limit), and the steps are dropped when one more would not fit.
+    A rung's bits depend only on P and i, so no kernel depends on the window.
 
     Each held kernel carries the mass d its rows miss, d <- d_a + K_a d_b
     for K_a K_b, and rows are rescaled to sum to 1 - d after each product
@@ -631,7 +637,7 @@ class _KernelRows:
             #                        None below the window
             self._steps = {}       # delta -> (P_delta, d)
             self._slots = _KERNEL_BYTES // (8 * P.n ** 2)   # n x n kernels
-            self._window = min(_RUNG_WINDOW, max(2, self._slots - 3))
+            self._window = min(_RUNG_WINDOW, self._slots - 3)
             return
         if len(starts) == 0:
             raise DimensionMismatch("need at least one start state")
@@ -768,7 +774,8 @@ def _squared(P: StochasticMatrix, t: float, budget: float,
     j = max(0, e if m == 0.5 else e + 1)
     q, tail = _poisson_pmf(math.ldexp(t, -j), math.ldexp(budget, -j),
                            min_terms)
-    A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ P.entries))
+    E = P.entries                   # admitted before the identity is built
+    A = _poisson_series(q, _iterates(np.eye(P.n), lambda x: x @ E))
     d = np.full(P.n, tail)
     K = (_rescaled(A, d), d)
     for _ in range(j):
@@ -799,7 +806,7 @@ def heat_kernel(P: StochasticMatrix, t: float, *,
     more than _MASS_TOL at the end, raises CertificateFailed.
     """
     if t == 0.0:
-        return np.eye(P.n)
+        return np.eye(len(P.entries))   # n^2 admitted before the identity
     A, _ = _squared(P, t, _MASS_TOL / 2, min_terms)
     _check_missed(A, t)
     return A
@@ -829,33 +836,29 @@ def load_chain_file(path) -> StochasticMatrix:
     """Text format: first line n, then n rows of n probabilities.
 
     ``#`` starts a comment line; an optional line ``labels: a b c`` names
-    the states.
+    the states.  n is admitted (_admit) before any row is read.
     """
     labels = None
     rows = []
     n = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            for raw in fh:
+                line = raw.strip()
+                if line.startswith("labels:"):
+                    labels = line[len("labels:"):].split()
+                elif line and not line.startswith("#"):
+                    try:
+                        if n is None:
+                            n = int(line)
+                            _admit(max(n, 0) ** 2, f"a {n}-state chain file")
+                        else:
+                            rows.append([float(v) for v in line.split()])
+                    except ValueError as exc:
+                        kind = "state count" if n is None else "matrix row"
+                        raise SpecParseError(f"bad {kind}: {line!r}") from exc
     except UnicodeDecodeError as exc:
         raise SpecParseError(f"chain file is not UTF-8: {exc}") from exc
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("labels:"):
-            labels = line[len("labels:"):].split()
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError as exc:
-                raise SpecParseError(f"bad state count line: {line!r}") from exc
-            continue
-        try:
-            rows.append([float(v) for v in line.split()])
-        except ValueError as exc:
-            raise SpecParseError(f"bad matrix row: {line!r}") from exc
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
         raise SpecParseError("chain file does not contain an n x n matrix")
     entries = np.array(rows)
@@ -865,9 +868,10 @@ def load_chain_file(path) -> StochasticMatrix:
 
 
 def save_chain_file(P: StochasticMatrix, path):
+    entries = P.entries             # refused before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{P.n}\n")
         if P.labels is not None:
             fh.write("labels: " + " ".join(P.labels) + "\n")
-        for row in P.entries:
+        for row in entries:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

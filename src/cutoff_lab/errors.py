@@ -54,7 +54,10 @@ class GenerationFailed(CutoffLabError):
 
 
 class StateCapExceeded(CutoffLabError):
-    """A chain or a heat-kernel power sequence exceeds its size cap."""
+    """A size past its limit: a chain of more transition entries than
+    chain._admit's rule lets in (n^2 dense, N |supp mu| for a declared
+    walk), a heat-kernel power sequence past chain._KERNEL_BYTES, or a
+    --tgrid of more than cli.TGRID_STEPS_CAP steps."""
 
 
 class EpsilonOutOfRange(CutoffLabError, ValueError):

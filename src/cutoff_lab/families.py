@@ -16,13 +16,13 @@ import numpy as np
 import numpy.fft  # noqa: F401  (lazy in numpy 2: load it at import)
 import numpy.random  # noqa: F401
 
-from .chain import CSR, StochasticMatrix, _bfs, _readonly, kernel_rows
+from .chain import (CSR, StochasticMatrix, _admit, _bfs, _readonly,
+                    kernel_rows)
 from .entropy import _max_log_lip, _row_entropies, mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
-                     NotSymmetricSet, SpecParseError, StateCapExceeded)
+                     NotSymmetricSet, SpecParseError)
 from .spectral import relaxation_time
 
-STATE_CAP = 5000
 MAX_REDRAWS = 100
 
 CLAIM_ABELIAN = "nonneg-abelian"
@@ -42,6 +42,7 @@ class GroupSpec:
         factors = tuple(int(m) for m in self.factors)
         if not factors or any(m < 2 for m in factors):
             raise SpecParseError("cyclic factors must all be >= 2")
+        _admit(math.prod(factors), f"a walk on {factors}")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -122,8 +123,9 @@ class StepLaw:
     def matrix(self) -> CSR:
         """The walk P(x, y) = mu(y - x) as canonical CSR: mu(g) at
         (x, x + g) for g in the support of mu, from one (N, |supp mu|)
-        table of x + g with each row sorted."""
+        table of x + g with each row sorted, admitted before it is built."""
         support = np.flatnonzero(self.mu)
+        _admit(self.group.N * len(support), f"a walk on {self.group.factors}")
         ys = self.group.sums(support)
         order = np.argsort(ys, axis=1)
         N, k = ys.shape
@@ -201,16 +203,12 @@ class ChainInstance:
         return self._log_lip[t]
 
 
-def _check_cap(n: int):
-    if n > STATE_CAP:
-        raise StateCapExceeded(f"{n} states exceeds cap {STATE_CAP}")
-
-
 def _power(base: int, power: int) -> tuple:
-    """The factors of Z_base^power, refused before they are expanded when
-    the group must exceed the cap (every factor is at least 2)."""
-    if base >= 2 and power > math.log2(STATE_CAP):
-        raise StateCapExceeded(f"Z{base}^{power} exceeds cap {STATE_CAP}")
+    """The factors of Z_base^power, refused on the group's order before
+    they are expanded (base^64, over any limit, past 64 factors)."""
+    if base < 2:
+        raise SpecParseError("cyclic factors must all be >= 2")
+    _admit(base ** min(power, 64), f"Z{base}^{power}")
     return (base,) * power
 
 
@@ -228,9 +226,7 @@ def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
     """P(x,y) = mu(y - x) with mu(g) = (1/|S|) #{s in S : s = g}, made
     alpha-lazy by mu <- alpha [g = 0] + (1 - alpha) mu if laziness > 0;
     ``elems`` is a symmetric generating multiset of element indices."""
-    N = spec.N
-    _check_cap(N)
-    mu = np.zeros(N)
+    mu = np.zeros(spec.N)
     for g in elems:
         mu[g] += 1.0 / len(elems)
     if laziness > 0.0:
@@ -247,7 +243,6 @@ def abelian_cayley(spec: GroupSpec, S) -> ChainInstance:
     ``S`` is a multiset of element indices (negative g means the inverse of
     element -g); it must be closed under negation and generating.
     """
-    _check_cap(spec.N)
     S = [int(g) for g in S]
     elems = [int(spec.neg(-g)) if g < 0 else g % spec.N for g in S]
     if Counter(elems) != Counter(int(spec.neg(g)) for g in elems):
@@ -266,7 +261,6 @@ def random_abelian_cayley(spec: GroupSpec, d: int, seed: int) -> ChainInstance:
     """
     if d < 1:
         raise SpecParseError("need at least one generator draw")
-    _check_cap(spec.N)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
         draws = rng.integers(0, spec.N, size=d)
@@ -317,7 +311,7 @@ def birth_death(p, q) -> ChainInstance:
     if np.any(p <= 0) or np.any(q <= 0):
         raise SpecParseError("birth-death rates must be positive")
     n = len(p) + 1
-    _check_cap(n)
+    _admit(n * n, f"a {n}-state birth-death chain")
     P = np.zeros((n, n))
     for i in range(n - 1):
         P[i, i + 1] = p[i]
@@ -387,8 +381,9 @@ def _cycle_type(perm) -> tuple:
 
 def conjugacy_walk(k: int, cls="transpositions") -> ChainInstance:
     """Random walk on S_k with uniform step in a conjugacy class."""
-    if k < 2 or k > 6:
-        raise StateCapExceeded("conjugacy walk supports 2 <= k <= 6")
+    if k < 2:
+        raise SpecParseError(f"conjugacy walk needs k >= 2, got {k}")
+    _admit(math.factorial(min(k, 20)) ** 2, f"S_{k}")   # 20! > any limit
     if cls == "transpositions":
         target = (2,)
     else:
@@ -426,6 +421,17 @@ def _kv(segment: str):
     return key.strip(), value.strip()
 
 
+def _keys(segments, known) -> dict:
+    """The key=value ``segments`` as a dict; a key not in ``known`` is
+    refused, not dropped."""
+    kv = dict(_kv(p) for p in segments)
+    for key in kv:
+        if key not in known:
+            raise SpecParseError(f"unknown key {key!r}; expected one of "
+                                 f"{', '.join(known)}")
+    return kv
+
+
 def parse_family_spec(text: str) -> ChainInstance:
     """Build a ChainInstance from a spec string.
 
@@ -438,28 +444,21 @@ def parse_family_spec(text: str) -> ChainInstance:
     head = parts[0]
     try:
         if head == "cayley":
-            if len(parts) < 3:
-                raise SpecParseError("cayley needs group and gens")
             spec = GroupSpec.parse(parts[1])
-            key, value = _kv(parts[2])
-            if key != "gens":
-                raise SpecParseError("cayley expects gens=...")
-            gens = [int(v) for v in value.split(",")]
-            return abelian_cayley(spec, gens)
+            gens = _keys(parts[2:], ("gens",))["gens"]
+            return abelian_cayley(spec, [int(v) for v in gens.split(",")])
         if head == "cayley-random":
             spec = GroupSpec.parse(parts[1])
-            kv = dict(_kv(p) for p in parts[2:])
+            kv = _keys(parts[2:], ("d", "seed"))
             return random_abelian_cayley(spec, int(kv["d"]),
                                          int(kv.get("seed", 0)))
         if head == "hypercube":
-            kv = dict(_kv(p) for p in parts[1:])
+            kv = _keys(parts[1:], ("d", "lazy"))
             return hypercube(int(kv["d"]), float(kv.get("lazy", 0.0)))
         if head == "cycle":
-            kv = dict(_kv(p) for p in parts[1:])
-            return cycle(int(kv["n"]))
+            return cycle(int(_keys(parts[1:], ("n",))["n"]))
         if head == "complete":
-            kv = dict(_kv(p) for p in parts[1:])
-            return complete_graph(int(kv["n"]))
+            return complete_graph(int(_keys(parts[1:], ("n",))["n"]))
         if head == "bd":
             if len(parts) != 2 or ";" not in parts[1]:
                 raise SpecParseError("bd expects p=...;q=...")
@@ -478,7 +477,7 @@ def parse_family_spec(text: str) -> ChainInstance:
             inner = parse_family_spec(":".join(parts[2:]))
             return perturb_toward_uniform(inner, float(value))
         if head == "sym":
-            kv = dict(_kv(p) for p in parts[1:])
+            kv = _keys(parts[1:], ("k", "class"))
             return conjugacy_walk(int(kv["k"]),
                                   kv.get("class", "transpositions"))
     except (KeyError, ValueError, IndexError) as exc:
@@ -489,7 +488,7 @@ def parse_family_spec(text: str) -> ChainInstance:
 def parse_family_range(text: str):
     """Expand a spec containing one ``lo..hi`` (or ``lo..hi..step``) range.
 
-    Yields (value, ChainInstance) pairs in increasing order.
+    Returns the list of (value, ChainInstance) pairs, in increasing order.
     """
     marker = None
     for seg in text.split(":"):

@@ -263,7 +263,7 @@ def test_criterion_6_hypercube_cutoff_trend():
         exact_ratios.append(want[0.25] / want[0.75])
         wb = cutoff_window_bound(inst, 0.25)
         windows_ok = windows_ok and wb.passed
-    # The trend reaches 1.35 only near d = 10^4, far beyond the state cap,
+    # The trend reaches 1.35 only near d = 10^4, far beyond the size rule,
     # so that figure is checked on the closed form.
     far_ratio = hypercube_mixing_time(10 ** 4, 0.25)[0] \
         / hypercube_mixing_time(10 ** 4, 0.75)[0]
@@ -286,6 +286,21 @@ def test_criterion_6_hypercube_cutoff_trend():
     assert far_below, (f"closed-form t_mix(1/4)/t_mix(3/4) = {far_ratio:.3f} "
                        f"at d=10^4, required < 1.35")
     assert elapsed < 900.0
+
+
+def test_hypercube_14_analyze_matches_product_formula(tmp_path):
+    # 2^14 states, past the former 5000-state cap: analyze's t_mix(1/4)
+    # and t_mix(3/4) lie on the closed-form crossing within mixing_time's
+    # tolerance, 1e-4 times its doubling bracket.
+    out = tmp_path / "o"
+    assert main(["analyze", "--spec", "hypercube:d=14", "--eps", "0.25,0.75",
+                 "--no-cache", "--out", str(out)]) == 0
+    lines = (out / "analysis.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["n"] == str(2 ** 14)
+    for eps in (0.25, 0.75):
+        want, hi = hypercube_mixing_time(14, eps)
+        assert abs(float(row[f"tmix_{eps}"]) - want) <= 1e-4 * max(1.0, hi)
 
 
 def test_criterion_7_perturbation_counterexample():

@@ -38,6 +38,12 @@ def test_adjoint_not_exported():
     assert not hasattr(spectral, "adjoint")
 
 
+def test_state_cap_removed():
+    # The one size rule is chain._admit, from chain._KERNEL_BYTES.
+    assert not hasattr(families, "STATE_CAP")
+    assert not hasattr(families, "_check_cap")
+
+
 def test_cli_flags():
     # Flags are the CLI's only settings: no config file, no environment.
     sub = next(a for a in cli.build_parser()._actions

@@ -127,6 +127,56 @@ class TestStochasticMatrix:
         rep2 = validate(cycle_matrix(6))
         assert rep2.stochastic and rep2.irreducible and rep2.nondegenerate
 
+    def test_validate_reads_no_dense_rows(self, monkeypatch):
+        # Row sums are one product with the ones, O(nnz): no dense row of
+        # the 2^14-state walk is built.
+        def forbidden(self, xs):
+            raise AssertionError("dense rows built")
+        P = hypercube(14).matrix
+        monkeypatch.setattr(chain.CSR, "dense_rows", forbidden)
+        rep = validate(P)
+        assert rep.n == 2 ** 14 and rep.stochastic and rep.irreducible
+
+
+class TestAdmission:
+    """chain._admit, the one size rule: at most _KERNEL_BYTES // 40
+    transition entries, n^2 dense or N |supp mu| for a declared walk."""
+
+    def test_default_boundary(self):
+        # 2^30 // 40 = 26,843,545 = 5 x 5,368,709 entries: 5181^2 =
+        # 26,842,761 is admitted and 5182^2 = 26,853,124 is not; a walk of
+        # five steps on 5,368,709 states is exactly at the limit.
+        assert chain._KERNEL_BYTES // 40 == 26_843_545
+        chain._admit(5181 ** 2, "a dense chain")
+        chain._admit(5 * 5_368_709, "a walk")
+        for entries in (5182 ** 2, 5 * 5_368_709 + 1):
+            with pytest.raises(StateCapExceeded):
+                chain._admit(entries, "a chain")
+
+    def test_walk_counts_its_support(self, monkeypatch):
+        # At a limit of 320 entries a five-point law on Z_64 is admitted;
+        # a three-point law on Z_107 (321 entries) is refused before its
+        # table of x + g is built.
+        monkeypatch.setattr(chain, "_KERNEL_BYTES", 40 * 320)
+
+        def law(N, support):
+            mu = np.zeros(N)
+            mu[support] = 1.0 / len(support)
+            return families.StepLaw(families.GroupSpec((N,)), mu)
+        assert law(64, [0, 1, 2, 62, 63]).matrix().nnz == 320
+        monkeypatch.setattr(families.GroupSpec, "sums", None)
+        with pytest.raises(StateCapExceeded):
+            law(107, [0, 1, 106]).matrix()
+
+    def test_dense_kernel_refused_before_the_identity(self, monkeypatch):
+        # hypercube:d=13 is admitted as a walk (8192 x 13 entries), but
+        # its dense P (8192^2) is refused by P.entries, before heat_kernel
+        # builds an n x n identity.
+        P = hypercube(13).matrix
+        monkeypatch.setattr(np, "eye", None)
+        with pytest.raises(StateCapExceeded):
+            heat_kernel(P, 1.0)
+
 
 class TestDistribution:
     def test_accepts_probability_vector(self):

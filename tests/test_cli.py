@@ -378,15 +378,64 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_SPEC
 
     def test_state_cap(self, tmp_path):
-        assert main(["analyze", "--spec", "hypercube:d=13",
+        # The size rule counts entries, not states: hypercube:d=13 (8192 x
+        # 13) runs, and complete:n=5182 (5182 x 5181) is refused.
+        assert main(["analyze", "--spec", "hypercube:d=13", "--eps",
+                     "0.25,0.75", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert main(["analyze", "--spec", "complete:n=5182",
                      "--out", str(tmp_path / "o")]) == EXIT_CAP
 
     @pytest.mark.parametrize("spec", [
         "cayley:Z2^1000000000000:gens=1,-1", "hypercube:d=1000000000000",
         "complete:n=1000000000000"])
     def test_huge_group_refused_before_expansion(self, tmp_path, spec):
+        tracemalloc.start()
+        code = main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == EXIT_CAP and peak < 2 ** 20
+
+    @pytest.mark.parametrize("argv, table", [
+        # Dense P of 8192^2 floats, which verify's full kernels and the
+        # chain file would need; the walk itself is admitted.
+        (["verify", "--spec", "hypercube:d=13"], 8 * 2 ** 26),
+        (["random-cayley", "--spec", "cayley-random:Z2^13:d=26:seed=1"],
+         8 * 2 ** 26),
+        # The int32 tables of x + g, 2^13 x 2^13 and 2^21 x 21.
+        (["analyze", "--spec", "perturb:theta=0.1:hypercube:d=13"],
+         4 * 2 ** 26),
+        (["analyze", "--spec", "hypercube:d=21"], 4 * 21 * 2 ** 21),
+        (["analyze", "--spec", "bd:p=" + ",".join(["0.3"] * 5181)
+          + ";q=" + ",".join(["0.3"] * 5181)], 8 * 5182 ** 2),
+    ], ids=["verify-hypercube13", "random-cayley13", "perturb-hypercube13",
+            "hypercube21", "bd5182"])
+    def test_refused_before_allocating(self, tmp_path, argv, table):
+        # Exit 4 from the size rule, with a peak below the array it guards.
+        out = tmp_path / "o"
+        tracemalloc.start()
+        code = main(argv + ["--eps", "0.25,0.75", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == EXIT_CAP and peak < table
+        assert not (out / "chain.txt").exists()
+
+    def test_chain_file_refused_at_its_header(self, tmp_path):
+        # 5182^2 entries: refused before the rows, so the bad row after the
+        # header, a spec error (exit 2) if it were read, is never parsed.
+        path = tmp_path / "big.txt"
+        path.write_text("5182\nnot a row\n")
+        tracemalloc.start()
+        code = main(["analyze", "--chain-file", str(path),
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == EXIT_CAP and peak < 2 ** 20
+
+    @pytest.mark.parametrize("spec", ["sym:k=1", "sym:k=0",
+                                      "hypercube:d=3:lazzy=0.5"])
+    def test_malformed_spec_exits_spec(self, tmp_path, spec):
         assert main(["analyze", "--spec", spec,
-                     "--out", str(tmp_path / "o")]) == EXIT_CAP
+                     "--out", str(tmp_path / "o")]) == EXIT_SPEC
 
     def test_certificate_failure(self, tmp_path, monkeypatch):
         monkeypatch.setattr(curvature, "DUALITY_TOL", -1.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutoff_lab import families
+from cutoff_lab import chain, families
 from cutoff_lab.chain import StochasticMatrix, metric_data, stationary
 from cutoff_lab.errors import (GenerationFailed, NotGenerating,
                                NotSymmetricSet, SpecParseError,
@@ -83,8 +83,14 @@ class TestAbelianCayley:
             abelian_cayley(GroupSpec((4,)), [2, -2])
 
     def test_state_cap(self):
+        # The size rule counts a walk's N |S| entries: the 6000-cycle is
+        # admitted, the complete graph on Z_5182 (5182 x 5181 entries) is
+        # refused, and so is a group whose order alone passes the limit.
+        assert abelian_cayley(GroupSpec((6000,)), [1, -1]).matrix.n == 6000
         with pytest.raises(StateCapExceeded):
-            abelian_cayley(GroupSpec((6000,)), [1, -1])
+            abelian_cayley(GroupSpec((5182,)), range(1, 5182))
+        with pytest.raises(StateCapExceeded):
+            GroupSpec((chain._KERNEL_BYTES // 40 + 1,))
 
     def test_involution_self_inverse(self):
         # In Z2^d every element is its own inverse; a single generator is a
@@ -223,11 +229,21 @@ class TestNamedFamilies:
         # Eight 3-cycles in S_4.
         assert np.max(inst.matrix.entries) == pytest.approx(1.0 / 8.0)
 
-    def test_conjugacy_walk_gates(self):
+    def test_conjugacy_walk_gates(self, monkeypatch):
+        # S_k holds (k!)^2 dense entries: S_8 is past the default limit,
+        # and at a limit of 24^2 S_4 is admitted and S_5 is not.  k < 2 is
+        # a malformed spec.
         with pytest.raises(StateCapExceeded):
-            conjugacy_walk(7)
+            conjugacy_walk(8)
+        for k in (1, 0, -3):
+            with pytest.raises(SpecParseError):
+                conjugacy_walk(k)
         with pytest.raises(SpecParseError):
             conjugacy_walk(3, cls="4")
+        monkeypatch.setattr(chain, "_KERNEL_BYTES", 40 * 24 ** 2)
+        assert conjugacy_walk(4).matrix.n == 24
+        with pytest.raises(StateCapExceeded):
+            conjugacy_walk(5)
 
     @pytest.mark.parametrize("build", [
         lambda: hypercube(4), lambda: hypercube(4, laziness=0.3),
@@ -312,8 +328,27 @@ class TestSpecGrammar:
             parse_family_spec("cayley:Z12xZ2:gens=1,-1,5,-5")
 
     def test_state_cap_flows_through(self):
-        with pytest.raises(StateCapExceeded):
-            parse_family_spec("hypercube:d=13")
+        # hypercube:d=13 (8192 x 13 entries) is admitted; d=21 (2^21 x 21)
+        # and sym:k=8 ((8!)^2) are refused.
+        assert parse_family_spec("hypercube:d=13").matrix.n == 2 ** 13
+        for text in ("hypercube:d=21", "sym:k=8"):
+            with pytest.raises(StateCapExceeded):
+                parse_family_spec(text)
+
+    @pytest.mark.parametrize("text, key", [
+        ("cayley:Z4:gens=1,-1:extra=2", "extra"),
+        ("cayley-random:Z2^4:d=4:sed=3", "sed"),
+        ("hypercube:d=3:lazzy=0.5", "lazzy"),
+        ("cycle:n=5:m=3", "m"),
+        ("complete:n=5:k=2", "k"),
+        ("sym:k=4:klass=3", "klass"),
+        ("perturb:theta=0.1:cycle:n=8:x=1", "x"),
+    ], ids=["cayley", "cayley-random", "hypercube", "cycle", "complete",
+            "sym", "perturb"])
+    def test_rejects_unknown_key(self, text, key):
+        # A misspelt key is refused by name, not dropped for its default.
+        with pytest.raises(SpecParseError, match=f"unknown key '{key}'"):
+            parse_family_spec(text)
 
     def test_range_expansion(self):
         members = parse_family_range("cycle:n=4..8..2")
