@@ -43,17 +43,18 @@ _BFS_CHUNK = 2 ** 20
 
 def _load_bundled(name: str):
     """The extension module ``name`` that scipy bundles, loaded as that one
-    module: the init of the package that holds it (scipy.sparse,
-    scipy.optimize) is never run.  It goes into ``sys.modules`` under its
-    real name before it is executed, so a later import of that package
-    reuses it (pybind11 cannot register its types twice); one already there
-    is reused.  If scipy moves or renames it, this raises ImportError."""
+    module: neither scipy's init nor that of the package that holds it
+    (scipy.sparse, scipy.optimize) is run.  It goes into ``sys.modules``
+    under its real name before it is executed, so a later import of that
+    package reuses it (pybind11 cannot register its types twice); one
+    already there is reused.  If scipy moves or renames it, this raises
+    ImportError."""
     if name in sys.modules:
         return sys.modules[name]
-    top, package, *path = name.split(".")
-    # find_spec imports the top package, scipy, and not the subpackage.
-    [where] = importlib.util.find_spec(
-        f"{top}.{package}").submodule_search_locations
+    top, *path = name.split(".")
+    # find_spec locates a top-level package without importing it (on a
+    # subpackage it would import the top package, running scipy's init).
+    [where] = importlib.util.find_spec(top).submodule_search_locations
     spec = importlib.machinery.PathFinder.find_spec(
         name, [os.path.join(where, *path[:-1])])
     if spec is None:

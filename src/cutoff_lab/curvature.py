@@ -6,11 +6,10 @@ edges at once, and the vertices' Schur complements are built in batches of
 one form shape, with one eigvalsh per batch.
 
 The LPs go to the HiGHS binding that scipy bundles,
-``scipy.optimize._highspy._core``, which this module loads at import as
-that one extension module (chain._load_bundled): scipy.optimize's package
-init (linprog, shgo, scipy.spatial, scipy.special) is never run for it.  If
-scipy moves or renames the binding, importing this module raises
-ImportError.
+``scipy.optimize._highspy._core``, which the first LP loads as that one
+extension module (chain._load_bundled): scipy.optimize's package init
+(linprog, shgo, scipy.spatial, scipy.special) is never run for it.  If
+scipy moves or renames the binding, that first LP raises ImportError.
 
 The LP value is HiGHS's (see ``linprog``), not exact W1: HiGHS works to its
 feasibility tolerances, and on a drifting birth-death chain its value was
@@ -46,7 +45,6 @@ from .spectral import gamma_form
 from .verdicts import VERDICT_TOL, InequalityVerdict, make_verdict
 
 
-highs = _load_bundled("scipy.optimize._highspy._core")
 # Sorted sets of states come from np.bincount: np.unique without
 # return_index, and np.setdiff1d, import numpy.ma on first use (16 ms).
 
@@ -71,8 +69,6 @@ _BE_ENTRIES = 2 ** 19
 _FORM_ARRAYS = 8
 # Standard normal observables per t of the two semigroup-level checks.
 _SEMIGROUP_DRAWS = 20
-_OPTIMAL = highs.HighsModelStatus.kOptimal
-_DUAL_SIMPLEX = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,9 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     slows, and on for every other LP.  ``primal_tol`` overrides the 1e-7
     primal feasibility tolerance.
     Returns (model status, x, row duals); x and the duals are None unless
-    the status is optimal.
+    the status is optimal.  The first call loads the binding.
     """
+    highs = _load_bundled("scipy.optimize._highspy._core")
     # The binding copies Python lists into HiGHS's vectors about twice as
     # fast as it iterates numpy arrays.
     n = len(c)
@@ -139,7 +136,8 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     lp.row_lower_ = lp.row_upper_ = b.tolist()
     options = highs.HighsOptions()
     options.presolve = "on" if presolve else "off"
-    options.simplex_strategy = _DUAL_SIMPLEX
+    options.simplex_strategy = \
+        highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
     if primal_tol is not None:
         options.primal_feasibility_tolerance = primal_tol
@@ -148,7 +146,7 @@ def linprog(c: np.ndarray, index: np.ndarray, b: np.ndarray,
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
-    if status != _OPTIMAL:
+    if status != highs.HighsModelStatus.kOptimal:
         return status, None, None
     solution = solver.getSolution()
     return status, np.array(solution.col_value), np.array(solution.row_dual)
@@ -188,12 +186,12 @@ def _w1_restricted(mu, nu, metric: MetricData, presolve: bool = True):
     b[np.arange(len(mw)) + np.repeat(row0 - mp[:-1], m)] = mw
     b[np.arange(len(nw)) + np.repeat(row0 + m - npt[:-1], k)] = nw
     status, x, duals = linprog(c, index, b, presolve=presolve)
-    if status != _OPTIMAL:
+    if x is None:
         # HiGHS can declare a feasible transport LP infeasible at its default
         # 1e-7 primal feasibility tolerance (full-support heat-kernel rows).
         status, x, duals = linprog(c, index, b, primal_tol=1e-9,
                                    presolve=presolve)
-    if status != _OPTIMAL:
+    if x is None:
         raise CertificateFailed(
             f"transport LP failed: HiGHS model status {status.name}")
     # Each block's cost times plan, left-aligned in a zero-padded row: the
@@ -271,9 +269,20 @@ def _vertices(P: StochasticMatrix, starts) -> list:
 
 def _edges_at(P: StochasticMatrix, starts) -> list:
     """Support edges with an endpoint in ``starts``, in P.edges() order;
-    every edge when ``starts`` is None."""
-    keep = set(_vertices(P, starts))
-    return [(x, y) for x, y in P.edges() if x in keep or y in keep]
+    every edge when ``starts`` is None.  The edges at a start set are read
+    from its states' rows of P.adjacency."""
+    if starts is None:
+        return P.edges()
+    xs = np.asarray(_vertices(P, starts), dtype=np.int64)
+    if not P.symmetric_support:
+        raise AsymmetricSupport("edge list needs symmetric support")
+    adj = P.adjacency
+    at, counts = adj.gather(xs)
+    ys = adj.indices[at]
+    xs = np.repeat(xs, counts)
+    key = np.sort(np.minimum(xs, ys) * P.n + np.maximum(xs, ys))
+    key = key[np.diff(key, prepend=-1) != 0]
+    return list(zip(*(v.tolist() for v in np.divmod(key, P.n))))
 
 
 def _differences(P: StochasticMatrix, xs: np.ndarray, ys: np.ndarray):

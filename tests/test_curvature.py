@@ -24,7 +24,8 @@ from scipy.sparse import csr_matrix
 
 from cutoff_lab import curvature
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
-                              metric_data, stationary)
+                              load_chain_file, metric_data, save_chain_file,
+                              stationary)
 from cutoff_lab.curvature import (CurvatureReport, bakry_emery_curvature,
                                   bakry_emery_vertex,
                                   contraction_check, full_curvature_report,
@@ -412,15 +413,26 @@ def run_python(code):
 
 class TestHighsImport:
     """The two extension modules that scipy bundles and the lab calls, the
-    HiGHS binding and scipy.sparse's sparsetools, are each loaded as one
-    module, not through the package init of scipy.optimize or
-    scipy.sparse, and each is the module its package itself uses in either
-    import order.  numpy's lazy random and fft are loaded at import."""
+    HiGHS binding (on the first LP) and scipy.sparse's sparsetools (at
+    import), are each loaded as one module, not through the init of scipy,
+    scipy.optimize or scipy.sparse, and each is the module its package
+    itself uses in either import order.  numpy's lazy random and fft are
+    loaded at import."""
 
-    def test_import_leaves_scipy_optimize_out(self):
-        run_python("import sys, cutoff_lab, cutoff_lab.cli\n"
-                   "assert 'scipy.optimize' not in sys.modules, 'imported'\n"
-                   "assert 'scipy.optimize._highspy._core' in sys.modules\n")
+    def test_import_leaves_scipy_optimize_out(self, tmp_path):
+        # Import runs no scipy init and loads no HiGHS; the first LP loads
+        # the binding, still without scipy's or scipy.optimize's init.
+        run_python(f"""
+import sys, cutoff_lab, cutoff_lab.cli
+for name in ("scipy", "scipy.optimize._highspy._core"):
+    assert name not in sys.modules, name
+assert cutoff_lab.cli.main(["analyze", "--spec",
+                            "bd:p=0.3,0.3,0.3;q=0.2,0.2,0.2",
+                            "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.optimize._highspy._core" in sys.modules
+for name in ("scipy", "scipy.optimize"):
+    assert name not in sys.modules, name
+""")
 
     def test_import_leaves_scipy_sparse_out(self):
         run_python("""
@@ -460,14 +472,31 @@ assert list(A @ np.array([1.0, 2.0])) == [1.5, 1.75]
 
     @pytest.mark.parametrize("first", ["cutoff_lab", "scipy.optimize"])
     def test_one_binding_in_either_order(self, first):
+        # The binding is loaded by whichever comes first: the lab's first
+        # LP, or scipy.optimize's import.  Both then solve with that one.
         run_python(f"""
-import importlib, sys
-importlib.import_module({first!r})
-import scipy.optimize
+import sys
+import numpy as np
 from cutoff_lab import curvature
+NAME = "scipy.optimize._highspy._core"
+
+def lab_solve():
+    status, x, _ = curvature.linprog(np.array([1.0, 2.0]),
+                                     np.array([0, 1, 0, 1]),
+                                     np.array([1.0, 1.0]))
+    assert list(x) == [1.0, 0.0]
+    return sys.modules[NAME]
+
+if {first!r} == "cutoff_lab":
+    binding = lab_solve()
+    import scipy.optimize
+else:
+    import scipy.optimize
+    binding = sys.modules[NAME]
+    assert lab_solve() is binding
 from scipy.optimize._highspy import _core
-assert _core is curvature.highs
-assert sys.modules["scipy.optimize._highspy._core"] is curvature.highs
+assert _core is binding and sys.modules[NAME] is binding
+assert lab_solve() is binding
 res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                              method="highs")
 assert res.success and list(res.x) == [1.0, 0.0]
@@ -1326,6 +1355,49 @@ class TestStartSets:
                                  starts=starts)
         assert (fast.name, fast.context) == (full.name, full.context)
         assert fast.lhs == pytest.approx(full.lhs, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        "hypercube:d=6", "cycle:n=9", "sym:k=4",
+        "cayley-random:Z2^6:d=8:seed=2", "bd:p=0.3,0.2,0.4;q=0.1,0.3,0.2",
+        "file"])
+    def test_edges_at_read_the_start_rows(self, spec, tmp_path):
+        # The edges at a start set, read from its rows of P.adjacency, are
+        # P.edges() filtered to those with an endpoint in it, in order.
+        if spec == "file":
+            W = np.array([[2, 1, 0, 3, 1], [1, 0, 4, 0, 0], [0, 4, 1, 2, 0],
+                          [3, 0, 2, 0, 5], [1, 0, 0, 5, 1]], dtype=float)
+            path = tmp_path / "chain.txt"
+            save_chain_file(StochasticMatrix(W / W.sum(axis=1)[:, None]),
+                            path)
+            P = load_chain_file(path)
+        else:
+            P = parse_family_spec(spec).matrix
+        for starts in ([0], [3, 1], [2]):
+            edges = curvature._edges_at(P, starts)
+            assert edges == [(x, y) for x, y in P.edges()
+                             if x in starts or y in starts]
+            assert all(type(v) is int for e in edges for v in e)
+        assert curvature._edges_at(P, None) == P.edges()
+
+    def test_edges_at_need_symmetric_support(self):
+        P = StochasticMatrix(np.roll(np.eye(4), 1, axis=1))
+        for starts in ([0], None):
+            with pytest.raises(AsymmetricSupport):
+                curvature._edges_at(P, starts)
+
+    def test_edges_at_vertex_zero_allocate_little(self):
+        # The 16 edges at vertex 0 of the 16-cube come from its row, not
+        # from a list of all 524,288 support edges (77 MiB traced as
+        # tuples).
+        P = parse_family_spec("hypercube:d=16").matrix
+        ollivier_curvature(P, starts=[0])  # the metric row, kept on P
+        tracemalloc.start()
+        try:
+            rep = ollivier_curvature(P, starts=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.ollivier_edges) == 16 and peak < 4 * 2 ** 20
 
     def test_start_set_must_be_states(self):
         P = cycle(6).matrix

@@ -2,6 +2,7 @@
 champ."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,38 @@ class TestRelaxationTime:
                             lambda P, f: 0.0)
         with pytest.raises(CertificateFailed, match="Poincare"):
             relaxation_time(cycle(6).matrix)
+
+    def test_poincare_observables_in_draw_order(self, monkeypatch):
+        # The certificate evaluates exactly the columns of one
+        # (POINCARE_SAMPLES, n) draw from default_rng(0), transposed, in
+        # order: default_rng fills sequentially.
+        P = birth_death([0.3, 0.2, 0.4], [0.1, 0.3, 0.2]).matrix
+        seen = []
+        energy = spectral.dirichlet_energy
+
+        def spy(P, f):
+            seen.append(np.array(f, copy=True))
+            return energy(P, f)
+        monkeypatch.setattr(spectral, "dirichlet_energy", spy)
+        relaxation_time(P)
+        F = np.random.default_rng(0).standard_normal(
+            (spectral.POINCARE_SAMPLES, P.n)).T
+        assert len(seen) == F.shape[1]
+        for k, f in enumerate(seen):
+            assert np.array_equal(f, F[:, k])
+
+    def test_poincare_holds_a_few_vectors(self):
+        # One observable at a time holds a few n-vectors; a block of the 50
+        # would hold several temporaries of 50 n-vectors (about 33 MB here).
+        P = parse_family_spec("hypercube:d=14").matrix
+        relaxation_time(P)                 # pi, kept on P
+        tracemalloc.start()
+        try:
+            relaxation_time(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * P.n
 
 
 class TestGammaForm:
