@@ -215,11 +215,13 @@ class StochasticMatrix:
     as it is), is consumed into ``csr``: sorted, no stored zeros.
     Products go through ``csr``; the dense ``entries`` is built from it on
     first use.  ``adjacency`` is the off-diagonal support graph (data
-    P(x, y)), read by ``symmetric_support``, the metric and the curvature;
-    ``irreducible`` is read off one BFS from state 0 (two when the support
-    is not symmetric: 0 must also be reached from every state).  ``pi``
-    and ``metric`` are solved on first use and kept.  Construction does
-    not reject broken rows; see validate.
+    P(x, y)), read by ``symmetric_support``, the metric and the curvature:
+    ``csr`` itself when every stored entry is off-diagonal and positive,
+    else a second CSR; ``irreducible`` is read off one BFS from state 0
+    (two when the support is not symmetric: 0 must also be reached from
+    every state).  ``pi`` and ``metric`` are solved on first use and kept,
+    and so are the row powers e_o P^k of the start set last asked for (see
+    _KernelRows).  Construction does not reject broken rows; see validate.
 
     ``step_law`` is the law of a walk declared by :meth:`walk`, and None
     on every other matrix (``dataclasses.replace`` included).  The repr
@@ -250,8 +252,10 @@ class StochasticMatrix:
                 raise DimensionMismatch("label count does not match state count")
             object.__setattr__(self, "labels", labels)
         edge = (A.indices != A.row) & (A.data > 0)
-        adj = CSR(np.append(0, np.cumsum(edge))[A.indptr], A.indices[edge],
-                  A.data[edge])
+        # With no holding and no broken entry, the support graph is P itself.
+        adj = A if edge.all() else CSR(
+            np.append(0, np.cumsum(edge))[A.indptr], A.indices[edge],
+            A.data[edge])
         back = adj.transpose()
         symmetric = (np.array_equal(back.indptr, adj.indptr)
                      and np.array_equal(back.indices, adj.indices))
@@ -263,6 +267,8 @@ class StochasticMatrix:
             depth.min() >= 0 and (symmetric or _bfs(back, [0]).min() >= 0)))
         # Hop distances from state 0: a declared walk's metric row.
         object.__setattr__(self, "_depth", depth)
+        # (start set, its power sequences): see _start_powers.
+        object.__setattr__(self, "_powers", (None, None))
 
     @classmethod
     def walk(cls, law: StepLaw) -> StochasticMatrix:
@@ -301,6 +307,21 @@ class StochasticMatrix:
     def metric(self) -> MetricData:
         """Support-graph metric, see :func:`_support_metric`."""
         return _support_metric(self)
+
+    def _start_powers(self, starts) -> list:
+        """The power sequences [e_o, e_o P, ...] of each o in ``starts``, as
+        far as they have been extended (see _KernelRows).  P keeps those of
+        the start set it was last asked for; another set replaces them, so
+        P holds one start set's powers at most."""
+        key = tuple(starts)
+        if key != self._powers[0]:
+            if not key or not all(0 <= o < self.n for o in key):
+                raise DimensionMismatch(f"bad start set {list(key)} for "
+                                        f"{self.n} states")
+            # np.eye(1, n, o)[0] is the unit row e_o.
+            object.__setattr__(self, "_powers", (key, [
+                [np.eye(1, self.n, o)[0]] for o in key]))
+        return self._powers[1]
 
     def row_times(self, v: np.ndarray) -> np.ndarray:
         """Row-vector product v P, by ``csr`` read as the CSC of P^T."""
@@ -369,9 +390,9 @@ class MetricData:
 
     ``rows`` holds BFS rows of hop distances: d(x, .) for every x, or, on a
     walk declared on ``group``, d(0, .) only, from which d(x, y) =
-    d(0, x - y).  ``block`` reads the distances between two sets of states
-    from them; ``dist``, the n x n table, is built on first read and kept,
-    so a declared walk that reads only blocks, the diameter and Delta never
+    d(0, x - y).  ``at`` reads distances from them, elementwise or as a
+    table; ``dist``, the n x n table, is built on first read and kept, so
+    a declared walk that reads only ``at``, the diameter and Delta never
     holds it."""
 
     diameter: int
@@ -384,15 +405,10 @@ class MetricData:
     def n(self) -> int:
         return self.rows.shape[1]
 
-    def block(self, xs, ys) -> np.ndarray:
-        """(len(xs), len(ys)) int64 distances d(x, y), x in xs, y in ys."""
-        if self.group is None:
-            return self.rows[np.ix_(xs, ys)]
-        g = self.group
-        return self.rows[0][g.sums(g.neg(ys), xs)]
-
     def at(self, xs, ys) -> np.ndarray:
-        """int64 distances d(xs[i], ys[i]), elementwise."""
+        """int64 distances d(x, y) for xs and ys broadcast together: d(xs[i],
+        ys[i]) elementwise, or the (len(xs), len(ys)) table for xs[:, None]
+        and ys[None, :]."""
         if self.group is None:
             return self.rows[xs, ys]
         g = self.group
@@ -404,7 +420,7 @@ class MetricData:
         if self.group is None:
             return self.rows
         every = np.arange(self.n)
-        return _readonly(self.block(every, every), np.int64)
+        return _readonly(self.at(every[:, None], every[None, :]), np.int64)
 
 
 @dataclass(frozen=True)
@@ -414,7 +430,6 @@ class ValidationReport:
     min_entry: float
     irreducible: bool
     symmetric_support: bool
-    nondegenerate: bool           # n >= 3
 
     @property
     def stochastic(self) -> bool:
@@ -434,7 +449,6 @@ def validate(P: StochasticMatrix) -> ValidationReport:
                                else np.inf)),
         irreducible=P.irreducible,
         symmetric_support=P.symmetric_support,
-        nondegenerate=n >= 3,
     )
 
 
@@ -496,7 +510,8 @@ def _support_metric(P: StochasticMatrix) -> MetricData:
     rows = _bfs(adj, np.arange(P.n)) if law is None else P._depth[None]
     if rows.min() < 0:
         raise NotIrreducible("support graph is disconnected")
-    delta = float(np.max(1.0 / adj.data)) if adj.nnz else 1.0
+    # 1/x falls as x grows, in floating point too: max(1/data) = 1/min.
+    delta = float(1.0 / adj.data.min()) if adj.nnz else 1.0
     return MetricData(int(rows.max()), delta, _readonly(rows, np.int64),
                       None if law is None else law.group)
 
@@ -592,11 +607,12 @@ class _KernelRows:
     """Heat-kernel rows P_t(o, .) for o in ``starts`` at any t asked of it;
     every row (the full kernel) when ``starts`` is None.
 
-    For a start set it keeps one power sequence v_k = e_o P^k per start,
-    extended on demand by P.row_times, and weights it by poisson_weights(t)
-    for each t: a search over t pays the products of its largest t once,
-    and each row equals the one-shot series bit for bit.  It holds K(t) > t
-    times |starts| n floats, refused past _KERNEL_BYTES.
+    For a start set it weights the power sequences v_k = e_o P^k that P
+    keeps for that set (see StochasticMatrix._start_powers), extended on
+    demand by P.row_times, by poisson_weights(t) for each t: every search,
+    profile and read at that set pays the products of its largest t once,
+    and each row equals the one-shot series bit for bit.  A call holds
+    K(t) > t times |starts| n floats, refused past _KERNEL_BYTES.
 
     Full kernels come from one time engine: t is answered from the largest
     kernel K_{t0} held at some t/2 <= t0 < t, where t - t0 is exact (else
@@ -631,7 +647,7 @@ class _KernelRows:
     def __init__(self, P: StochasticMatrix,
                  starts: Optional[Sequence[int]]):
         self._P = P
-        self._powers = None
+        self._starts = None if starts is None else tuple(starts)
         if starts is None:
             self._held = []        # (t, K_t, d), increasing t; at most two
             self._rungs = []       # (P_{2^i}, d), i = _RUNG_LOW + index;
@@ -640,20 +656,12 @@ class _KernelRows:
             self._slots = _KERNEL_BYTES // (8 * P.n ** 2)   # n x n kernels
             self._window = min(_RUNG_WINDOW, self._slots - 3)
             return
-        if len(starts) == 0:
-            raise DimensionMismatch("need at least one start state")
-        self._powers = []
-        for o in starts:
-            if not (0 <= o < P.n):
-                raise DimensionMismatch(f"state {o} out of range")
-            v = np.zeros(P.n)
-            v[o] = 1.0
-            self._powers.append([v])
+        self._powers = P._start_powers(self._starts)
 
     def __call__(self, t: float, *, min_terms: int = 0) -> np.ndarray:
         """The rows at t, one per start; ``min_terms`` as in
         poisson_weights and heat_kernel."""
-        if self._powers is None:
+        if self._starts is None:
             if min_terms or not 0.0 < t <= math.ldexp(1.0, _RUNG_HIGH):
                 return heat_kernel(self._P, t, min_terms=min_terms)
             return self._kernel(t)
@@ -661,6 +669,9 @@ class _KernelRows:
             raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
                                    f"over {_KERNEL_BYTES} bytes of powers")
         q = poisson_weights(t, min_terms=min_terms)
+        # P keeps one start set's powers: ask again, as another set asked of
+        # P since would have replaced ours.
+        self._powers = self._P._start_powers(self._starts)
         for vs in self._powers:
             while len(vs) < len(q):
                 vs.append(self._P.row_times(vs[-1]))
@@ -730,9 +741,9 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
     """Heat-kernel row P_t(o, .) = sum_k e^{-t} t^k/k! P^k(o, .).
 
     Renormalization-free: the truncation point certifies a TV error below
-    ``_MASS_TOL`` against the exact series.  Row-vector iteration; the
-    row powers e_o P^k are held only for this call (see _KernelRows, which
-    keeps them across the times of a search).
+    ``_MASS_TOL`` against the exact series.  Row-vector iteration on the
+    row powers e_o P^k that P keeps for the start set [o] until another
+    start set is asked of it (see _KernelRows).
     """
     return Distribution(_KernelRows(P, [o])(t, min_terms=min_terms)[0])
 

@@ -222,7 +222,7 @@ def wasserstein1(mu: Distribution, nu: Distribution,
     x = x.reshape(len(sup_mu), len(sup_nu))
     plan = [(int(sup_mu[i]), int(sup_nu[j]), float(x[i, j]))
             for i, j in zip(*np.nonzero(x > 1e-14))]
-    potential = np.min(metric.block(np.arange(mu.n), sup_nu)
+    potential = np.min(metric.at(np.arange(mu.n)[:, None], sup_nu[None, :])
                        - duals[len(sup_mu):][None, :], axis=1)
     return TransportPlan(plan=plan, value=float(value),
                          dual_potential=potential)
@@ -525,12 +525,13 @@ def bakry_emery_curvature(P: StochasticMatrix, starts=None) -> CurvatureReport:
     adj, rowlen = P.adjacency, np.diff(P.csr.indptr)
     degree = np.diff(adj.indptr)
     # 1 + d(x) + sum of d(y) over the out-neighbours y: the 2-ball gather.
-    ends = np.cumsum(np.append(0, degree[adj.indices]))[adj.indptr]
-    reach = 1 + degree + np.diff(ends)
+    d_xs = degree[xs]
+    ends = np.cumsum(np.append(0, degree[adj.indices[adj.gather(xs)[0]]]))
+    reach = 1 + d_xs + np.diff(ends[np.append(0, np.cumsum(d_xs))])
     kappa = np.empty(len(xs))
-    for lo, hi in _runs((_FORM_ARRAYS * reach[xs]).tolist(), _BE_ENTRIES):
+    for lo, hi in _runs((_FORM_ARRAYS * reach).tolist(), _BE_ENTRIES):
         ptr, states = _two_balls(P, xs[lo:hi])
-        size, d = np.diff(ptr), degree[xs[lo:hi]]
+        size, d = np.diff(ptr), d_xs[lo:hi]
         ends = np.cumsum(np.append(0, rowlen[states]))[ptr]
         cost = _FORM_ARRAYS * np.maximum(size * size, np.diff(ends))
         order = np.lexsort((d, size))

@@ -25,16 +25,13 @@ from .spectral import relaxation_time
 
 MAX_REDRAWS = 100
 
-CLAIM_ABELIAN = "nonneg-abelian"
-CLAIM_OTHER = "nonneg-other"
-CLAIM_UNKNOWN = "unknown"
-
 Entropies = namedtuple("Entropies", "d_star v_star worst_row")
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Product of cyclic groups Z_{m1} x ... x Z_{mk}."""
+    """Product of cyclic groups Z_{m1} x ... x Z_{mk}, its elements the
+    mixed-radix indices 0..N-1; ``add`` is its one group sum."""
 
     factors: tuple
 
@@ -82,12 +79,6 @@ class GroupSpec:
             out += (a // w % m + b // w % m) % m * w
         return out
 
-    def sums(self, gs, xs=None) -> np.ndarray:
-        """The (len(xs), len(gs)) table of x + g for x in ``xs`` (every
-        element when None) and g in ``gs``."""
-        x = np.arange(self.N) if xs is None else np.asarray(xs)
-        return self.add(x[:, None], np.asarray(gs)[None, :])
-
     @staticmethod
     def parse(text: str) -> "GroupSpec":
         """``Z12xZ2`` or ``Z2^8`` or ``Z101``."""
@@ -126,7 +117,8 @@ class StepLaw:
         table of x + g with each row sorted, admitted before it is built."""
         support = np.flatnonzero(self.mu)
         _admit(self.group.N * len(support), f"a walk on {self.group.factors}")
-        ys = self.group.sums(support)
+        ys = self.group.add(np.arange(self.group.N)[:, None],
+                            support[None, :])
         order = np.argsort(ys, axis=1)
         N, k = ys.shape
         return CSR(np.arange(N + 1) * k,
@@ -153,7 +145,6 @@ class ChainInstance:
     family: str
     params: dict = field(default_factory=dict)
     transitive: bool = False
-    curvature_claim: str = CLAIM_UNKNOWN
     _t_mix: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     _entropies: dict = field(default_factory=dict, init=False, repr=False,
@@ -233,8 +224,7 @@ def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
         mu *= 1.0 - laziness
         mu[0] += laziness
     return ChainInstance(StochasticMatrix.walk(StepLaw(spec, mu)),
-                         family=family, params=params, transitive=True,
-                         curvature_claim=CLAIM_ABELIAN)
+                         family=family, params=params, transitive=True)
 
 
 def abelian_cayley(spec: GroupSpec, S) -> ChainInstance:
@@ -301,8 +291,7 @@ def birth_death(p, q) -> ChainInstance:
     """Tridiagonal chain with reflecting boundaries.
 
     ``p[i]`` is the up-rate from state i, ``q[i]`` the down-rate from state
-    i+1; the state count is len(p) + 1.  The non-negative curvature claim is
-    made only for monotone chains (p[i] + q[i] <= 1 for interior states).
+    i+1; the state count is len(p) + 1.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -320,14 +309,9 @@ def birth_death(p, q) -> ChainInstance:
     if np.any(holds < -1e-12):
         raise SpecParseError("rates exceed 1 at some state")
     P[np.arange(n), np.arange(n)] = np.clip(holds, 0.0, None)
-    # Monotone coupling condition: up-rate from i plus down-rate from i+1
-    # at most 1, i.e. P(i,.) is stochastically below P(i+1,.).
-    monotone = bool(np.all(p + q <= 1.0 + 1e-12))
     return ChainInstance(StochasticMatrix(P), family="bd",
                          params={"p": tuple(p), "q": tuple(q)},
-                         transitive=False,
-                         curvature_claim=CLAIM_OTHER if monotone
-                         else CLAIM_UNKNOWN)
+                         transitive=False)
 
 
 def perturb_toward_uniform(inner: ChainInstance,
@@ -353,13 +337,9 @@ def perturb_toward_uniform(inner: ChainInstance,
     else:
         Q = StochasticMatrix((1.0 - theta) * P.entries + theta * pi[None, :])
     uniform_pi = np.allclose(pi, 1.0 / P.n, atol=1e-12)
-    claim = CLAIM_UNKNOWN
-    if inner.curvature_claim == CLAIM_ABELIAN and uniform_pi:
-        claim = CLAIM_ABELIAN      # still an abelian-group walk
     return ChainInstance(Q, family="perturb",
                          params={"theta": theta, "inner": inner.family},
-                         transitive=bool(inner.transitive and uniform_pi),
-                         curvature_claim=claim)
+                         transitive=bool(inner.transitive and uniform_pi))
 
 
 def _cycle_type(perm) -> tuple:
@@ -407,7 +387,7 @@ def conjugacy_walk(k: int, cls="transpositions") -> ChainInstance:
             P[i, index[composed]] += w
     return ChainInstance(StochasticMatrix(P), family="sym",
                          params={"k": k, "class": target},
-                         transitive=True, curvature_claim=CLAIM_OTHER)
+                         transitive=True)
 
 
 # ---------------------------------------------------------------------------

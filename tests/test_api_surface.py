@@ -44,6 +44,20 @@ def test_state_cap_removed():
     assert not hasattr(families, "_check_cap")
 
 
+def test_curvature_claim_removed():
+    # A walk on an abelian group is the matrix with P.step_law set: no
+    # label on the instance, no bd monotonicity flag, no distance-block or
+    # group-sum-table reader beside MetricData.at and GroupSpec.add.
+    for name in ("CLAIM_ABELIAN", "CLAIM_OTHER", "CLAIM_UNKNOWN"):
+        assert not hasattr(families, name)
+    fields = families.ChainInstance.__dataclass_fields__
+    assert "curvature_claim" not in fields
+    assert not hasattr(families.GroupSpec, "sums")
+    assert not hasattr(cutoff_lab.chain.MetricData, "block")
+    assert "nondegenerate" not in \
+        cutoff_lab.chain.ValidationReport.__dataclass_fields__
+
+
 def test_cli_flags():
     # Flags are the CLI's only settings: no config file, no environment.
     sub = next(a for a in cli.build_parser()._actions

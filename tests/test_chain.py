@@ -125,7 +125,7 @@ class TestStochasticMatrix:
         assert not rep.stochastic
         assert rep.row_sum_residual == pytest.approx(0.1)
         rep2 = validate(cycle_matrix(6))
-        assert rep2.stochastic and rep2.irreducible and rep2.nondegenerate
+        assert rep2.stochastic and rep2.irreducible
 
     def test_validate_reads_no_dense_rows(self, monkeypatch):
         # Row sums are one product with the ones, O(nnz): no dense row of
@@ -164,7 +164,7 @@ class TestAdmission:
             mu[support] = 1.0 / len(support)
             return families.StepLaw(families.GroupSpec((N,)), mu)
         assert law(64, [0, 1, 2, 62, 63]).matrix().nnz == 320
-        monkeypatch.setattr(families.GroupSpec, "sums", None)
+        monkeypatch.setattr(families.GroupSpec, "add", None)
         with pytest.raises(StateCapExceeded):
             law(107, [0, 1, 106]).matrix()
 
@@ -316,6 +316,37 @@ class TestSupportGraph:
             d = np.minimum(d, d[:, [k]] + d[[k], :])
         assert np.array_equal(P.metric.dist, d)
         assert P.metric.delta == max(1.0 / P.entries[x, y] for x, y in pairs)
+
+
+class TestSharedAdjacency:
+    """P.adjacency is P.csr itself when every stored entry is off-diagonal
+    and positive; otherwise it is a second CSR of the off-diagonal entries."""
+
+    @pytest.mark.parametrize("spec", ["hypercube:d=6", "cycle:n=9",
+                                      "complete:n=7", "sym:k=4"])
+    def test_no_holding_shares_the_csr(self, spec):
+        P = families.parse_family_spec(spec).matrix
+        assert P.adjacency is P.csr
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: families.parse_family_spec(
+            "hypercube:d=4:lazy=0.5").matrix,
+        lambda tmp: birth_death([0.3, 0.2, 0.4], [0.1, 0.5, 0.2]).matrix,
+        lambda tmp: load_chain_file(tmp / "lazy.txt")],
+        ids=["lazy-hypercube", "bd", "chain-file"])
+    def test_holding_keeps_a_second_csr(self, make, tmp_path):
+        (tmp_path / "lazy.txt").write_text(
+            "3\n0.5 0.25 0.25\n0.25 0.5 0.25\n0 0.5 0.5\n")
+        P = make(tmp_path)
+        assert P.adjacency is not P.csr
+        # The off-diagonal positive entries of P, row after row.
+        E = P.entries * ~np.eye(P.n, dtype=bool)
+        rows, cols = np.nonzero(E > 0)
+        adj = P.adjacency
+        assert np.array_equal(adj.indptr,
+                              np.searchsorted(rows, np.arange(P.n + 1)))
+        assert np.array_equal(adj.indices, cols)
+        assert np.array_equal(adj.data, E[rows, cols])
 
 
 def as_scipy(A):
@@ -711,6 +742,60 @@ class TestHeatKernel:
     def test_observable_length_checked(self):
         with pytest.raises(DimensionMismatch):
             heat_kernel_apply(cycle_matrix(4), np.zeros(5), 1.0)
+
+
+class TestHeldPowers:
+    """P keeps the power sequences e_o P^k of the start set it was last
+    asked for; every search and read at that set extends them."""
+
+    def test_pipeline_pays_its_largest_t_once(self, monkeypatch):
+        # Two searches and two entropy reads at [0]: as many row products
+        # as the longest power sequence, K(t) at the largest t asked.
+        P = hypercube(8).matrix
+        P.pi                            # its residual is a row product
+        products, times = [], []
+        row_times = P.row_times
+
+        def counted(v):
+            products.append(v.shape)
+            return row_times(v)
+        object.__setattr__(P, "row_times", counted)
+        real = chain.poisson_weights
+
+        def recorded(t, **kwargs):
+            times.append(t)
+            return real(t, **kwargs)
+        monkeypatch.setattr(chain, "poisson_weights", recorded)
+        t25 = mixing_time(P, 0.25, starts=[0])
+        mixing_time(P, 0.75, starts=[0])
+        d_star_at(P, t25, starts=[0])
+        v_star_at(P, t25, starts=[0])
+        assert len(products) == len(real(max(times))) - 1
+        [powers] = P._powers[1]
+        assert len(powers) == len(products) + 1
+
+    def test_one_start_set_held(self):
+        # Each new start set replaces the powers P holds.
+        P = cycle(64).matrix
+        for o in range(P.n):
+            heat_kernel_row(P, o, 5.0)
+        key, powers = P._powers
+        assert key == (63,) and len(powers) == 1
+        assert powers[0][0].tolist() == [0.0] * 63 + [1.0]
+
+    def test_bad_start_sets_refused(self):
+        # An empty or out-of-range start set raises DimensionMismatch and
+        # leaves the powers P holds as they were.
+        P = cycle(8).matrix
+        kernel_rows(P, 2.0, [3])
+        held = P._powers
+        for starts in ([], [8], [-1], [0, 8]):
+            with pytest.raises(DimensionMismatch):
+                kernel_rows(P, 1.0, starts)
+            assert P._powers is held
+        with pytest.raises(DimensionMismatch):
+            heat_kernel_row(P, 8, 1.0)
+        assert P._powers is held
 
 
 class TestSquaredKernel:

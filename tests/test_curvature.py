@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csr_matrix
 
-from cutoff_lab import curvature
+from cutoff_lab import chain, curvature
 from cutoff_lab.chain import (Distribution, StochasticMatrix, heat_kernel,
                               load_chain_file, metric_data, save_chain_file,
                               stationary)
@@ -1398,6 +1398,33 @@ class TestStartSets:
         finally:
             tracemalloc.stop()
         assert len(rep.ollivier_edges) == 16 and peak < 4 * 2 ** 20
+
+    def test_bakry_emery_at_vertex_zero_allocate_little(self):
+        # The 2-ball size of vertex 0 is read from its row: no sum of the
+        # neighbours' degrees over all 1,048,576 entries of the 16-cube
+        # (16.5 MiB traced).
+        P = parse_family_spec("hypercube:d=16").matrix
+        bakry_emery_curvature(P, starts=[0])
+        tracemalloc.start()
+        try:
+            rep = bakry_emery_curvature(P, starts=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(rep.bakry_emery_vertices) == [0] and peak < 4 * 2 ** 20
+
+    def test_support_metric_allocates_little(self):
+        # Delta is 1 / min P(x, y), no array of 1 / P(x, y) over the
+        # 16-cube's entries (8 MiB).
+        P = parse_family_spec("hypercube:d=16").matrix
+        tracemalloc.start()
+        try:
+            metric = chain._support_metric(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metric.delta == 16.0 and metric.diameter == 16
+        assert peak < 2 ** 20
 
     def test_start_set_must_be_states(self):
         P = cycle(6).matrix

@@ -13,12 +13,11 @@ from cutoff_lab.chain import StochasticMatrix, metric_data, stationary
 from cutoff_lab.errors import (GenerationFailed, NotGenerating,
                                NotSymmetricSet, SpecParseError,
                                StateCapExceeded)
-from cutoff_lab.families import (CLAIM_ABELIAN, CLAIM_OTHER, CLAIM_UNKNOWN,
-                                 ChainInstance, GroupSpec, _generating,
-                                 abelian_cayley,
-                                 birth_death, complete_graph, conjugacy_walk,
-                                 cycle, hypercube, parse_family_range,
-                                 parse_family_spec, perturb_toward_uniform,
+from cutoff_lab.families import (ChainInstance, GroupSpec, _generating,
+                                 abelian_cayley, birth_death, complete_graph,
+                                 conjugacy_walk, cycle, hypercube,
+                                 parse_family_range, parse_family_spec,
+                                 perturb_toward_uniform,
                                  random_abelian_cayley)
 
 
@@ -48,7 +47,10 @@ class TestGroupSpec:
 
     def test_add_and_neg(self):
         spec = GroupSpec((5,))
-        assert int(spec.sums([4])[3, 0]) == 2
+        assert int(spec.add(3, 4)) == 2
+        # add broadcasts: the table of x + g for x in 0..4 and g in {1, 4}.
+        table = spec.add(np.arange(5)[:, None], np.array([1, 4])[None, :])
+        assert table.tolist() == [[1, 4], [2, 0], [3, 1], [4, 2], [0, 3]]
         assert int(spec.neg(2)) == 3
         assert int(spec.neg(0)) == 0
 
@@ -60,7 +62,6 @@ class TestAbelianCayley:
         assert P[0, 1] == pytest.approx(0.5)
         assert P[0, 5] == pytest.approx(0.5)
         assert inst.transitive
-        assert inst.curvature_claim == CLAIM_ABELIAN
         assert inst.starts == [0]
 
     def test_multiset_weights(self):
@@ -200,12 +201,10 @@ class TestNamedFamilies:
         assert np.allclose(pi, expected, atol=1e-12)
 
     def test_birth_death_claims(self):
-        assert birth_death([0.3] * 4, [0.3] * 4).curvature_claim == CLAIM_OTHER
-        # p[0] + q[0] = 1.2 > 1 breaks the monotone coupling condition even
-        # though every row is stochastic.
-        assert birth_death([0.6, 0.1], [0.6, 0.1]).curvature_claim == \
-            CLAIM_UNKNOWN
+        # A bd chain carries no curvature label and no step law, and its
+        # start set is every state.
         assert birth_death([0.3] * 4, [0.3] * 4).starts is None
+        assert birth_death([0.6, 0.1], [0.6, 0.1]).matrix.step_law is None
 
     def test_birth_death_rejects_bad_rates(self):
         with pytest.raises(SpecParseError):
@@ -269,14 +268,14 @@ class TestPerturbation:
         expected = 0.8 * inst.matrix.entries + 0.2 / 8.0
         assert np.allclose(pert.matrix.entries, expected, atol=1e-14)
         assert pert.transitive
-        assert pert.curvature_claim == CLAIM_ABELIAN
+        assert pert.matrix.step_law is not None
 
     def test_preserves_stationary_law(self):
         inst = birth_death([0.3, 0.2], [0.4, 0.4])
         pert = perturb_toward_uniform(inst, 0.3)
         assert np.allclose(stationary(pert.matrix).probs,
                            stationary(inst.matrix).probs, atol=1e-10)
-        assert pert.curvature_claim == CLAIM_UNKNOWN
+        assert pert.matrix.step_law is None
         assert pert.params == {"theta": 0.3, "inner": "bd"}
         assert not pert.transitive
 

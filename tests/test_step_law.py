@@ -323,18 +323,18 @@ class TestFastPathGuards:
         # table of x + g either (verify's W1 contraction LPs on
         # full-support kernel rows have n x n costs of their own).
         built, tables = [], []
-        real_parse, real_sums = cli.fam.parse_family_spec, GroupSpec.sums
+        real_parse, real_add = cli.fam.parse_family_spec, GroupSpec.add
 
         def recorded(text):
             built.append(real_parse(text))
             return built[-1]
 
-        def sums(group, gs, xs=None):
-            out = real_sums(group, gs, xs)
+        def add(group, a, b):
+            out = real_add(group, a, b)
             tables.append(out.size / group.N ** 2)
             return out
         monkeypatch.setattr(cli.fam, "parse_family_spec", recorded)
-        monkeypatch.setattr(GroupSpec, "sums", sums)
+        monkeypatch.setattr(GroupSpec, "add", add)
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == \
             cli.EXIT_OK
         [inst] = built
@@ -344,17 +344,21 @@ class TestFastPathGuards:
 
     @pytest.mark.parametrize("spec", DECLARING)
     def test_metric_blocks_equal_the_table(self, spec):
-        # block(xs, ys) is the undeclared table's block, int64, without
-        # building the declared walk's own table; W1 and its potential
-        # read through blocks are bit for bit those through the table.
+        # at(xs[:, None], ys[None, :]) is the undeclared table's block,
+        # int64, without building the declared walk's own table, and at(xs,
+        # ys) its entries; W1 and its potential read through at are bit for
+        # bit those through the table.
         P = parse_family_spec(spec).matrix
         want = undeclared(P).metric
         rng = np.random.default_rng(len(spec))
         xs = rng.integers(0, P.n, size=5)
         ys = rng.choice(P.n, size=min(P.n, 7), replace=False)
-        got = P.metric.block(xs, ys)
+        got = P.metric.at(xs[:, None], ys[None, :])
         assert got.dtype == np.int64
         assert np.array_equal(got, want.dist[np.ix_(xs, ys)])
+        k = min(xs.size, ys.size)
+        pair = P.metric.at(xs[:k], ys[:k])
+        assert np.array_equal(pair, want.dist[xs[:k], ys[:k]])
         mu = Distribution(np.bincount(xs, minlength=P.n) / xs.size)
         nu = Distribution(P.entries[ys[0]])
         a = wasserstein1(mu, nu, P.metric)
