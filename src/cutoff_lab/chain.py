@@ -4,7 +4,8 @@ metric and heat kernel.
 The heat kernel is the continuous-time semigroup e^{t(P-I)}, evaluated as a
 Poisson mixture of matrix powers with certified truncation error: row by row
 for a start set, and by scaling and squaring a short mixture for the full
-kernel.
+kernel.  A declared walk's start-set rows are read off its step law's
+Fourier transform instead.
 
 P is held once, in the lab's own read-only CSR form.  Products with it go
 to the kernels of scipy's sparsetools, loaded as that one extension module
@@ -220,8 +221,9 @@ class StochasticMatrix:
     else a second CSR; ``irreducible`` is read off one BFS from state 0
     (two when the support is not symmetric: 0 must also be reached from
     every state).  ``pi`` and ``metric`` are solved on first use and kept,
-    and so are the row powers e_o P^k of the start set last asked for (see
-    _KernelRows).  Construction does not reject broken rows; see validate.
+    and so are the row powers e_o P^k of the start set last asked for by a
+    Poisson read (see _KernelRows; a declared walk's rows hold none).
+    Construction does not reject broken rows; see validate.
 
     ``step_law`` is the law of a walk declared by :meth:`walk`, and None
     on every other matrix (``dataclasses.replace`` included).  The repr
@@ -308,16 +310,18 @@ class StochasticMatrix:
         """Support-graph metric, see :func:`_support_metric`."""
         return _support_metric(self)
 
-    def _start_powers(self, starts) -> list:
-        """The power sequences [e_o, e_o P, ...] of each o in ``starts``, as
-        far as they have been extended (see _KernelRows).  P keeps those of
-        the start set it was last asked for; another set replaces them, so
-        P holds one start set's powers at most."""
-        key = tuple(starts)
+    @cached_property
+    def _pi_step(self) -> np.ndarray:
+        """pi P, read-only, for the Dirichlet form (see
+        spectral.dirichlet_energy)."""
+        return _readonly(self.row_times(self.pi.probs))
+
+    def _start_powers(self, key: tuple) -> list:
+        """The power sequences [e_o, e_o P, ...] of each o in the start set
+        ``key``, as far as they have been extended (see _KernelRows).  P
+        keeps those of the start set it was last asked for; another set
+        replaces them, so P holds one start set's powers at most."""
         if key != self._powers[0]:
-            if not key or not all(0 <= o < self.n for o in key):
-                raise DimensionMismatch(f"bad start set {list(key)} for "
-                                        f"{self.n} states")
             # np.eye(1, n, o)[0] is the unit row e_o.
             object.__setattr__(self, "_powers", (key, [
                 [np.eye(1, self.n, o)[0]] for o in key]))
@@ -543,6 +547,14 @@ def _admit(entries: int, what: str):
                                f"over the limit {_KERNEL_BYTES // 40}")
 
 
+def _check_time(t: float):
+    """Refuse a negative or non-finite heat-kernel time."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if not math.isfinite(t):
+        raise TimeOutOfRange(f"heat kernel time {t!r} is not finite")
+
+
 def _poisson_pmf(t: float, tol: float,
                  min_terms: int = 0) -> tuple[np.ndarray, float]:
     """Poisson(t) pmf q_0..q_K and a bound ``tail`` <= ``tol`` on the mass
@@ -557,10 +569,7 @@ def _poisson_pmf(t: float, tol: float,
     at 1.  The weights are scaled to sum to 1 - tail, which also removes
     the rounding of q_m.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not math.isfinite(t):
-        raise TimeOutOfRange(f"heat kernel time {t!r} is not finite")
+    _check_time(t)
     if t == 0.0:
         return np.array([1.0]), 0.0
     m = math.floor(t)
@@ -607,12 +616,31 @@ class _KernelRows:
     """Heat-kernel rows P_t(o, .) for o in ``starts`` at any t asked of it;
     every row (the full kernel) when ``starts`` is None.
 
-    For a start set it weights the power sequences v_k = e_o P^k that P
-    keeps for that set (see StochasticMatrix._start_powers), extended on
-    demand by P.row_times, by poisson_weights(t) for each t: every search,
-    profile and read at that set pays the products of its largest t once,
-    and each row equals the one-shot series bit for bit.  A call holds
-    K(t) > t times |starts| n floats, refused past _KERNEL_BYTES.
+    A declared walk (StochasticMatrix.walk) reads a start set's rows off
+    its step law's Fourier transform, holding nothing: row 0 is the real
+    part of the inverse transform of e = exp(-t(1 - mu^)) (see
+    families.StepLaw), and row o is row 0 translated by -o, P_t(o, y) =
+    P_t(0, y - o).  No term is cut, so the error is rounding alone.  Let
+    eps be the transform's error bound for every entry of mu^ (see
+    spectral.relaxation_time), and u the unit roundoff.  To first order,
+    the row's l1 error is at most
+
+        sum_k |e_k| ((1 + t) eps + (2 + 2 t |1 - mu^_k|) u),
+
+    where sum_k |e_k| = N K_t(0, 0), K_t the heat kernel of the
+    reversibilization, falls from N at t = 0 to 1 as t grows.  Entries
+    that round below 0 are set to 0, which moves them nearer to their
+    exact value, so the bound holds for the returned row.
+
+    Every other start set, and every call with ``min_terms`` (the
+    log-gradient reads need the relative accuracy of far entries), weights
+    the power sequences v_k = e_o P^k that P keeps for that set (see
+    StochasticMatrix._start_powers), extended on demand by P.row_times, by
+    poisson_weights(t) for each t: every search, profile and read at that
+    set pays the products of its largest t once, and each row equals the
+    one-shot series bit for bit.  Such a call holds K(t) > t times
+    |starts| n floats, refused past _KERNEL_BYTES.  Either way, rows whose
+    sums are off 1 by more than ROW_SUM_TOL raise CertificateFailed.
 
     Full kernels come from one time engine: t is answered from the largest
     kernel K_{t0} held at some t/2 <= t0 < t, where t - t0 is exact (else
@@ -656,26 +684,43 @@ class _KernelRows:
             self._slots = _KERNEL_BYTES // (8 * P.n ** 2)   # n x n kernels
             self._window = min(_RUNG_WINDOW, self._slots - 3)
             return
-        self._powers = P._start_powers(self._starts)
+        if not self._starts or not all(0 <= o < P.n for o in self._starts):
+            raise DimensionMismatch(f"bad start set {list(self._starts)} "
+                                    f"for {P.n} states")
+        law = P.step_law
+        if law is None:
+            self._powers = P._start_powers(self._starts)
+        else:
+            # Row o is row 0 translated by -o: P_t(o, y) = P_t(0, y - o).
+            self._shift = law.group.add(
+                np.arange(P.n), law.group.neg(np.array(self._starts))[:, None])
 
     def __call__(self, t: float, *, min_terms: int = 0) -> np.ndarray:
         """The rows at t, one per start; ``min_terms`` as in
         poisson_weights and heat_kernel."""
-        if self._starts is None:
+        P, starts = self._P, self._starts
+        if starts is None:
             if min_terms or not 0.0 < t <= math.ldexp(1.0, _RUNG_HIGH):
-                return heat_kernel(self._P, t, min_terms=min_terms)
+                return heat_kernel(P, t, min_terms=min_terms)
             return self._kernel(t)
-        if t > _KERNEL_BYTES / (8 * len(self._powers) * self._P.n):
-            raise StateCapExceeded(f"heat-kernel rows at t={t} would hold "
-                                   f"over {_KERNEL_BYTES} bytes of powers")
-        q = poisson_weights(t, min_terms=min_terms)
-        # P keeps one start set's powers: ask again, as another set asked of
-        # P since would have replaced ours.
-        self._powers = self._P._start_powers(self._starts)
-        for vs in self._powers:
-            while len(vs) < len(q):
-                vs.append(self._P.row_times(vs[-1]))
-        rows = np.vstack([_poisson_series(q, vs) for vs in self._powers])
+        law = P.step_law
+        if law is not None and not min_terms:
+            _check_time(t)
+            row = law._heat_row(t)
+            rows = np.maximum(row, 0.0, out=row)[self._shift]
+        else:
+            if t > _KERNEL_BYTES / (8 * len(starts) * P.n):
+                raise StateCapExceeded(f"heat-kernel rows at t={t} would "
+                                       f"hold over {_KERNEL_BYTES} bytes of "
+                                       f"powers")
+            q = poisson_weights(t, min_terms=min_terms)
+            # P keeps one start set's powers: ask again, as another set
+            # asked of P since would have replaced ours.
+            self._powers = P._start_powers(starts)
+            for vs in self._powers:
+                while len(vs) < len(q):
+                    vs.append(P.row_times(vs[-1]))
+            rows = np.vstack([_poisson_series(q, vs) for vs in self._powers])
         drift = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
         if drift > ROW_SUM_TOL:
             raise CertificateFailed(
@@ -740,10 +785,12 @@ def heat_kernel_row(P: StochasticMatrix, o: int, t: float, *,
                     min_terms: int = 0) -> Distribution:
     """Heat-kernel row P_t(o, .) = sum_k e^{-t} t^k/k! P^k(o, .).
 
-    Renormalization-free: the truncation point certifies a TV error below
-    ``_MASS_TOL`` against the exact series.  Row-vector iteration on the
-    row powers e_o P^k that P keeps for the start set [o] until another
-    start set is asked of it (see _KernelRows).
+    On a declared walk, and without ``min_terms``, the row is read off the
+    step law's Fourier transform, holding nothing (see _KernelRows for its
+    error bound).  Otherwise it is renormalization-free: the truncation
+    point certifies a TV error below ``_MASS_TOL`` against the exact
+    series, by row-vector iteration on the row powers e_o P^k that P keeps
+    for the start set [o] until another start set is asked of it.
     """
     return Distribution(_KernelRows(P, [o])(t, min_terms=min_terms)[0])
 

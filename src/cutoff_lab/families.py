@@ -24,6 +24,9 @@ from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
 from .spectral import relaxation_time
 
 MAX_REDRAWS = 100
+# Largest product of consecutive group factors that the Fourier transform
+# of a step law takes as one dense DFT matrix (see StepLaw).
+_DFT_RUN = 64
 
 Entropies = namedtuple("Entropies", "d_star v_star worst_row")
 
@@ -100,7 +103,17 @@ class GroupSpec:
 class StepLaw:
     """The step law mu of the random walk P(x, y) = mu(y - x) on
     ``group``, laziness included in mu(0); StochasticMatrix.walk declares
-    the walk by it."""
+    the walk by it.
+
+    Its Fourier transform mu^(k) = sum_g mu(g) chi_k(g), over the
+    characters chi_k(g) = exp(-2 pi i sum_j g_j k_j / m_j) in the
+    mixed-radix order of ``fftn``, is computed once per law and kept.  It
+    takes one step per run of consecutive factors whose product is at most
+    _DFT_RUN: one dense DFT matrix, the Kronecker product of the factors'
+    matrices, whose twiddles are built from (j k mod m) and are exactly
+    +-1 for a factor 2; the run matrices are kept too.  A larger factor
+    goes through ``np.fft`` along its own axis.
+    """
 
     group: GroupSpec
     mu: np.ndarray
@@ -125,10 +138,82 @@ class StepLaw:
                    np.take_along_axis(ys, order, axis=1).ravel(),
                    self.mu[support][order].ravel())
 
+    @cached_property
+    def _stages(self) -> tuple:
+        """(length, DFT matrix) per run of the transform, the matrix None
+        for a factor over _DFT_RUN; a matrix of +-1 is kept real."""
+        stages = []
+        for m in self.group.factors:
+            if m > _DFT_RUN:
+                stages.append((m, None))
+            elif (stages and stages[-1][1] is not None
+                  and stages[-1][0] * m <= _DFT_RUN):
+                # The Kronecker product W (x) D, by broadcasting.
+                M, W = stages[-1]
+                D = _dft(m)
+                W = W[:, None, :, None] * D[None, :, None, :]
+                stages[-1] = (M * m, W.reshape(M * m, M * m))
+            else:
+                stages.append((m, _dft(m)))
+        return tuple(stages)
+
+    def _transform(self, x: np.ndarray) -> np.ndarray:
+        """sum_g x(g) chi_k(g) for every k; real while x and the run
+        matrices are.  Step i transforms the middle axis of the (L, M, R)
+        view of x, M its run's length; a real matrix transforms a complex
+        x as the real and imaginary columns of its float view."""
+        x = np.asarray(x)
+        L = 1
+        for M, W in self._stages:
+            x = x.reshape(L, M, -1)
+            if W is None:
+                x = np.fft.fft(x, axis=1)
+            elif x.shape[2] == 1:
+                x = x[:, :, 0] @ W.T
+            elif W.dtype == np.float64 and x.dtype == np.complex128:
+                x = (W @ x.view(np.float64)).view(np.complex128)
+            else:
+                x = W @ x
+            L *= M
+        return x.ravel()
+
+    @cached_property
+    def _hat(self) -> np.ndarray:
+        """mu^, read-only."""
+        hat = self._transform(self.mu)
+        hat.setflags(write=False)
+        return hat
+
+    @cached_property
+    def _gap(self) -> np.ndarray:
+        """1 - mu^, read-only, exactly 0 at the trivial character; real
+        when mu is symmetric (mu(-g) = mu(g)), whose mu^ is real."""
+        gap = 1.0 - self._hat
+        if np.iscomplexobj(gap) and np.array_equal(
+                self.mu, self.mu[self.group.neg(np.arange(self.group.N))]):
+            gap = gap.real.copy()
+        gap[0] = 0.0
+        gap.setflags(write=False)
+        return gap
+
     def characters(self) -> np.ndarray:
-        """Re sum_g mu(g) chi(g) for every character chi of the group:
-        ``Re fftn(mu)`` over its factors."""
-        return np.fft.fftn(self.mu.reshape(self.group.factors)).real.ravel()
+        """Re mu^(k) = Re sum_g mu(g) chi_k(g) for every character chi_k
+        of the group, read-only (see relaxation_time for its accuracy)."""
+        return self._hat.real
+
+    def _heat_row(self, t: float) -> np.ndarray:
+        """The real part of the inverse transform of exp(-t(1 - mu^)): the
+        row P_t(0, .) up to rounding (see chain._KernelRows).  Every finite
+        t >= 0 answers without a floating-point warning.  The inverse is
+        the conjugate of the transform of the conjugate, and only its real
+        part is read.  At t = 0 the row is e_0 exactly, as P_0 = I."""
+        if t == 0.0:
+            return np.eye(1, self.group.N)[0]
+        with np.errstate(over="ignore", under="ignore"):
+            e = np.exp(np.multiply(self._gap, -t))
+        if np.iscomplexobj(e):
+            np.conj(e, out=e)
+        return self._transform(e).real / self.group.N
 
 
 @dataclass(frozen=True)
@@ -201,6 +286,17 @@ def _power(base: int, power: int) -> tuple:
         raise SpecParseError("cyclic factors must all be >= 2")
     _admit(base ** min(power, 64), f"Z{base}^{power}")
     return (base,) * power
+
+
+def _dft(m: int) -> np.ndarray:
+    """DFT matrix of Z_m, w_r = exp(-2 pi i r/m) at r = j k mod m: exact
+    +-1 for m = 2, and w_{m-r} the conjugate of w_r, so no angle is
+    taken past pi."""
+    if m == 2:
+        return np.array([[1.0, 1.0], [1.0, -1.0]])
+    w = np.exp(-2j * np.pi / m * np.arange(m // 2 + 1))
+    w = np.concatenate([w, np.conj(w[(m + 1) // 2 - 1:0:-1])])
+    return w[np.outer(np.arange(m), np.arange(m)) % m]
 
 
 def _generating(spec: GroupSpec, gens) -> bool:

@@ -30,7 +30,8 @@ from cutoff_lab.errors import (AsymmetricSupport, CertificateFailed,
                                DimensionMismatch, NotIrreducible,
                                SpecParseError, StateCapExceeded,
                                TimeOutOfRange, UnderflowRisk)
-from cutoff_lab.families import birth_death, complete_graph, cycle, hypercube
+from cutoff_lab.families import (birth_death, complete_graph, conjugacy_walk,
+                                 cycle, hypercube)
 from cutoff_lab.entropy import (EPS_GRID, cutoff_time_equation, d_star_at,
                                 mixing_time, mixing_profile, v_star_at,
                                 worst_tv)
@@ -746,12 +747,15 @@ class TestHeatKernel:
 
 class TestHeldPowers:
     """P keeps the power sequences e_o P^k of the start set it was last
-    asked for; every search and read at that set extends them."""
+    asked for; every search and read at that set extends them.  Declared
+    walks read their rows off the step law instead (test_step_law.py's
+    TestWalkRows), so these run on S_4, a transitive chain that is not
+    one."""
 
     def test_pipeline_pays_its_largest_t_once(self, monkeypatch):
         # Two searches and two entropy reads at [0]: as many row products
         # as the longest power sequence, K(t) at the largest t asked.
-        P = hypercube(8).matrix
+        P = conjugacy_walk(4).matrix
         P.pi                            # its residual is a row product
         products, times = [], []
         row_times = P.row_times
@@ -776,12 +780,12 @@ class TestHeldPowers:
 
     def test_one_start_set_held(self):
         # Each new start set replaces the powers P holds.
-        P = cycle(64).matrix
+        P = conjugacy_walk(4).matrix
         for o in range(P.n):
             heat_kernel_row(P, o, 5.0)
         key, powers = P._powers
-        assert key == (63,) and len(powers) == 1
-        assert powers[0][0].tolist() == [0.0] * 63 + [1.0]
+        assert key == (23,) and len(powers) == 1
+        assert powers[0][0].tolist() == [0.0] * 23 + [1.0]
 
     def test_bad_start_sets_refused(self):
         # An empty or out-of-range start set raises DimensionMismatch and

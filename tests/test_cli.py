@@ -2,6 +2,7 @@
 checks, caching and reproducibility."""
 
 import math
+import time
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -73,6 +74,29 @@ class TestAnalyze:
         shared = files("shared")
         assert len([f for f in shared if f.startswith("cache")]) == 25
         assert shared == files("one-shot")
+
+    def test_long_cycle_on_the_default_eps_grid(self, tmp_path):
+        # The 1000-cycle's profile grid runs to 1.5 t_mix(0.05) = 193338,
+        # past where the Poisson rows' powers would fit in _KERNEL_BYTES;
+        # its rows are read off the step law's transform.
+        out = tmp_path / "out"
+        assert main(["analyze", "--spec", "cycle:n=1000", "--no-cache",
+                     "--out", str(out)]) == EXIT_OK
+        header, [row] = read_csv(out / "analysis.csv")
+        row = dict(zip(header, row))
+        assert row["tmix_0.25"] == "47434"
+        assert row["tmix_0.75"] == "2615.625"
+
+    def test_slow_lazy_walk_is_fast(self, tmp_path):
+        # t_mix(1/4) = 881376 on 4 states: about a million row products on
+        # the Poisson path, a few dozen transforms here.
+        start = time.perf_counter()
+        assert main(["analyze", "--spec", "hypercube:d=2:lazy=0.999999",
+                     "--eps", "0.25", "--no-cache",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert time.perf_counter() - start < 1.0
+        header, [row] = read_csv(tmp_path / "out" / "analysis.csv")
+        assert dict(zip(header, row))["tmix_0.25"] == "881376"
 
     def test_explicit_tgrid(self, tmp_path):
         code = main(["analyze", "--spec", "cycle:n=8", "--eps", "0.5",
@@ -562,13 +586,15 @@ class TestExitCodes:
         ("bd:p=0.3,0.3;q=0.3,0.3", "0:5e-324:2", EXIT_OK),
         ("bd:p=0.3,0.3;q=0.3,0.3", "0:1.7e308:2", EXIT_OK),
         ("bd:p=0.3,0.3;q=0.3,0.3", "2e-308:3e-308:2", EXIT_OK),
-        ("cycle:n=8", "1e308:1e308:2", EXIT_CAP),
+        ("sym:k=3", "1e308:1e308:2", EXIT_CAP),
+        ("cycle:n=8", "1e308:1e308:2", EXIT_OK),
     ], ids=["span-past-2^53", "span-subnormal", "span-overflow",
-            "span-tiny", "power-cap-overflow"])
+            "span-tiny", "power-cap-overflow", "walk-rows-at-1e308"])
     def test_extreme_tgrid(self, tmp_path, spec, tgrid, code):
         # The profile axis of a zero, underflowing or overflowing span is
-        # drawn, and t |starts| n past the largest double still meets the
-        # rows' power cap: no warning (an error under this suite).
+        # drawn, t |starts| n past the largest double still meets the
+        # rows' power cap, and a declared walk's rows, which hold no
+        # powers, answer there: no warning (an error under this suite).
         assert main(["analyze", "--spec", spec, "--eps", "0.25", "--tgrid",
                      tgrid, "--no-cache", "--out", str(tmp_path)]) == code
 
@@ -582,7 +608,8 @@ class TestExitCodes:
     def test_tgrid_extremes_keep_exit_contract(self, tmp_path_factory,
                                                a, b, steps, spec):
         # Degenerate, subnormal and overflowing profile axes are drawn,
-        # and times past the rows' power cap exit 4, with no warning.
+        # and a declared walk's rows answer at every finite time, with no
+        # warning.
         a, b = sorted((a, b))
         out = tmp_path_factory.mktemp("o")
         assert main(["analyze", "--spec", spec, "--eps", "0.25",

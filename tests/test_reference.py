@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cutoff_lab import chain
 from cutoff_lab.chain import StochasticMatrix, _KernelRows
 from cutoff_lab.curvature import _tree_w1_bounds
-from cutoff_lab.families import birth_death
+from cutoff_lab.families import GroupSpec, StepLaw, birth_death
 from reference import row_ref, w1_path_ref
 
 
@@ -56,6 +56,43 @@ def test_start_set_rows(E, times, data):
     rows_at = _KernelRows(StochasticMatrix(E), starts)
     for t in sorted(times):
         assert_rows_near_ref(E, rows_at(t), starts, t)
+
+
+# Products of cyclic groups of order at most 64: dense runs of factors 2
+# and of mixed factors, and single factors.
+WALK_GROUPS = [(2,), (5,), (64,), (2, 2, 2), (3, 4), (2, 3, 5), (4, 4, 4),
+               (7, 9), (2,) * 6, (6, 2, 5)]
+
+
+@st.composite
+def walk_laws(draw):
+    """A step law on one of WALK_GROUPS: random weights on a random
+    support, lazy (mu(0) > 0) or not, symmetric (mu(-g) = mu(g)) or not;
+    the walk need not be irreducible."""
+    group = GroupSpec(draw(st.sampled_from(WALK_GROUPS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.uniform(0.1, 1.0, group.N) * (rng.random(group.N)
+                                          < draw(st.floats(0.05, 1.0)))
+    w[0] = rng.uniform(0.1, 1.0) if draw(st.booleans()) else 0.0
+    if draw(st.booleans()):
+        w = 0.5 * (w + w[group.neg(np.arange(group.N))])
+    if not w.any():
+        w[1] = 1.0
+    return StepLaw(group, w / w.sum())
+
+
+@settings(max_examples=40)
+@given(walk_laws(), TIMES, st.data())
+def test_walk_rows(law, times, data):
+    # A declared walk's rows, read off its step law's transform, hold no
+    # powers on P.
+    P = StochasticMatrix.walk(law)
+    starts = data.draw(st.lists(st.integers(0, P.n - 1), min_size=1,
+                                max_size=3, unique=True))
+    rows_at = _KernelRows(P, starts)
+    for t in sorted(times):
+        assert_rows_near_ref(P.entries, rows_at(t), starts, t)
+    assert P._powers == (None, None)
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@ champ."""
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ class TestRelaxationTime:
         assert len(seen) == F.shape[1]
         for k, f in enumerate(seen):
             assert np.array_equal(f, F[:, k])
+
+    def test_one_product_per_observable(self):
+        # Each observable costs one product P f; pi P is formed once per
+        # chain, on the first certificate.
+        P = hypercube(6).matrix
+        P.pi                            # its residual is a row product
+        calls = []
+        for name in ("apply", "row_times"):
+            product = getattr(P, name)
+            object.__setattr__(P, name, lambda X, name=name, product=product:
+                               calls.append(name) or product(X))
+        relaxation_time(P)
+        relaxation_time(P)
+        assert Counter(calls) == {"apply": 2 * spectral.POINCARE_SAMPLES,
+                                  "row_times": 1}
 
     def test_poincare_holds_a_few_vectors(self):
         # One observable at a time holds a few n-vectors; a block of the 50

@@ -8,6 +8,8 @@ declaration, which takes the LU solve, the all-pairs BFS and eigvalsh.
 """
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from cutoff_lab.chain import (Distribution, StochasticMatrix, _KernelRows,
                               kernel_rows, metric_data, poisson_weights,
                               stationary)
 from cutoff_lab.curvature import wasserstein1
-from cutoff_lab.entropy import d_star_at, mixing_time, v_star_at
-from cutoff_lab.errors import DimensionMismatch, NotIrreducible
+from cutoff_lab.entropy import (d_star_at, entropy_profile, mixing_time,
+                                v_star_at)
+from cutoff_lab.errors import (DimensionMismatch, NotIrreducible,
+                               TimeOutOfRange)
 from cutoff_lab.families import (GroupSpec, StepLaw, parse_family_spec,
                                  perturb_toward_uniform)
 from cutoff_lab.spectral import relaxation_time
@@ -421,3 +425,78 @@ class TestFastPathGuards:
                 V = V @ P.entries
                 want += qk * V
             assert np.max(np.abs(rows_at(t) - want)) <= 1e-15
+
+
+class TestWalkRows:
+    """A declared walk's start-set rows and its spectrum come off one
+    Fourier transform of its step law (StepLaw, chain._KernelRows); the
+    rows against the 40-digit reference are in test_reference.py."""
+
+    @pytest.mark.parametrize("factors,runs", [
+        ((2,) * 11, [64, 32]), ((65,), [65]), ((3, 4) + (2,) * 3, [48, 2])])
+    def test_characters_match_fftn(self, factors, runs):
+        # Runs of consecutive factors up to 64 are dense DFT matrices and a
+        # larger factor goes through np.fft; both agree with fftn.
+        n = math.prod(factors)
+        mu = np.random.default_rng(n).random(n)
+        law = StepLaw(GroupSpec(factors), mu / mu.sum())
+        assert [M for M, _ in law._stages] == runs
+        assert [W is None for _, W in law._stages] == [M > 64 for M in runs]
+        want = np.fft.fftn(law.mu.reshape(factors)).real.ravel()
+        assert np.max(np.abs(law.characters() - want)) <= 1e-15
+
+    def test_reads_hold_no_powers(self):
+        # Searches, d* and V* reads and profiles make no row product and
+        # leave P's powers empty; a min_terms read still extends them.
+        inst = parse_family_spec("hypercube:d=6")
+        P = inst.matrix
+        P.pi                            # its residual is a row product
+        products = []
+        row_times = P.row_times
+
+        def counted(v):
+            products.append(v.shape)
+            return row_times(v)
+        object.__setattr__(P, "row_times", counted)
+        t = inst.t_mix(0.25)
+        inst.t_mix(0.75)
+        inst.entropies(t)
+        d_star_at(P, t, starts=[0, 5])
+        v_star_at(P, t, starts=[0, 5])
+        entropy_profile(P, [0.0, 1.0, t], starts=[3])
+        assert products == [] and P._powers == (None, None)
+        rows = _KernelRows(P, [0])(t, min_terms=40)
+        key, [powers] = P._powers
+        assert key == (0,)
+        assert len(powers) == len(poisson_weights(t, min_terms=40))
+        assert len(products) == len(powers) - 1
+        tv = 0.5 * np.abs(rows - kernel_rows(P, t, [0])).sum()
+        assert tv <= chain._MASS_TOL
+
+    @pytest.mark.parametrize("t", [1e308, sys.float_info.max])
+    def test_huge_times_give_pi(self, t):
+        # Every e_k but the trivial one underflows, or t (1 - mu^)
+        # overflows, to 0 with no warning: each row is pi exactly.
+        mu = np.zeros(9)
+        mu[1], mu[-1] = 0.7, 0.3
+        for P in (parse_family_spec("cycle:n=8").matrix,
+                  parse_family_spec("hypercube:d=5").matrix,
+                  StochasticMatrix.walk(StepLaw(GroupSpec((9,)), mu))):
+            rows = kernel_rows(P, t, [0, 3])
+            assert np.array_equal(rows, np.full((2, P.n), 1.0 / P.n))
+
+    def test_zero_time_gives_unit_rows(self):
+        # P_0 = I exactly, also where the twiddles are not +-1, so no
+        # rounding noise reaches V* = 0 at a t_mix of 0.
+        for spec in ("cycle:n=9", "complete:n=7", "hypercube:d=4"):
+            P = parse_family_spec(spec).matrix
+            assert np.array_equal(kernel_rows(P, 0.0, [0, 3]),
+                                  np.eye(P.n)[[0, 3]])
+
+    def test_times_checked(self):
+        P = parse_family_spec("cycle:n=8").matrix
+        with pytest.raises(ValueError):
+            kernel_rows(P, -1.0, [0])
+        for t in (math.inf, math.nan):
+            with pytest.raises(TimeOutOfRange):
+                kernel_rows(P, t, [0])
