@@ -16,7 +16,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (lazy in numpy 2: load it at import)
 import numpy.random  # noqa: F401
 
-from .chain import (CSR, StochasticMatrix, _admit, _bfs, _readonly,
+from .chain import (CSR, StochasticMatrix, _admit, _readonly,
                     kernel_rows)
 from .entropy import _max_log_lip, _row_entropies, mixing_time
 from .errors import (DimensionMismatch, GenerationFailed, NotGenerating,
@@ -299,20 +299,19 @@ def _dft(m: int) -> np.ndarray:
     return w[np.outer(np.arange(m), np.arange(m)) % m]
 
 
-def _generating(spec: GroupSpec, gens) -> bool:
-    """S generates G exactly when Cay(G, S), the support of its walk, is
-    connected: when a BFS from 0 reaches every element (on a finite group
-    weak and strong connectivity coincide)."""
-    walk = StepLaw(spec, np.bincount(np.asarray(gens, dtype=np.int64),
-                                     minlength=spec.N)).matrix()
-    return bool(_bfs(walk, [0]).min() >= 0)
+def _generating(P: StochasticMatrix) -> bool:
+    """S generates G exactly when Cay(G, S), the support of its walk P, is
+    connected: when P is irreducible (on a finite group weak and strong
+    connectivity coincide)."""
+    return P.irreducible
 
 
 def _cayley_walk(spec: GroupSpec, elems, family: str, params: dict,
                  laziness: float = 0.0) -> ChainInstance:
     """P(x,y) = mu(y - x) with mu(g) = (1/|S|) #{s in S : s = g}, made
     alpha-lazy by mu <- alpha [g = 0] + (1 - alpha) mu if laziness > 0;
-    ``elems`` is a symmetric generating multiset of element indices."""
+    ``elems`` is a symmetric multiset of element indices, generating unless
+    the caller tests the walk with _generating."""
     mu = np.zeros(spec.N)
     for g in elems:
         mu[g] += 1.0 / len(elems)
@@ -333,28 +332,31 @@ def abelian_cayley(spec: GroupSpec, S) -> ChainInstance:
     elems = [int(spec.neg(-g)) if g < 0 else g % spec.N for g in S]
     if Counter(elems) != Counter(int(spec.neg(g)) for g in elems):
         raise NotSymmetricSet("generator multiset not closed under negation")
-    if not _generating(spec, elems):
-        raise NotGenerating("generators do not generate the group")
-    return _cayley_walk(spec, elems, "cayley",
+    inst = _cayley_walk(spec, elems, "cayley",
                         {"factors": spec.factors, "gens": tuple(S)})
+    if not _generating(inst.matrix):
+        raise NotGenerating("generators do not generate the group")
+    return inst
 
 
 def random_abelian_cayley(spec: GroupSpec, d: int, seed: int) -> ChainInstance:
     """d i.i.d. uniform draws, symmetrized as S = draws + their inverses.
 
     Redraws (up to ``MAX_REDRAWS``) until the set generates; deterministic
-    given the seed.  The identity may be drawn (adds laziness).
+    given the seed.  The identity may be drawn (adds laziness).  Each draw
+    builds its walk once, and the generation test reads that walk.
     """
     if d < 1:
         raise SpecParseError("need at least one generator draw")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
         draws = rng.integers(0, spec.N, size=d)
-        elems = np.concatenate([draws, spec.neg(draws)])
-        if _generating(spec, elems):
-            return _cayley_walk(spec, elems, "cayley-random",
-                                {"factors": spec.factors, "d": d, "seed": seed,
-                                 "draws": tuple(int(g) for g in draws)})
+        inst = _cayley_walk(spec, np.concatenate([draws, spec.neg(draws)]),
+                            "cayley-random",
+                            {"factors": spec.factors, "d": d, "seed": seed,
+                             "draws": tuple(int(g) for g in draws)})
+        if _generating(inst.matrix):
+            return inst
     raise GenerationFailed(f"no generating draw in {MAX_REDRAWS} attempts")
 
 

@@ -454,7 +454,7 @@ class TestSparseKernels:
         walk = families.StepLaw(spec, np.bincount(gens, minlength=spec.N))
         weak, _ = connected_components(as_scipy(walk.matrix()),
                                        directed=True, connection="weak")
-        assert families._generating(spec, gens) == (weak == 1)
+        assert families._generating(StochasticMatrix.walk(walk)) == (weak == 1)
 
     @pytest.mark.parametrize("build,digest,residual,min_entry", [
         (lambda: families.hypercube(4).matrix,

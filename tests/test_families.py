@@ -13,11 +13,11 @@ from cutoff_lab.chain import StochasticMatrix, metric_data, stationary
 from cutoff_lab.errors import (GenerationFailed, NotGenerating,
                                NotSymmetricSet, SpecParseError,
                                StateCapExceeded)
-from cutoff_lab.families import (ChainInstance, GroupSpec, _generating,
-                                 abelian_cayley, birth_death, complete_graph,
-                                 conjugacy_walk, cycle, hypercube,
-                                 parse_family_range, parse_family_spec,
-                                 perturb_toward_uniform,
+from cutoff_lab.families import (ChainInstance, GroupSpec, StepLaw,
+                                 _generating, abelian_cayley, birth_death,
+                                 complete_graph, conjugacy_walk, cycle,
+                                 hypercube, parse_family_range,
+                                 parse_family_spec, perturb_toward_uniform,
                                  random_abelian_cayley)
 
 
@@ -132,8 +132,8 @@ class TestRandomCayley:
         # draw generates, and each draw is tested once.
         results = []
 
-        def recorded(spec, gens):
-            results.append(_generating(spec, gens))
+        def recorded(P):
+            results.append(_generating(P))
             return results[-1]
         monkeypatch.setattr(families, "_generating", recorded)
         random_abelian_cayley(GroupSpec((2,) * 4), 4, seed=1)
@@ -152,6 +152,12 @@ def _gf2_rank(vectors) -> int:
     return len(pivots)
 
 
+def generates(spec, S) -> bool:
+    """_generating on the walk whose step law has support S."""
+    return _generating(StochasticMatrix.walk(StepLaw(
+        spec, np.bincount(np.asarray(S, dtype=np.int64), minlength=spec.N))))
+
+
 class TestGenerating:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
@@ -159,14 +165,14 @@ class TestGenerating:
     def test_hypercube_group_is_gf2_rank(self, case):
         # Z2^k is GF(2)^k with index bits as coordinates.
         k, S = case
-        assert _generating(GroupSpec((2,) * k), S) == (_gf2_rank(S) == k)
+        assert generates(GroupSpec((2,) * k), S) == (_gf2_rank(S) == k)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 600).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, n - 1), max_size=6))))
     def test_cyclic_group_is_gcd(self, case):
         n, S = case
-        assert _generating(GroupSpec((n,)), S) == (math.gcd(n, *S) == 1)
+        assert generates(GroupSpec((n,)), S) == (math.gcd(n, *S) == 1)
 
 
 class TestNamedFamilies:

@@ -65,11 +65,11 @@ WALK_GROUPS = [(2,), (5,), (64,), (2, 2, 2), (3, 4), (2, 3, 5), (4, 4, 4),
 
 
 @st.composite
-def walk_laws(draw):
-    """A step law on one of WALK_GROUPS: random weights on a random
+def walk_laws(draw, groups=WALK_GROUPS):
+    """A step law on one of ``groups``: random weights on a random
     support, lazy (mu(0) > 0) or not, symmetric (mu(-g) = mu(g)) or not;
     the walk need not be irreducible."""
-    group = GroupSpec(draw(st.sampled_from(WALK_GROUPS)))
+    group = GroupSpec(draw(st.sampled_from(groups)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = rng.uniform(0.1, 1.0, group.N) * (rng.random(group.N)
                                           < draw(st.floats(0.05, 1.0)))

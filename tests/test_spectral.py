@@ -7,17 +7,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutoff_lab import spectral
 from cutoff_lab.chain import StochasticMatrix, stationary
 from cutoff_lab.errors import CertificateFailed, NotIrreducible
-from cutoff_lab.families import (birth_death, complete_graph, cycle,
+from cutoff_lab.families import (GroupSpec, StepLaw, birth_death,
+                                 complete_graph, conjugacy_walk, cycle,
                                  hypercube, parse_family_spec)
 from cutoff_lab.spectral import (POINCARE_SLACK, dirichlet_energy,
                                  gamma_form, relaxation_time,
                                  reversibilization)
 from test_curvature import CHAINS, gamma_dense, sparse_chain
+from test_reference import WALK_GROUPS, walk_laws
 
 
 def biased_cycle(n, p=0.7):
@@ -33,6 +36,20 @@ THREE_STATE = np.array([
     [0.1, 0.6, 0.3],
     [0.4, 0.2, 0.4],
     [0.5, 0.25, 0.25]])
+
+
+def count_products(P, certificates):
+    """The products by P ("apply", "row_times") that ``certificates`` calls
+    of relaxation_time make once pi is known."""
+    P.pi                            # its residual is a row product
+    calls = []
+    for name in ("apply", "row_times"):
+        product = getattr(P, name)
+        object.__setattr__(P, name, lambda X, name=name, product=product:
+                           calls.append(name) or product(X))
+    for _ in range(certificates):
+        relaxation_time(P)
+    return calls
 
 
 def adjoint_of(P):
@@ -149,19 +166,21 @@ class TestRelaxationTime:
             assert np.array_equal(f, F[:, k])
 
     def test_one_product_per_observable(self):
-        # Each observable costs one product P f; pi P is formed once per
-        # chain, on the first certificate.
+        # On a chain that is not a declared walk (sym:k=4), each observable
+        # costs one product P f; pi P is formed once per chain, on the
+        # first certificate.
+        P = conjugacy_walk(4).matrix
+        assert Counter(count_products(P, 2)) == {
+            "apply": 2 * spectral.POINCARE_SAMPLES, "row_times": 1}
+
+    @pytest.mark.parametrize("samples", [spectral.POINCARE_SAMPLES, 7])
+    def test_walk_products_fixed(self, monkeypatch, samples):
+        # A declared walk's certificate takes two products P f, one for the
+        # transform identity and one for the Dirichlet energy, however many
+        # observables the sampled certificate would take.
+        monkeypatch.setattr(spectral, "POINCARE_SAMPLES", samples)
         P = hypercube(6).matrix
-        P.pi                            # its residual is a row product
-        calls = []
-        for name in ("apply", "row_times"):
-            product = getattr(P, name)
-            object.__setattr__(P, name, lambda X, name=name, product=product:
-                               calls.append(name) or product(X))
-        relaxation_time(P)
-        relaxation_time(P)
-        assert Counter(calls) == {"apply": 2 * spectral.POINCARE_SAMPLES,
-                                  "row_times": 1}
+        assert Counter(count_products(P, 2)) == {"apply": 4, "row_times": 1}
 
     def test_poincare_holds_a_few_vectors(self):
         # One observable at a time holds a few n-vectors; a block of the 50
@@ -175,6 +194,60 @@ class TestRelaxationTime:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * P.n
+
+
+def tamper_lambda2(law):
+    """Move the characters at lambda2, the second largest Re mu^, to
+    lambda3 in the law's kept transform mu^."""
+    hat = np.array(law._hat)
+    levels = np.unique(hat.real.round(12))[::-1]
+    hat[np.isclose(hat.real, levels[1], rtol=0, atol=1e-12)] += (
+        levels[2] - levels[1])
+    hat.setflags(write=False)
+    law.__dict__["_hat"] = hat
+
+
+def skew_law():
+    """An irreducible step law on Z3 x Z4 x Z2^3 with mu(-g) != mu(g)."""
+    group = GroupSpec((3, 4, 2, 2, 2))
+    mu = np.random.default_rng(5).uniform(0.1, 1.0, group.N)
+    return StepLaw(group, mu / mu.sum())
+
+
+class TestWalkCertificate:
+    @pytest.mark.parametrize("make", [
+        lambda: hypercube(6).matrix, lambda: cycle(32).matrix,
+        lambda: StochasticMatrix.walk(skew_law())],
+        ids=["hypercube:d=6", "cycle:n=32", "Z3xZ4xZ2^3-skew"])
+    def test_wrong_lambda2_fails(self, make):
+        # The tampered spectrum gives a smaller t_rel under which every
+        # sampled observable still satisfies the Poincare inequality; the
+        # transform identity P f = C f does not hold.
+        P = make()
+        tamper_lambda2(P.step_law)
+        with pytest.raises(CertificateFailed, match="transform"):
+            relaxation_time(P)
+
+    @settings(max_examples=60)
+    @given(walk_laws(WALK_GROUPS + [(65,), (3, 67), (2, 128), (100, 2)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_identity_within_tau(self, law, seed):
+        # Lazy or not, symmetric or not, through dense runs and np.fft.
+        P = StochasticMatrix.walk(law)
+        f = np.random.default_rng(seed).standard_normal(P.n)
+        deviation, tau = spectral._walk_identity(P, f)
+        assert deviation <= tau
+
+    def test_tau_on_the_benchmark_hypercube(self):
+        # tau = (3 eps + 4u) ||f||_1 + gamma_12 ||f||_inf, eps = gamma_66 +
+        # gamma_34 on Z2^11.
+        P = hypercube(11).matrix
+        assert spectral._transform_eps(P.step_law) == pytest.approx(
+            100 * 2.0 ** -53, rel=1e-12)
+        f = np.random.default_rng(0).standard_normal(P.n)
+        deviation, tau = spectral._walk_identity(P, f)
+        assert 4e-11 < tau < 7e-11
+        assert deviation < 1e-14
 
 
 class TestGammaForm:
